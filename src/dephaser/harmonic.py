@@ -19,8 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,13 +27,13 @@ import numpy as np
 from .constants import CONST
 from .coupling import SpectralDensity, spectral_density
 from .model import ThermalEnv
-from .quadrature import QuadratureConfig, integrate, integrate_semi_infinite
-from .runtime import fmt_float, worker_count
+from .quadrature import _TRUNC_SIGMA, QuadratureConfig, integrate, integrate_semi_infinite
+from .runtime import fmt_float
 
 _EXP_CFG = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-10)
-
-# Truncating a Gaussian at this many cutoff widths leaves < 1e-30 outside.
-_GAUSS_SIGMA = math.sqrt(math.log(1e30))
+# Bound on times x seed panels in one batched pass: the engine keeps a value
+# and an error per time and panel, 8 MB each at this size.
+_PASS_ELEMS = 1 << 20
 
 
 def _thermal_weight(omega: np.ndarray, env: ThermalEnv, theta: float) -> np.ndarray:
@@ -43,37 +42,71 @@ def _thermal_weight(omega: np.ndarray, env: ThermalEnv, theta: float) -> np.ndar
     return 1.0 / np.tanh(CONST.hbar * omega / (theta * CONST.k_B * env.T_K))
 
 
-def _exponent(sd: SpectralDensity, env: ThermalEnv, t: float, theta: float) -> float:
-    """The (positive) decoherence exponent at time t."""
+def _decay_scale(sd: SpectralDensity) -> float:
+    """integrate_semi_infinite's decay scale for a parametric density: the
+    cut-off is below 1e-30 beyond _TRUNC_SIGMA times it."""
+    if sd.form == "power-law-gaussian-cutoff":
+        return sd.cutoff_rad_per_s
+    return sd.cutoff_rad_per_s * _TRUNC_SIGMA  # exp(-w/w_c) is 1e-30 at w_c*_TRUNC_SIGMA^2
+
+
+def _over_spectrum(sd: SpectralDensity, integrand, cfg: QuadratureConfig):
+    """Integral of integrand(omega) over the support of sd.
+
+    A tabulated density is integrated from knot to knot, so no panel
+    straddles a kink of the interpolated table; a parametric one up to the
+    point where its cut-off falls below 1e-30.
+    """
+    if sd.form == "tabulated":
+        knots = sd.table_omega_rad_per_s
+        return sum(integrate(integrand, lo, hi, cfg).value
+                   for lo, hi in zip(knots[:-1], knots[1:]))
+    return integrate_semi_infinite(integrand, 0.0, _decay_scale(sd), cfg).value
+
+
+def _exponent_integrand(sd: SpectralDensity, env: ThermalEnv, theta: float,
+                        times: np.ndarray):
+    """Integrand of the decoherence exponent, one row per time."""
+    half_t = 0.5 * times
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        osc = np.sin(0.5 * omega * t) ** 2
-        return (
-            2.0
-            * _thermal_weight(omega, env, theta)
-            * spectral_density(sd, omega)
-            * osc
-            / (CONST.hbar * omega) ** 2
-        )
+        factor = (2.0 * _thermal_weight(omega, env, theta)
+                  * spectral_density(sd, omega) / (CONST.hbar * omega) ** 2)
+        osc = np.multiply.outer(half_t, omega)
+        np.sin(osc, out=osc)
+        osc *= osc
+        osc *= factor
+        return osc
 
-    hint = math.pi / t if t > 0.0 else None
-    cfg = QuadratureConfig(
-        abs_tol=_EXP_CFG.abs_tol,
-        rel_tol=_EXP_CFG.rel_tol,
-        max_subdivisions=_EXP_CFG.max_subdivisions,
-        panel_hint=hint,
-    )
-    if sd.form == "tabulated":
-        lo = float(sd.table_omega_rad_per_s[0])
-        hi = float(sd.table_omega_rad_per_s[-1])
-        return integrate(integrand, lo, hi, cfg).value
-    if sd.amplitude == 0.0:
-        return 0.0
-    if sd.form == "power-law-gaussian-cutoff":
-        scale = sd.cutoff_rad_per_s
-    else:
-        scale = sd.cutoff_rad_per_s * _GAUSS_SIGMA
-    return integrate_semi_infinite(integrand, 0.0, scale, cfg).value
+    return integrand
+
+
+def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray,
+            theta: float) -> np.ndarray:
+    """Coherence ratio at every time; the times share each quadrature pass.
+
+    The time-independent factor 2 w_th J/(hbar w)^2 is evaluated once per
+    node and multiplied by sin^2(wt/2) for every time of a pass; each time
+    keeps its own error estimate. Seed panels are pi/max(t) wide, fine
+    enough for the fastest oscillation. A pass takes as many times as keep
+    its (times x seed panels) store within _PASS_ELEMS: all of them unless
+    the seed panels number in the thousands. t = 0 gives exactly 1.
+    """
+    if not math.isfinite(theta) or theta <= 0.0:
+        raise ValueError("theta must be positive")
+    exponents = np.zeros(times.shape)
+    positive = np.flatnonzero(times > 0.0)
+    if positive.size and (sd.form == "tabulated" or sd.amplitude != 0.0):
+        cfg = replace(_EXP_CFG, panel_hint=math.pi / times.max())
+        if sd.form == "tabulated":
+            span = sd.table_omega_rad_per_s[-1] - sd.table_omega_rad_per_s[0]
+        else:
+            span = _decay_scale(sd) * _TRUNC_SIGMA
+        per_pass = max(1, int(_PASS_ELEMS / (span / cfg.panel_hint + 1.0)))
+        for rows in np.split(positive, range(per_pass, positive.size, per_pass)):
+            integrand = _exponent_integrand(sd, env, theta, times[rows])
+            exponents[rows] = _over_spectrum(sd, integrand, cfg)
+    return np.exp(-exponents)
 
 
 def coherence_ratio(sd: SpectralDensity, env: ThermalEnv, t: float,
@@ -86,11 +119,7 @@ def coherence_ratio(sd: SpectralDensity, env: ThermalEnv, t: float,
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and >= 0")
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValueError("theta must be positive")
-    if t == 0.0:
-        return 1.0
-    return math.exp(-_exponent(sd, env, t, theta))
+    return float(_ratios(sd, env, np.array([float(t)]), theta)[0])
 
 
 def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv,
@@ -122,17 +151,7 @@ def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv,
             / (CONST.hbar * omega) ** 2
         )
 
-    if sd.form == "tabulated":
-        lo = float(sd.table_omega_rad_per_s[0])
-        hi = float(sd.table_omega_rad_per_s[-1])
-        value = integrate(integrand, lo, hi, _EXP_CFG).value
-    else:
-        if sd.form == "power-law-gaussian-cutoff":
-            scale = sd.cutoff_rad_per_s
-        else:
-            scale = sd.cutoff_rad_per_s * _GAUSS_SIGMA
-        value = integrate_semi_infinite(integrand, 0.0, scale, _EXP_CFG).value
-    return math.exp(-value)
+    return math.exp(-_over_spectrum(sd, integrand, _EXP_CFG))
 
 
 @dataclass(frozen=True)
@@ -166,9 +185,9 @@ def decoherence_curve(sd: SpectralDensity, env: ThermalEnv, t_max: float,
                       points: int, theta: float = 1.0) -> DecoherenceCurve:
     """Sample the coherence ratio on a uniform grid over [0, t_max].
 
-    t_max = 0 produces the single trivial sample at t = 0. Points are
-    evaluated in a thread pool (sized by DEPHASER_THREADS) in deterministic
-    order.
+    t_max = 0 produces the single trivial sample at t = 0. The points share
+    batched quadrature passes (see _ratios), one unless the curve is very
+    long; the curve is deterministic and uses no threads.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
@@ -178,13 +197,7 @@ def decoherence_curve(sd: SpectralDensity, env: ThermalEnv, t_max: float,
         times = np.array([0.0])
     else:
         times = t_max * np.arange(points) / (points - 1)
-
-    def one(t: float) -> float:
-        return coherence_ratio(sd, env, float(t), theta)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        ratios = np.array(list(pool.map(one, times)))
-    return DecoherenceCurve(times_s=times, ratio=ratios,
+    return DecoherenceCurve(times_s=times, ratio=_ratios(sd, env, times, theta),
                             plateau=asymptotic_coherence(sd, env, theta))
 
 

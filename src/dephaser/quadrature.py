@@ -4,12 +4,24 @@ and nested 2-D domains.
 Panels use an embedded 7-point Gauss / 15-point Kronrod pair. The rule is
 open (no endpoint evaluations), so integrands with a removable singularity
 at an interval edge are handled as long as every sampled node is finite.
-Integrands must be vectorized: they receive a 1-D ndarray of nodes and
+Integrands must be vectorized: they receive a 1-D ndarray of n nodes and
 return values of the same shape (scalar broadcasts are accepted).
+
+An integrand may instead return shape (m, n): m integrals over one shared
+set of panels, the design of scipy.integrate.quad_vec. Each component keeps
+its own error estimate and stopping test, so components many orders of
+magnitude apart each reach their own relative tolerance. Panels go to the
+integrand in chunks that keep one (m, n) block within 512 kB; chunking changes
+how often the integrand is called, never which nodes it sees or how their
+values are summed.
+
+Kinks and breakpoints are left to the caller: an integrand that is smooth
+only between known points (an interpolated table) is integrated interval
+by interval between them, so no panel straddles a kink and none is
+bisected towards it.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,6 +55,9 @@ class QuadratureConfig:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """value and abs_error_estimate are floats, or arrays of length m for
+    an integrand returning (m, n); evaluations counts the nodes sampled."""
+
     value: float
     abs_error_estimate: float
     evaluations: int
@@ -74,32 +89,56 @@ _WG_FULL[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 _EPS50 = 50.0 * np.finfo(float).eps
 _MAX_SEED_PANELS = 200_000
 _BISECT_BATCH = 64
+# Panels go to the integrand in chunks whose (m, nodes) result holds at
+# most this many values (512 kB of float64). Before m is known, up to
+# _SMALL_CALL panels go in one call; more start with a one-panel call.
+_BLOCK_ELEMS = 1 << 16
+_SMALL_CALL = 64
 
 # Gaussian tail bound: exp(-s^2) < 1e-30 at s = sqrt(ln 1e30).
 _TRUNC_SIGMA = math.sqrt(math.log(1e30))
 
 
-def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):
-    """Apply the Gauss-Kronrod pair to a batch of panels in one call to f."""
+def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
+    """Apply the Gauss-Kronrod pair to a batch of panels in one call to f.
+
+    Returns the panel values and error estimates, each (rows, panels), and
+    the shape of one integral's value: () for an integrand returning (n,),
+    (m,) for one returning (m, n). `shape` is that of an earlier call, or
+    None on the first.
+    """
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
     flat = nodes.ravel()
     y = np.asarray(f(flat), dtype=float)
-    if y.shape != flat.shape:
-        y = np.broadcast_to(y, flat.shape)
+    if y.ndim > 2:
+        raise ValueError(f"integrand returned shape {y.shape}; expected (n,) or (m, n)")
+    got = y.shape[:1] if y.ndim == 2 else ()
+    if shape is not None and got != shape:
+        raise ValueError(f"integrand returned {got or 'scalar'} components, "
+                         f"earlier {shape or 'scalar'}")
+    if y.shape != got + flat.shape:
+        y = np.broadcast_to(y, got + flat.shape)
+    rows = got[0] if got else 1
     bad = ~np.isfinite(y)
     if bad.any():
-        where = flat[bad][0]
+        where = flat[bad.reshape(rows, -1).any(axis=0)][0]
         raise NonFiniteSample(f"integrand returned a non-finite value at x={where!r}")
-    y = y.reshape(nodes.shape)
-    resk = half * (y * _WK_FULL).sum(axis=1)
-    resg = half * (y * _WG_FULL).sum(axis=1)
-    resabs = np.abs(half) * (np.abs(y) * _WK_FULL).sum(axis=1)
+    y = y.reshape((rows,) + nodes.shape)
+    resk = half * (y * _WK_FULL).sum(axis=-1)
+    resg = half * (y * _WG_FULL).sum(axis=-1)
+    # in place, so that at most one temporary of y's size is alive
+    tmp = np.abs(y)
+    tmp *= _WK_FULL
+    resabs = np.abs(half) * tmp.sum(axis=-1)
     width = rights - lefts
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(width > 0, resk / np.where(width > 0, width, 1.0), 0.0)
-    resasc = np.abs(half) * (np.abs(y - mean[:, None]) * _WK_FULL).sum(axis=1)
+    np.subtract(y, mean[..., None], out=tmp)
+    np.abs(tmp, out=tmp)
+    tmp *= _WK_FULL
+    resasc = np.abs(half) * tmp.sum(axis=-1)
     raw = np.abs(resk - resg)
     scaled = np.where(
         (resasc > 0) & (raw > 0),
@@ -107,7 +146,56 @@ def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray):
         raw,
     )
     err = np.maximum(scaled, _EPS50 * resabs)
-    return resk, err
+    return resk, err, got
+
+
+def _chunk(shape) -> int:
+    """Panels per integrand call for integrals of the given value shape."""
+    return max(1, _BLOCK_ELEMS // (15 * (shape[0] if shape else 1)))
+
+
+def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray, shape=None):
+    """_gauss_kronrod over the panels in chunks (see _BLOCK_ELEMS)."""
+    n = lefts.size
+    if n <= (_SMALL_CALL if shape is None else _chunk(shape)):
+        return _gauss_kronrod(f, lefts, rights, shape)
+    step = 1 if shape is None else _chunk(shape)
+    v, e, shape = _gauss_kronrod(f, lefts[:step], rights[:step], shape)
+    vals, errs = np.empty((v.shape[0], n)), np.empty((v.shape[0], n))
+    vals[:, :step], errs[:, :step] = v, e
+    start, step = step, _chunk(shape)
+    while start < n:
+        stop = min(start + step, n)
+        vals[:, start:stop], errs[:, start:stop], _ = _gauss_kronrod(
+            f, lefts[start:stop], rights[start:stop], shape)
+        start = stop
+    return vals, errs, shape
+
+
+def _ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Left-to-right sum along the last axis, as a running total from 0."""
+    return np.cumsum(x, axis=-1)[..., -1] + 0.0
+
+
+def _worst_panels(priority: np.ndarray, budget: int) -> np.ndarray:
+    """Positions of at most `budget` panels of positive priority, highest
+    first; equal priorities go to the earlier position."""
+    if budget <= 0:
+        return np.empty(0, dtype=np.intp)
+    if priority.size > budget:
+        kth = np.partition(priority, priority.size - budget)[priority.size - budget]
+        cand = np.flatnonzero(priority >= kth)
+    else:
+        cand = np.arange(priority.size)
+    cand = cand[np.argsort(-priority[cand], kind="stable")][:budget]
+    return cand[priority[cand] > 0.0]
+
+
+def _grown(x: np.ndarray, need: int) -> np.ndarray:
+    """x with its last axis extended to at least `need` (doubling)."""
+    out = np.empty(x.shape[:-1] + (max(need, 2 * x.shape[-1]),))
+    out[..., :x.shape[-1]] = x
+    return out
 
 
 def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
@@ -115,7 +203,11 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
 
     The returned abs_error_estimate is the summed panel estimate; the result
     satisfies |value - integral| <= max(abs_tol, rel_tol*|value|) unless
-    NonConvergence is raised. Deterministic for identical inputs: panel
+    NonConvergence is raised. For an integrand returning (m, n), value and
+    abs_error_estimate are arrays of length m and every component meets
+    that test on its own. Each bisection round splits the panels with the
+    largest error relative to the seed pass's tolerance, taking the worst
+    component of each panel. Deterministic for identical inputs: panel
     selection ties break on creation order and the final sum runs left to
     right over the surviving panels.
     """
@@ -132,59 +224,59 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
         n0 = 1
     edges = a + (b - a) * np.arange(n0 + 1) / n0
     lefts, rights = edges[:-1], edges[1:]
-    vals, errs = _eval_panels(f, lefts, rights)
+    vals, errs, shape = _eval_panels(f, lefts, rights)
     evaluations = 15 * n0
-
-    panels = {}  # id -> (left, right, value, error)
-    heap = []
-    next_id = 0
-    for i in range(n0):
-        panels[next_id] = (lefts[i], rights[i], vals[i], errs[i])
-        heap.append((-errs[i], next_id))
-        next_id += 1
-    heapq.heapify(heap)
-    total_val = float(vals.sum())
-    total_err = float(errs.sum())
+    total_val = vals.sum(axis=1)
+    total_err = errs.sum(axis=1)
+    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
+    # Panels live in columns 0..n-1 in creation order; a split panel is
+    # retired by a negative priority, its halves are appended.
+    n, weight, priority = n0, None, None
     splits = 0
 
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
-        batch = []
-        while heap and len(batch) < _BISECT_BATCH:
-            if splits + len(batch) >= cfg.max_subdivisions:
-                break
-            negerr, pid = heapq.heappop(heap)
-            if -negerr <= 0.0:
-                heapq.heappush(heap, (negerr, pid))
-                break
-            batch.append(pid)
-        if not batch:
+    while (total_err > tol).any():
+        if weight is None:
+            weight = (tol.max() / tol)[:, None]
+            priority = (errs * weight).max(axis=0)
+        pick = _worst_panels(priority[:n], min(_BISECT_BATCH, cfg.max_subdivisions - splits))
+        if not pick.size:
+            worst = int(np.argmax(total_err / tol))
+            where = f" in component {worst} of {total_err.size}" if shape else ""
             raise NonConvergence(
-                f"error estimate {total_err:.3e} above tolerance "
-                f"{max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):.3e} "
-                f"after {splits} subdivisions of [{a!r}, {b!r}]"
+                f"error estimate {total_err[worst]:.3e} above tolerance "
+                f"{tol[worst]:.3e} after {splits} subdivisions of [{a!r}, {b!r}]{where}"
             )
-        splits += len(batch)
-        la = np.empty(2 * len(batch))
-        ra = np.empty(2 * len(batch))
-        for j, pid in enumerate(batch):
-            left, right, v, e = panels.pop(pid)
-            m = 0.5 * (left + right)
-            la[2 * j], ra[2 * j] = left, m
-            la[2 * j + 1], ra[2 * j + 1] = m, right
-            total_val -= v
-            total_err -= e
-        vals, errs = _eval_panels(f, la, ra)
-        evaluations += 15 * len(la)
-        for j in range(len(la)):
-            panels[next_id] = (la[j], ra[j], vals[j], errs[j])
-            heapq.heappush(heap, (-errs[j], next_id))
-            next_id += 1
-        total_val += float(vals.sum())
-        total_err += float(errs.sum())
+        splits += pick.size
+        # the running totals drop the split panels one at a time, in order
+        total_val = np.subtract.reduce(np.vstack([total_val, vals[:, pick].T]), axis=0)
+        total_err = np.subtract.reduce(np.vstack([total_err, errs[:, pick].T]), axis=0)
+        priority[pick] = -1.0
+        left, right = lefts[pick], rights[pick]
+        mid = 0.5 * (left + right)
+        la = np.column_stack([left, mid]).ravel()
+        ra = np.column_stack([mid, right]).ravel()
+        new_vals, new_errs, _ = _eval_panels(f, la, ra, shape)
+        evaluations += 15 * la.size
+        total_val = total_val + new_vals.sum(axis=1)
+        total_err = total_err + new_errs.sum(axis=1)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
+        if n + la.size > lefts.size:
+            lefts, rights, vals, errs, priority = (
+                _grown(x, n + la.size) for x in (lefts, rights, vals, errs, priority))
+        new = slice(n, n + la.size)
+        lefts[new], rights[new] = la, ra
+        vals[:, new], errs[:, new] = new_vals, new_errs
+        priority[new] = (new_errs * weight).max(axis=0)
+        n += la.size
 
-    ordered = sorted(panels.values(), key=lambda rec: rec[0])
-    value = float(sum(rec[2] for rec in ordered))
-    error = float(sum(rec[3] for rec in ordered))
+    if splits:
+        # a stable sort keeps creation order among equal left edges
+        live = np.flatnonzero(priority[:n] >= 0.0)
+        order = live[np.argsort(lefts[live], kind="stable")]
+        vals, errs = vals[:, order], errs[:, order]
+    value, error = _ordered_sum(vals), _ordered_sum(errs)
+    if not shape:
+        return QuadratureResult(float(value[0]), float(error[0]), evaluations)
     return QuadratureResult(value, error, evaluations)
 
 

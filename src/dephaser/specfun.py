@@ -125,8 +125,8 @@ class BoseMomentTable:
         nodes = upper * np.arange(n + 1) / n
         from .quadrature import _eval_panels
 
-        panel_vals, _ = _eval_panels(_moment_integrand, nodes[:-1], nodes[1:])
-        values = np.concatenate([[0.0], np.cumsum(panel_vals)])
+        panel_vals, _, _ = _eval_panels(_moment_integrand, nodes[:-1], nodes[1:])
+        values = np.concatenate([[0.0], np.cumsum(panel_vals[0])])
         slopes = np.empty_like(nodes)
         slopes[1:] = _moment_integrand(nodes[1:])
         slopes[0] = 0.0  # integrand behaves as u^3 at the origin

@@ -1,16 +1,20 @@
 """Tests for harmonic-reservoir decoherence curves and plateaus.
 
 The finite-time reference value was computed with scipy.integrate.quad on
-the exponent integral at epsabs 1e-14.
+the exponent integral at epsabs 1e-14; the tabulated-density oracle calls
+scipy.integrate.quad (a test-only dependency) with the table knots as
+breakpoints.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import dephaser.harmonic as harmonic
 from dephaser.constants import CONST
-from dephaser.coupling import SpectralDensity
+from dephaser.coupling import SpectralDensity, spectral_density
 from dephaser.harmonic import (
     DecoherenceCurve,
     asymptotic_coherence,
@@ -35,8 +39,18 @@ SD_GAPPED = SpectralDensity(form="tabulated",
                             table_omega_rad_per_s=np.array([1e12, 2e12]),
                             table_J=np.array([1e-57, 1e-57]))
 
+# a 12-knot table with a Gaussian-cutoff quadratic profile: every interior
+# knot is a kink of the interpolated density
+TABLE_OMEGA = np.geomspace(1e12, 3e13, 12)
+SD_TABLE = SpectralDensity(
+    form="tabulated", table_omega_rad_per_s=TABLE_OMEGA,
+    table_J=1e-82 * TABLE_OMEGA**2 * np.exp(-((TABLE_OMEGA / 1e13) ** 2)))
+SD_EXPONENTIAL = SpectralDensity(form="power-law-exponential-cutoff", amplitude=1e-95,
+                                 exponent=3.0, cutoff_rad_per_s=1e13)
+
 COLD = ThermalEnv(T_K=0.0)
 WARM = ThermalEnv(T_K=77.0)
+LIQUID_HE = ThermalEnv(T_K=4.2)
 
 
 def test_ratio_against_quad_oracle():
@@ -177,3 +191,77 @@ def test_curve_csv_round_trip(tmp_path):
     assert path.read_text(encoding="utf-8") == text
     # repr round-trip keeps full precision
     assert float(lines[2].split(",")[1]) == curve.ratio[1]
+
+
+def _table_exponent_oracle(t: float, env: ThermalEnv) -> float:
+    def integrand(omega: float) -> float:
+        weight = 1.0 / math.tanh(CONST.hbar * omega / (CONST.k_B * env.T_K))
+        return (2.0 * weight * spectral_density(SD_TABLE, omega)
+                * math.sin(0.5 * omega * t) ** 2 / (CONST.hbar * omega) ** 2)
+
+    value, _ = quad(integrand, TABLE_OMEGA[0], TABLE_OMEGA[-1],
+                    points=TABLE_OMEGA[1:-1], limit=1000, epsabs=0.0, epsrel=1e-13)
+    return value
+
+
+def test_tabulated_curve_against_quad_with_knot_breakpoints():
+    curve = decoherence_curve(SD_TABLE, LIQUID_HE, 1e-11, 5)
+    for t, r in zip(curve.times_s[1:], curve.ratio[1:]):
+        expected = math.exp(-_table_exponent_oracle(float(t), LIQUID_HE))
+        assert r == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e-13, 1e-12, 1e-11])
+def test_tabulated_exponent_needs_no_bisection(monkeypatch, t):
+    # seeded from knot to knot, every panel lies on one linear piece of the
+    # table: the seed pass converges and J is sampled at 15 nodes per seed
+    nodes = []
+
+    def counting(sd, omega):
+        nodes.append(np.size(omega))
+        return spectral_density(sd, omega)
+
+    monkeypatch.setattr(harmonic, "spectral_density", counting)
+    coherence_ratio(SD_TABLE, LIQUID_HE, t)
+    seeds = sum(math.ceil((hi - lo) / (math.pi / t))
+                for lo, hi in zip(TABLE_OMEGA[:-1], TABLE_OMEGA[1:]))
+    assert sum(nodes) == 15 * seeds
+
+
+@pytest.mark.parametrize(
+    "sd, env, t_max",
+    [
+        (SD_QUADRATIC, WARM, 1e-11),
+        (SD_EXPONENTIAL, ThermalEnv(T_K=4.0), 4e-12),
+        (SD_OHMIC, ThermalEnv(T_K=4.0), 1e-11),
+        (SD_TABLE, LIQUID_HE, 1e-11),
+    ],
+    ids=["gaussian", "exponential", "ohmic", "tabulated"],
+)
+def test_curve_points_match_single_time_ratio(sd, env, t_max):
+    curve = decoherence_curve(sd, env, t_max, 9)
+    assert curve.ratio[0] == 1.0
+    for t, r in zip(curve.times_s[1:], curve.ratio[1:]):
+        assert r == pytest.approx(coherence_ratio(sd, env, float(t)), rel=1e-10)
+
+
+def test_curve_rejects_bad_theta():
+    with pytest.raises(ValueError, match="theta"):
+        decoherence_curve(SD_QUADRATIC, WARM, 1e-12, 3, theta=0.0)
+
+
+def test_long_curve_splits_times_into_bounded_passes(monkeypatch):
+    # 237 seed panels per pass: a store of 900 values takes 3 times a pass
+    whole = decoherence_curve(SD_QUADRATIC, WARM, 1e-11, 9)
+    rows = []
+    original = harmonic._exponent_integrand
+
+    def spy(sd, env, theta, times):
+        rows.append(times.size)
+        return original(sd, env, theta, times)
+
+    monkeypatch.setattr(harmonic, "_exponent_integrand", spy)
+    monkeypatch.setattr(harmonic, "_PASS_ELEMS", 900)
+    split = decoherence_curve(SD_QUADRATIC, WARM, 1e-11, 9)
+    assert rows == [3, 3, 2]
+    np.testing.assert_allclose(split.ratio, whole.ratio, rtol=1e-10, atol=0.0)

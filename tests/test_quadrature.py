@@ -4,6 +4,7 @@ scipy.integrate.quad supplies the cross-check values; it is a test-only
 dependency.
 """
 
+import heapq
 import math
 
 import numpy as np
@@ -11,6 +12,10 @@ import pytest
 from scipy.integrate import quad
 
 from dephaser.quadrature import (
+    _EPS50,
+    _NODES,
+    _WG_FULL,
+    _WK_FULL,
     NonConvergence,
     NonFiniteSample,
     QuadratureConfig,
@@ -67,13 +72,73 @@ def test_fast_oscillations_with_panel_hint(alpha):
     assert res.value == pytest.approx(exact, abs=5e-14)
 
 
+def _damped_cosine(x):
+    return np.exp(-x) * np.cos(3.0 * x)
+
+
+def _scaled_pair(x):
+    # two integrals over one panel set, twelve orders of magnitude apart
+    return np.stack([1e-12 * np.exp(-x) * np.cos(3.0 * x), np.exp(-x * x) * np.sin(5.0 * x)])
+
+
 def test_additivity_over_split_points():
-    rng = np.random.default_rng(BATTERY_SEED)
-    f = lambda x: np.exp(-x) * np.cos(3.0 * x)
-    whole = integrate(f, 0.0, 2.0).value
-    for z in rng.uniform(0.1, 1.9, size=8):
-        parts = integrate(f, 0.0, float(z)).value + integrate(f, float(z), 2.0).value
-        assert parts == pytest.approx(whole, rel=1e-12)
+    for f in (_damped_cosine, _scaled_pair):
+        rng = np.random.default_rng(BATTERY_SEED)
+        whole = integrate(f, 0.0, 2.0).value
+        for z in rng.uniform(0.1, 1.9, size=8):
+            parts = integrate(f, 0.0, float(z)).value + integrate(f, float(z), 2.0).value
+            np.testing.assert_allclose(parts, whole, rtol=1e-12, atol=0.0)
+
+
+def test_batched_components_meet_their_own_tolerance():
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-10, panel_hint=0.25)
+
+    def f(x):
+        return np.stack([1e-12 * np.sin(40.0 * x) / (1.0 + x),
+                         np.exp(-x * x),
+                         1e-12 * np.sqrt(x)])
+
+    res = integrate(f, 0.0, 3.0, cfg)
+    assert res.value.shape == res.abs_error_estimate.shape == (3,)
+    assert np.all(res.abs_error_estimate <= cfg.rel_tol * np.abs(res.value))
+    exact = [quad(lambda x: 1e-12 * math.sin(40.0 * x) / (1.0 + x), 0.0, 3.0,
+                  limit=400, epsabs=0.0, epsrel=1e-12)[0],
+             0.5 * math.sqrt(math.pi) * math.erf(3.0),
+             1e-12 * 2.0 * 3.0**1.5 / 3.0]
+    for i, ref in enumerate(exact):
+        assert res.value[i] == pytest.approx(ref, rel=1e-9)
+        alone = integrate(lambda x, i=i: f(x)[i], 0.0, 3.0, cfg)
+        assert res.value[i] == pytest.approx(alone.value, rel=1e-10)
+
+
+def test_batched_blocks_stay_bounded():
+    # 250 components over 3,000 seed panels: no call may return more than
+    # 2^16 values (512 kB); one block of all seeds would hold 11 million
+    k = np.arange(1.0, 251.0)
+    seen = []
+
+    def f(x):
+        seen.append(x.size)
+        return np.cos(np.multiply.outer(k, x))
+
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8, panel_hint=1e-3)
+    res = integrate(f, 0.0, 3.0, cfg)
+    assert max(seen) * k.size <= 1 << 16
+    assert sum(seen) == res.evaluations
+    np.testing.assert_allclose(res.value, np.sin(3.0 * k) / k, rtol=1e-8, atol=1e-10)
+
+
+def test_integrand_shape_errors():
+    with pytest.raises(ValueError, match="expected"):
+        integrate(lambda x: np.ones((2, 2, x.size)), 0.0, 1.0)
+    calls = []
+
+    def changing(x):
+        calls.append(1)
+        return np.ones((len(calls), x.size)) / (1e-3 + x)
+
+    with pytest.raises(ValueError, match="components"):
+        integrate(changing, 0.0, 1.0)
 
 
 def test_error_estimate_honesty_battery():
@@ -163,11 +228,107 @@ def test_nested_inner_limit_validation():
         integrate_nested(lambda x, t: t, 0.0, 1.0, lambda x: -1.0)
 
 
+def _sinc_kernel(x):
+    return np.exp(-x * x) * sinc_deficit(50.0 * x) / x
+
+
+def _sinc_kernels(x):
+    return np.stack([_sinc_kernel(x), 1e-9 * np.exp(-x) * sinc_deficit(20.0 * x) / x])
+
+
 def test_results_are_deterministic():
     cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10, panel_hint=math.pi / 50.0)
-    f = lambda x: np.exp(-x * x) * sinc_deficit(50.0 * x) / x
-    first = integrate(f, 0.0, 10.0, cfg)
-    second = integrate(f, 0.0, 10.0, cfg)
-    assert first.value == second.value
-    assert first.abs_error_estimate == second.abs_error_estimate
-    assert first.evaluations == second.evaluations
+    for f in (_sinc_kernel, _sinc_kernels):
+        first = integrate(f, 0.0, 10.0, cfg)
+        second = integrate(f, 0.0, 10.0, cfg)
+        np.testing.assert_array_equal(first.value, second.value)
+        np.testing.assert_array_equal(first.abs_error_estimate, second.abs_error_estimate)
+        assert first.evaluations == second.evaluations
+
+
+def _reference_panels(f, lefts, rights):
+    # one call to f for all panels; per-panel arithmetic as in integrate
+    mid = 0.5 * (lefts + rights)
+    half = 0.5 * (rights - lefts)
+    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
+    y = np.broadcast_to(np.asarray(f(nodes.ravel()), dtype=float), nodes.size)
+    y = y.reshape(nodes.shape)
+    resk = half * (y * _WK_FULL).sum(axis=1)
+    resg = half * (y * _WG_FULL).sum(axis=1)
+    resabs = np.abs(half) * (np.abs(y) * _WK_FULL).sum(axis=1)
+    width = rights - lefts
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(width > 0, resk / np.where(width > 0, width, 1.0), 0.0)
+    resasc = np.abs(half) * (np.abs(y - mean[:, None]) * _WK_FULL).sum(axis=1)
+    raw = np.abs(resk - resg)
+    scaled = np.where(
+        (resasc > 0) & (raw > 0),
+        resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
+        raw,
+    )
+    return resk, np.maximum(scaled, _EPS50 * resabs)
+
+
+def _reference_integrate(f, a, b, cfg):
+    """Scalar adaptive loop with a dict of panels and a heap of errors."""
+    n0 = 1
+    if cfg.panel_hint is not None and b > a:
+        n0 = max(1, min(int(np.ceil((b - a) / cfg.panel_hint)), 200_000))
+    edges = a + (b - a) * np.arange(n0 + 1) / n0
+    vals, errs = _reference_panels(f, edges[:-1], edges[1:])
+    panels = {i: (edges[i], edges[i + 1], vals[i], errs[i]) for i in range(n0)}
+    heap = [(-errs[i], i) for i in range(n0)]
+    heapq.heapify(heap)
+    total_val, total_err = float(vals.sum()), float(errs.sum())
+    evaluations, splits, next_id = 15 * n0, 0, n0
+    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
+        batch = []
+        while heap and len(batch) < 64 and splits + len(batch) < cfg.max_subdivisions:
+            negerr, pid = heapq.heappop(heap)
+            if -negerr <= 0.0:
+                break
+            batch.append(pid)
+        if not batch:
+            return "no convergence", total_err, splits
+        splits += len(batch)
+        la, ra = np.empty(2 * len(batch)), np.empty(2 * len(batch))
+        for j, pid in enumerate(batch):
+            left, right, v, e = panels.pop(pid)
+            m = 0.5 * (left + right)
+            la[2 * j], ra[2 * j], la[2 * j + 1], ra[2 * j + 1] = left, m, m, right
+            total_val -= v
+            total_err -= e
+        vals, errs = _reference_panels(f, la, ra)
+        evaluations += 15 * len(la)
+        for j in range(len(la)):
+            panels[next_id] = (la[j], ra[j], vals[j], errs[j])
+            heapq.heappush(heap, (-errs[j], next_id))
+            next_id += 1
+        total_val += float(vals.sum())
+        total_err += float(errs.sum())
+    ordered = sorted(panels.values(), key=lambda rec: rec[0])
+    return (float(sum(rec[2] for rec in ordered)), float(sum(rec[3] for rec in ordered)),
+            evaluations)
+
+
+@pytest.mark.parametrize("hint", [None, 0.3, 1e-3])
+@pytest.mark.parametrize("rel_tol, budget", [(1e-6, 2000), (1e-12, 2000), (1e-12, 40)])
+@pytest.mark.parametrize(
+    "f",
+    [lambda x: np.abs(x - 0.37), lambda x: 1.0 / (1e-4 + (x - 1.1) ** 2), np.sqrt,
+     lambda x: np.exp(-x * x) * sinc_deficit(50.0 * x) / x],
+    ids=["kink", "peak", "sqrt", "sinc"],
+)
+def test_scalar_results_match_reference_loop(f, rel_tol, budget, hint):
+    # the batched engine must reproduce the scalar loop bit for bit: same
+    # panels, same order of additions, same stopping point
+    cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=rel_tol, max_subdivisions=budget,
+                           panel_hint=hint)
+    expected = _reference_integrate(f, 0.0, 2.0, cfg)
+    if expected[0] == "no convergence":
+        with pytest.raises(NonConvergence, match=f"after {expected[2]} subdivisions"):
+            integrate(f, 0.0, 2.0, cfg)
+        return
+    res = integrate(f, 0.0, 2.0, cfg)
+    assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == (
+        expected[0].hex(), expected[1].hex(), expected[2])
