@@ -19,7 +19,6 @@ from .harmonic import (
     asymptotic_coherence,
     coherence_ratio,
     decoherence_curve,
-    write_curve_csv,
 )
 from .lindblad import (
     MARKOV_RATE_LIMIT_PER_S,
@@ -30,7 +29,6 @@ from .lindblad import (
     evolve_analytic,
     evolve_numeric,
     trajectory,
-    write_trajectory_csv,
 )
 from .model import (
     GAAS,
@@ -39,7 +37,6 @@ from .model import (
     MaterialParams,
     RateIntegralParams,
     ThermalEnv,
-    anharmonic_strength_sq,
     coupling_scale,
     derived_scales,
     load_material,
@@ -85,7 +82,6 @@ from .sweep import (
     fit_power_law,
     read_sweep_csv,
     run_sweep,
-    write_sweep_csv,
 )
 
 __version__ = "0.1.0"

@@ -3,14 +3,19 @@
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure
 (non-convergent quadrature or failed cross-route validation), 3 parameter
 or table file parse error. All flags take SI units (kelvin, meters,
-joules, seconds). Every command is deterministic for a fixed flag set and
-independent of DEPHASER_THREADS.
+joules, seconds). Flag values are checked by what they build: the
+dataclasses (ThermalEnv, DotGeometry, SweepSpec, SpectralDensity,
+LindbladParams) and rate_validate. The dataclasses are built before any
+file is read, so a flag they reject exits 1 even when a file is bad too.
+Only --samples and --seed are checked here, because the closed and
+double routes never read them. Every command is deterministic for a
+fixed flag set and independent of DEPHASER_THREADS.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+from dataclasses import replace
 
 from .coupling import SPECTRAL_FORMS, SpectralDensity, load_spectral_table
 from .harmonic import curve_csv_text, decoherence_curve
@@ -18,17 +23,16 @@ from .lindblad import DensityMatrix2, LindbladParams, trajectory, trajectory_csv
 from .model import GAAS, DotGeometry, MaterialFileError, ThermalEnv, load_material
 from .quadrature import NonConvergence
 from .rates import (
+    _MIN_MC_SAMPLES,
     METHOD_CLOSED,
     METHOD_DOUBLE,
     METHOD_MC,
     ValidationFailed,
-    rate_closed_form,
-    rate_double_integral,
-    rate_monte_carlo,
+    compute_rate,
     rate_validate,
 )
-from .runtime import fmt_float
-from .svgplot import write_loglog_svg
+from .runtime import fmt_float, write_text
+from .svgplot import loglog_svg_text
 from .sweep import (
     AXIS_DISTANCE,
     AXIS_TEMPERATURE,
@@ -40,7 +44,6 @@ from .sweep import (
 
 _METHOD_BY_TOKEN = {"closed": METHOD_CLOSED, "double": METHOD_DOUBLE,
                     "mc": METHOD_MC}
-_MIN_SAMPLES = 10**4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,8 +56,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, out_path) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -65,93 +67,57 @@ def _load_material_arg(args):
     return load_material(args.material)
 
 
-def _check_flag(parser, ok: bool, message: str) -> None:
-    if not ok:
-        parser.error(message)
-
-
-def _check_common(parser, args, *, need_D=True) -> None:
-    _check_flag(parser, math.isfinite(args.T) and args.T >= 0.0,
-                "--T must be a finite temperature >= 0 kelvin")
-    _check_flag(parser, math.isfinite(args.L) and args.L > 0.0,
-                "--L must be a positive width in meters")
-    if need_D:
-        _check_flag(parser, math.isfinite(args.D) and args.D >= 0.0,
-                    "--D must be a separation >= 0 meters")
-    if hasattr(args, "samples"):
-        _check_flag(parser, args.samples >= _MIN_SAMPLES,
-                    f"--samples must be >= {_MIN_SAMPLES}")
-    if hasattr(args, "seed"):
-        _check_flag(parser, args.seed >= 0, "--seed must be >= 0")
-
-
-def _dispatch_rate(method, material, geom, env, samples, seed):
-    if method == METHOD_CLOSED:
-        return rate_closed_form(material, geom, env)
-    if method == METHOD_DOUBLE:
-        return rate_double_integral(material, geom, env)
-    return rate_monte_carlo(material, geom, env, samples=samples, seed=seed)
+def _check_sampling(parser, args) -> None:
+    if args.samples < _MIN_MC_SAMPLES:
+        parser.error(f"--samples must be >= {_MIN_MC_SAMPLES}")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
 
 
 def _cmd_rate(parser, args) -> int:
-    _check_common(parser, args)
-    material = _load_material_arg(args)
-    geom = DotGeometry(width_L_m=args.L, separation_D_m=args.D)
     env = ThermalEnv(T_K=args.T)
-    method = _METHOD_BY_TOKEN[args.method]
-    result = _dispatch_rate(method, material, geom, env, args.samples, args.seed)
+    geom = DotGeometry(width_L_m=args.L, separation_D_m=args.D)
+    _check_sampling(parser, args)
+    material = _load_material_arg(args)
+    result = compute_rate(_METHOD_BY_TOKEN[args.method], material, geom, env,
+                          samples=args.samples, seed=args.seed)
     point = SweepPoint(axis_value=args.T, method=result.method, result=result)
     _emit(sweep_csv_text([point], AXIS_TEMPERATURE), args.out)
     return 0
 
 
 def _cmd_sweep(parser, args) -> int:
-    _check_flag(parser, math.isfinite(args.L) and args.L > 0.0,
-                "--L must be a positive width in meters")
-    _check_flag(parser, args.samples >= _MIN_SAMPLES,
-                f"--samples must be >= {_MIN_SAMPLES}")
-    _check_flag(parser, args.seed >= 0, "--seed must be >= 0")
     axis = AXIS_TEMPERATURE if args.axis == "T" else AXIS_DISTANCE
-    if axis == AXIS_TEMPERATURE and args.D is None:
-        parser.error("--D is required for --axis T")
-    if axis == AXIS_DISTANCE and args.T is None:
-        parser.error("--T is required for --axis D")
-    material = _load_material_arg(args)
-    try:
-        spec = SweepSpec(
-            axis=axis,
-            min_value=args.min,
-            max_value=args.max,
-            points=args.points,
-            spacing="logarithmic" if args.log else "linear",
-            method=_METHOD_BY_TOKEN[args.method],
-            material=material,
-            width_L_m=args.L,
-            fixed_D_m=args.D,
-            fixed_T_K=args.T,
-            samples=args.samples,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-    points = run_sweep(spec)
+    spec = SweepSpec(
+        axis=axis,
+        min_value=args.min,
+        max_value=args.max,
+        points=args.points,
+        spacing="logarithmic" if args.log else "linear",
+        method=_METHOD_BY_TOKEN[args.method],
+        width_L_m=args.L,
+        fixed_D_m=args.D,
+        fixed_T_K=args.T,
+        samples=args.samples,
+        seed=args.seed,
+    )
+    _check_sampling(parser, args)
+    points = run_sweep(replace(spec, material=_load_material_arg(args)))
     _emit(sweep_csv_text(points, axis), args.out)
     if args.plot:
         xs = [p.axis_value for p in points if p.result is not None]
         ys = [p.result.gamma_per_s for p in points if p.result is not None]
         label = "T (K)" if axis == AXIS_TEMPERATURE else "D (m)"
-        write_loglog_svg(args.plot, xs, ys, x_label=label,
-                         y_label="gamma (1/s)")
+        write_text(args.plot, loglog_svg_text(xs, ys, x_label=label,
+                                              y_label="gamma (1/s)"))
     return 0
 
 
 def _cmd_validate(parser, args) -> int:
-    _check_common(parser, args)
-    _check_flag(parser, args.T > 0.0, "--T must be > 0 for validation")
-    _check_flag(parser, args.D > 0.0, "--D must be > 0 for validation")
-    material = _load_material_arg(args)
-    geom = DotGeometry(width_L_m=args.L, separation_D_m=args.D)
     env = ThermalEnv(T_K=args.T)
+    geom = DotGeometry(width_L_m=args.L, separation_D_m=args.D)
+    _check_sampling(parser, args)
+    material = _load_material_arg(args)
     report = rate_validate(material, geom, env, samples=args.samples,
                            seed=args.seed)
     sys.stdout.write("\n".join(report.lines()) + "\n")
@@ -159,8 +125,7 @@ def _cmd_validate(parser, args) -> int:
 
 
 def _cmd_curve(parser, args) -> int:
-    _check_flag(parser, math.isfinite(args.T) and args.T >= 0.0,
-                "--T must be a finite temperature >= 0 kelvin")
+    env = ThermalEnv(T_K=args.T)
     if args.spectral == "tabulated":
         if args.table is None:
             parser.error("--table is required with --spectral tabulated")
@@ -170,13 +135,8 @@ def _cmd_curve(parser, args) -> int:
             sys.stderr.write(f"error: {exc}\n")
             return 3
     else:
-        try:
-            sd = SpectralDensity(form=args.spectral, amplitude=args.A,
-                                 exponent=args.n,
-                                 cutoff_rad_per_s=args.omega_c)
-        except ValueError as exc:
-            parser.error(str(exc))
-    env = ThermalEnv(T_K=args.T)
+        sd = SpectralDensity(form=args.spectral, amplitude=args.A,
+                             exponent=args.n, cutoff_rad_per_s=args.omega_c)
     curve = decoherence_curve(sd, env, args.tmax, args.points)
     _emit(curve_csv_text(curve), args.out)
     if curve.plateau is None:
@@ -187,9 +147,8 @@ def _cmd_curve(parser, args) -> int:
 
 
 def _cmd_evolve(parser, args) -> int:
-    _check_flag(parser, math.isfinite(args.gamma) and args.gamma >= 0.0,
-                "--gamma must be a finite rate >= 0")
-    _check_flag(parser, math.isfinite(args.E), "--E must be a finite energy")
+    params = LindbladParams(gamma_per_s=args.gamma,
+                            level_splitting_E_J=args.E)
     pieces = args.rho01.split(",")
     if len(pieces) != 2:
         parser.error("--rho01 must be re,im")
@@ -203,8 +162,6 @@ def _cmd_evolve(parser, args) -> int:
                                rho10=coherence.conjugate(), rho11=0.5)
     except ValueError as exc:
         parser.error(f"--rho01 gives an invalid state: {exc}")
-    params = LindbladParams(gamma_per_s=args.gamma,
-                            level_splitting_E_J=args.E)
     traj = trajectory(state, params, args.tmax, args.points)
     _emit(trajectory_csv_text(traj), args.out)
     return 0

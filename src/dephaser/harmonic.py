@@ -16,8 +16,6 @@ a parameter so both are available, but every reference value here uses 1.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -28,7 +26,7 @@ from .constants import CONST
 from .coupling import SpectralDensity, spectral_density
 from .model import ThermalEnv
 from .quadrature import _TRUNC_SIGMA, QuadratureConfig, integrate, integrate_semi_infinite
-from .runtime import fmt_float
+from .runtime import csv_text, fmt_float, uniform_times
 
 _EXP_CFG = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-10)
 # Bound on times x seed panels in one batched pass: the engine keeps a value
@@ -189,27 +187,12 @@ def decoherence_curve(sd: SpectralDensity, env: ThermalEnv, t_max: float,
     batched quadrature passes (see _ratios), one unless the curve is very
     long; the curve is deterministic and uses no threads.
     """
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    if not math.isfinite(t_max) or t_max < 0.0:
-        raise ValueError("t_max must be finite and >= 0")
-    if t_max == 0.0 or points == 1:
-        times = np.array([0.0])
-    else:
-        times = t_max * np.arange(points) / (points - 1)
+    times = uniform_times(t_max, points)
     return DecoherenceCurve(times_s=times, ratio=_ratios(sd, env, times, theta),
                             plateau=asymptotic_coherence(sd, env, theta))
 
 
 def curve_csv_text(curve: DecoherenceCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t_s", "coherence_ratio"])
-    for t, r in zip(curve.times_s, curve.ratio):
-        writer.writerow([fmt_float(t), fmt_float(r)])
-    return buf.getvalue()
-
-
-def write_curve_csv(curve: DecoherenceCurve, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(curve_csv_text(curve))
+    return csv_text(["t_s", "coherence_ratio"],
+                    ((fmt_float(t), fmt_float(r))
+                     for t, r in zip(curve.times_s, curve.ratio)))

@@ -15,8 +15,6 @@ ever compared against the rate engine.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONST
-from .runtime import fmt_float
+from .runtime import csv_text, fmt_float, uniform_times
 
 _HERMITICITY_TOL = 1e-12
 
@@ -186,14 +184,7 @@ class Trajectory2:
 def trajectory(rho0: DensityMatrix2, p: LindbladParams, t_max: float,
                points: int) -> Trajectory2:
     """Analytic trajectory on a uniform grid over [0, t_max]."""
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    if not math.isfinite(t_max) or t_max < 0.0:
-        raise ValueError("t_max must be finite and >= 0")
-    if t_max == 0.0 or points == 1:
-        times = np.array([0.0])
-    else:
-        times = t_max * np.arange(points) / (points - 1)
+    times = uniform_times(t_max, points)
     factor = np.exp((1j * p.level_splitting_E_J / CONST.hbar - p.gamma_per_s) * times)
     return Trajectory2(
         times_s=times,
@@ -204,23 +195,9 @@ def trajectory(rho0: DensityMatrix2, p: LindbladParams, t_max: float,
 
 
 def trajectory_csv_text(traj: Trajectory2) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t_s", "rho00", "rho11", "re_rho01", "im_rho01",
-                     "abs_rho01"])
-    for i in range(traj.times_s.size):
-        c = traj.rho01[i]
-        writer.writerow([
-            fmt_float(traj.times_s[i]),
-            fmt_float(traj.rho00[i]),
-            fmt_float(traj.rho11[i]),
-            fmt_float(c.real),
-            fmt_float(c.imag),
-            fmt_float(abs(c)),
-        ])
-    return buf.getvalue()
-
-
-def write_trajectory_csv(traj: Trajectory2, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trajectory_csv_text(traj))
+    rows = []
+    for t, p0, p1, c in zip(traj.times_s, traj.rho00, traj.rho11, traj.rho01):
+        rows.append([fmt_float(t), fmt_float(p0), fmt_float(p1),
+                     fmt_float(c.real), fmt_float(c.imag), fmt_float(abs(c))])
+    return csv_text(["t_s", "rho00", "rho11", "re_rho01", "im_rho01",
+                     "abs_rho01"], rows)

@@ -111,21 +111,6 @@ def coupling_scale(material: MaterialParams) -> float:
     )
 
 
-def anharmonic_strength_sq(material: MaterialParams) -> float:
-    """Squared three-phonon matrix-element scale, 64 pi hbar^2 c^5/(tau0 Omega^4).
-
-    Units m^6 J^2 / s^2 before the inverse-volume factors of the mode sums
-    are attached; only the combination entering the rate is ever used.
-    """
-    return (
-        64.0
-        * math.pi
-        * CONST.hbar**2
-        * material.c_sound_m_per_s**5
-        / (material.tau0_s * material.Omega_rad_per_s**4)
-    )
-
-
 def derived_scales(material: MaterialParams, geom: DotGeometry,
                    env: ThermalEnv) -> RateIntegralParams:
     """Collapse SI inputs into the dimensionless rate-integral parameters.

@@ -29,6 +29,7 @@ import numpy as np
 from .constants import CONST
 from .model import DotGeometry, MaterialParams, ThermalEnv, coupling_scale, derived_scales
 from .quadrature import NonConvergence, QuadratureConfig, integrate, integrate_nested
+from .runtime import worker_count
 from .specfun import (
     BOSE_FIFTH_MOMENT_INF,
     bose_fifth_moment_tail,
@@ -39,6 +40,7 @@ from .specfun import (
 METHOD_CLOSED = "closed-form"
 METHOD_DOUBLE = "double-integral"
 METHOD_MC = "monte-carlo"
+METHODS = (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC)
 
 # Beyond this the Gaussian form factor exp(-x^2) is below 1e-31.
 _FORM_FACTOR_CUT = 8.5
@@ -86,16 +88,6 @@ class RateResult:
                 raise ValueError("t2_s must be +inf when the rate vanishes")
         elif abs(self.t2_s * self.gamma_per_s - 1.0) > 1e-12:
             raise ValueError("t2_s must equal 1/gamma_per_s")
-
-
-def _zero_rate(method: str, mc: bool = False) -> RateResult:
-    return RateResult(
-        gamma_per_s=0.0,
-        t2_s=math.inf,
-        method=method,
-        error_estimate_per_s=0.0,
-        mc_std_error_per_s=0.0 if mc else None,
-    )
 
 
 def _result(gamma: float, method: str, err: float,
@@ -150,7 +142,7 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     T = 0 and D = 0 short-circuit to a vanishing rate.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
-        return _zero_rate(METHOD_CLOSED)
+        return _result(0.0, METHOD_CLOSED, 0.0)
     p = derived_scales(material, geom, env)
     root2_kdl = math.sqrt(2.0) * p.kd_l
     _check_narrow_cutoff(root2_kdl)
@@ -189,7 +181,7 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     to an exact zero far beyond the thermal peak instead of overflowing.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
-        return _zero_rate(METHOD_DOUBLE)
+        return _result(0.0, METHOD_DOUBLE, 0.0)
     p = derived_scales(material, geom, env)
     root2_kdl = math.sqrt(2.0) * p.kd_l
     alpha = p.sep_ratio
@@ -284,7 +276,7 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     samples = int(samples)
     seed = int(seed)
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
-        return _zero_rate(METHOD_MC, mc=True)
+        return _result(0.0, METHOD_MC, 0.0, 0.0)
 
     k_debye = material.k_D_per_m
     thermal = CONST.k_B * env.T_K
@@ -295,7 +287,7 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
         hist = mids * mids / np.expm1(x_per_k * mids)
     k_total = float(hist.sum())
     if not math.isfinite(k_total) or k_total <= 0.0:
-        return _zero_rate(METHOD_MC, mc=True)
+        return _result(0.0, METHOD_MC, 0.0, 0.0)
     cum = np.cumsum(hist)
 
     scale = (
@@ -313,8 +305,6 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
         return _mc_block(seed, lo, hi, cum, hist, cell_w, k_total, x_per_k,
                          geom.width_L_m, geom.separation_D_m)
 
-    from .runtime import worker_count
-
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
         parts = list(pool.map(work, blocks))
 
@@ -329,6 +319,25 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
     se_mean = math.sqrt(var / count)
     return _result(scale * mean, METHOD_MC, scale * se_mean, scale * se_mean)
+
+
+def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,
+                 env: ThermalEnv, *, samples: int = 10**7,
+                 seed: int = 12345) -> RateResult:
+    """Dephasing rate by the route named method, one of METHODS.
+
+    samples and seed apply to the Monte Carlo route only. The routes are
+    looked up as module globals at each call, so rebinding
+    ``rates.rate_closed_form`` (a test double, a timing shim) reaches
+    every caller of this dispatch.
+    """
+    if method == METHOD_CLOSED:
+        return rate_closed_form(material, geom, env)
+    if method == METHOD_DOUBLE:
+        return rate_double_integral(material, geom, env)
+    if method == METHOD_MC:
+        return rate_monte_carlo(material, geom, env, samples=samples, seed=seed)
+    raise ValueError(f"unknown rate method {method!r}")
 
 
 @dataclass(frozen=True)

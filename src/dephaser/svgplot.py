@@ -80,9 +80,3 @@ def loglog_svg_text(x: Sequence[float], y: Sequence[float], *,
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
-
-def write_loglog_svg(path, x: Sequence[float], y: Sequence[float], *,
-                     x_label: str, y_label: str) -> None:
-    text = loglog_svg_text(x, y, x_label=x_label, y_label=y_label)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)

@@ -9,31 +9,22 @@ growth. Fit windows are explicit inputs; no regime auto-detection.
 from __future__ import annotations
 
 import csv
-import io
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import GAAS, DotGeometry, MaterialParams, ThermalEnv
 from .quadrature import NonConvergence
-from .rates import (
-    METHOD_CLOSED,
-    METHOD_DOUBLE,
-    METHOD_MC,
-    RateResult,
-    rate_closed_form,
-    rate_double_integral,
-    rate_monte_carlo,
-)
-from .runtime import fmt_float, worker_count
+from .rates import METHOD_CLOSED, METHODS, RateResult, compute_rate
+# Bound here only because perfbench/tests/test_perfbench.py checks that its
+# tracer restores sweep.rate_closed_form; points go through compute_rate.
+from .rates import rate_closed_form  # noqa: F401
+from .runtime import csv_text, fmt_float
 
 AXIS_TEMPERATURE = "temperature"
 AXIS_DISTANCE = "distance"
-
-_METHODS = (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC)
 
 SWEEP_CSV_HEADER = ("axis", "axis_value", "gamma_per_s", "t2_s", "method",
                     "error_estimate")
@@ -66,7 +57,7 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis {self.axis!r}")
         if self.spacing not in ("linear", "logarithmic"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
-        if self.method not in _METHODS:
+        if self.method not in METHODS:
             raise ValueError(f"unknown rate method {self.method!r}")
         if self.points < 2:
             raise ValueError("points must be >= 2")
@@ -107,22 +98,13 @@ class SweepPoint:
     error: Optional[str] = None
 
 
-def _dispatch(method: str, material: MaterialParams, geom: DotGeometry,
-              env: ThermalEnv, samples: int, seed: int) -> RateResult:
-    if method == METHOD_CLOSED:
-        return rate_closed_form(material, geom, env)
-    if method == METHOD_DOUBLE:
-        return rate_double_integral(material, geom, env)
-    return rate_monte_carlo(material, geom, env, samples=samples, seed=seed)
-
-
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the rate on the sweep grid, one SweepPoint per grid value.
 
-    Points evaluate concurrently (DEPHASER_THREADS workers) but the output
-    order always matches the grid and every value is independent of the
-    worker count. A point that fails to converge is recorded in place with
-    its error message; the sweep continues.
+    Points are evaluated in grid order on the calling thread; only the
+    Monte Carlo route starts worker threads (DEPHASER_THREADS), and no
+    value depends on their number. A point that fails to converge is
+    recorded in place with its error message; the sweep continues.
     """
 
     def one(value: float) -> SweepPoint:
@@ -135,37 +117,29 @@ def run_sweep(spec: SweepSpec) -> list:
                                separation_D_m=float(value))
             env = ThermalEnv(T_K=spec.fixed_T_K)
         try:
-            result = _dispatch(spec.method, spec.material, geom, env,
-                               spec.samples, spec.seed)
+            result = compute_rate(spec.method, spec.material, geom, env,
+                                  samples=spec.samples, seed=spec.seed)
         except NonConvergence as exc:
             return SweepPoint(axis_value=float(value), method=spec.method,
                               error=str(exc))
         return SweepPoint(axis_value=float(value), method=spec.method,
                           result=result)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(one, spec.grid()))
+    return [one(value) for value in spec.grid()]
 
 
 def sweep_csv_text(points: Sequence[SweepPoint], axis: str) -> str:
     """Render sweep rows as CSV text (header included, \\n line ends)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
+    rows = []
     for p in points:
         if p.result is not None:
             gamma, t2, err = (p.result.gamma_per_s, p.result.t2_s,
                               p.result.error_estimate_per_s)
         else:
             gamma = t2 = err = math.nan
-        writer.writerow([axis, fmt_float(p.axis_value), fmt_float(gamma),
-                         fmt_float(t2), p.method, fmt_float(err)])
-    return buf.getvalue()
-
-
-def write_sweep_csv(points: Sequence[SweepPoint], axis: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(sweep_csv_text(points, axis))
+        rows.append([axis, fmt_float(p.axis_value), fmt_float(gamma),
+                     fmt_float(t2), p.method, fmt_float(err)])
+    return csv_text(SWEEP_CSV_HEADER, rows)
 
 
 def read_sweep_csv(path) -> Tuple[str, list]:

@@ -92,6 +92,17 @@ def test_rate_out_file_matches_stdout(tmp_path, capsys):
         ["curve", "--spectral", "tabulated", "--T", "0",
          "--tmax", "1e-12", "--points", "3"],                    # no --table
         [],                                                      # no command
+        ["rate", "--T", "nan", "--L", "4e-9", "--D", "1e-8"],    # T not finite
+        ["rate", "--T", "50", "--L", "4e-9", "--D", "-1"],       # negative D
+        ["validate", "--T", "0", "--L", "4e-9", "--D", "1e-8",
+         "--samples", "10000"],                                  # T = 0
+        ["curve", "--spectral", "power-law-gaussian-cutoff", "--A", "1e-82",
+         "--n", "2", "--omega-c", "1e13", "--T", "-1", "--tmax", "1e-12",
+         "--points", "3"],                                       # negative T
+        ["evolve", "--gamma", "-1", "--rho01", "0.5,0",
+         "--tmax", "1e-9", "--points", "3"],                     # negative rate
+        ["sweep", "--axis", "D", "--min", "1e-9", "--max", "1e-8",
+         "--points", "3", "--log", "--L", "0", "--T", "50"],     # zero width
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

@@ -12,7 +12,6 @@ from dephaser.model import (
     MaterialFileError,
     MaterialParams,
     ThermalEnv,
-    anharmonic_strength_sq,
     coupling_scale,
     derived_scales,
     load_material,
@@ -22,7 +21,6 @@ GEOM = DotGeometry(width_L_m=4e-9, separation_D_m=10e-9)
 
 # change detectors for the GaAs scales at T = 100 K
 X_DEBYE_100K = 4.327058755197736
-STRENGTH_SQ_GAAS = 1.0355127410478449e-91
 
 
 def test_constants_match_codata():
@@ -84,15 +82,6 @@ def test_derived_scales_rejects_zero_temperature():
 def test_coupling_scale_value():
     direct = CONST.e_charge**2 / (CONST.eps0 * 70.0 * CONST.hbar * 5150.0)
     assert coupling_scale(GAAS) == direct
-
-
-def test_anharmonic_strength_value():
-    direct = (
-        64.0 * math.pi * CONST.hbar**2 * 5150.0**5
-        / (9.2e-12 * 5.4e13**4)
-    )
-    assert anharmonic_strength_sq(GAAS) == pytest.approx(direct, rel=1e-15)
-    assert anharmonic_strength_sq(GAAS) == pytest.approx(STRENGTH_SQ_GAAS, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -21,9 +21,9 @@ from dephaser.harmonic import (
     coherence_ratio,
     curve_csv_text,
     decoherence_curve,
-    write_curve_csv,
 )
 from dephaser.model import ThermalEnv
+from dephaser.runtime import write_text
 
 # quad oracle: amplitude 1e-82, exponent 2, Gaussian cutoff 1e13 rad/s,
 # T = 77 K, theta = 1, t = 0.5 ps
@@ -187,7 +187,7 @@ def test_curve_csv_round_trip(tmp_path):
     assert len(lines) == 4
     assert float(lines[1].split(",")[1]) == 1.0
     path = tmp_path / "curve.csv"
-    write_curve_csv(curve, path)
+    write_text(path, text)
     assert path.read_text(encoding="utf-8") == text
     # repr round-trip keeps full precision
     assert float(lines[2].split(",")[1]) == curve.ratio[1]

@@ -20,8 +20,8 @@ from dephaser.lindblad import (
     evolve_numeric,
     trajectory,
     trajectory_csv_text,
-    write_trajectory_csv,
 )
+from dephaser.runtime import write_text
 
 BALANCED = DensityMatrix2(0.5, 0.5, 0.5, 0.5)
 TILTED = DensityMatrix2(0.6, 0.3 + 0.2j, 0.3 - 0.2j, 0.4)
@@ -236,5 +236,5 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert float(first[0]) == 0.0
     assert float(first[5]) == abs(TILTED.rho01)
     path = tmp_path / "trajectory.csv"
-    write_trajectory_csv(traj, path)
+    write_text(path, text)
     assert path.read_text(encoding="utf-8") == text

@@ -25,9 +25,11 @@ from dephaser.rates import (
     METHOD_CLOSED,
     METHOD_DOUBLE,
     METHOD_MC,
+    METHODS,
     CutoffValidityWarning,
     RateResult,
     ValidationFailed,
+    compute_rate,
     rate_closed_form,
     rate_double_integral,
     rate_monte_carlo,
@@ -250,3 +252,32 @@ def test_method_labels():
     assert rate_double_integral(GAAS, GEOM, ThermalEnv(T_K=50.0)).method == METHOD_DOUBLE
     assert rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=50.0),
                             samples=10**4).method == METHOD_MC
+
+
+def test_compute_rate_matches_each_route_bit_for_bit():
+    env = ThermalEnv(T_K=50.0)
+    direct = {
+        METHOD_CLOSED: rate_closed_form(GAAS, GEOM, env),
+        METHOD_DOUBLE: rate_double_integral(GAAS, GEOM, env),
+        METHOD_MC: rate_monte_carlo(GAAS, GEOM, env, samples=10**4, seed=7),
+    }
+    assert tuple(direct) == METHODS
+    for method, expected in direct.items():
+        got = compute_rate(method, GAAS, GEOM, env, samples=10**4, seed=7)
+        assert got.method == method
+        assert got.gamma_per_s.hex() == expected.gamma_per_s.hex()
+        assert got.error_estimate_per_s.hex() == expected.error_estimate_per_s.hex()
+
+
+def test_compute_rate_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown rate method"):
+        compute_rate("closed", GAAS, GEOM, ThermalEnv(T_K=50.0))
+
+
+def test_compute_rate_calls_the_module_binding(monkeypatch):
+    # a timing shim or test double that rebinds rates.rate_closed_form
+    # must see every dispatched call
+    stub = RateResult(gamma_per_s=2.0, t2_s=0.5, method=METHOD_CLOSED,
+                      error_estimate_per_s=0.0)
+    monkeypatch.setattr(rates_module, "rate_closed_form", lambda m, g, e: stub)
+    assert compute_rate(METHOD_CLOSED, GAAS, GEOM, ThermalEnv(T_K=50.0)) is stub

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from dephaser.runtime import fmt_float, worker_count
-from dephaser.svgplot import loglog_svg_text, write_loglog_svg
+from dephaser.runtime import fmt_float, worker_count, write_text
+from dephaser.svgplot import loglog_svg_text
 
 X = [1e-9, 1e-8, 1e-7]
 Y = [1e9, 3e10, 2e11]
@@ -37,9 +37,9 @@ def test_svg_drops_unplottable_points():
 
 def test_svg_file_matches_text(tmp_path):
     path = tmp_path / "chart.svg"
-    write_loglog_svg(path, X, Y, x_label="x", y_label="y")
-    assert path.read_text(encoding="utf-8") == loglog_svg_text(
-        X, Y, x_label="x", y_label="y")
+    text = loglog_svg_text(X, Y, x_label="x", y_label="y")
+    write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
 
 
 def test_worker_count_defaults_to_cores(monkeypatch):

@@ -1,13 +1,15 @@
 """Tests for parameter sweeps, their CSV round trip, and scaling fits."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
-import dephaser.sweep as sweep_module
+import dephaser.rates as rates_module
 from dephaser.quadrature import NonConvergence
 from dephaser.rates import METHOD_CLOSED, METHOD_MC, RateResult
+from dephaser.runtime import write_text
 from dephaser.sweep import (
     AXIS_DISTANCE,
     AXIS_TEMPERATURE,
@@ -20,7 +22,6 @@ from dephaser.sweep import (
     read_sweep_csv,
     run_sweep,
     sweep_csv_text,
-    write_sweep_csv,
 )
 
 NOISE_SEED = 330217
@@ -92,7 +93,7 @@ def test_csv_round_trip_with_failure_row(tmp_path):
                         error="recorded failure")
     points = points[:2] + [broken] + points[2:]
     path = tmp_path / "sweep.csv"
-    write_sweep_csv(points, spec.axis, path)
+    write_text(path, sweep_csv_text(points, spec.axis))
     first = path.read_text(encoding="utf-8")
     axis, loaded = read_sweep_csv(path)
     assert axis == AXIS_TEMPERATURE
@@ -100,7 +101,7 @@ def test_csv_round_trip_with_failure_row(tmp_path):
     assert loaded[2].result is None
     assert loaded[0].result.gamma_per_s == points[0].result.gamma_per_s
     path2 = tmp_path / "again.csv"
-    write_sweep_csv(loaded, axis, path2)
+    write_text(path2, sweep_csv_text(loaded, axis))
     assert path2.read_text(encoding="utf-8") == first
 
 
@@ -132,18 +133,33 @@ def test_read_sweep_csv_rejects_bad_files(tmp_path):
 def test_sweep_records_nonconvergence_and_continues(monkeypatch):
     spec = _temperature_spec(points=4)
     target = spec.grid()[2]
-    true_rate = sweep_module.rate_closed_form
+    true_rate = rates_module.rate_closed_form
 
     def flaky(material, geom, env):
         if env.T_K == target:
             raise NonConvergence("synthetic failure for this grid point")
         return true_rate(material, geom, env)
 
-    monkeypatch.setattr(sweep_module, "rate_closed_form", flaky)
+    monkeypatch.setattr(rates_module, "rate_closed_form", flaky)
     points = run_sweep(spec)
     assert points[2].result is None
     assert "synthetic failure" in points[2].error
     assert all(p.result is not None for i, p in enumerate(points) if i != 2)
+
+
+def test_sweep_evaluates_every_point_on_the_calling_thread(monkeypatch):
+    monkeypatch.setenv("DEPHASER_THREADS", "4")
+    true_rate = rates_module.rate_closed_form
+    threads = []
+
+    def recording(material, geom, env):
+        threads.append(threading.get_ident())
+        return true_rate(material, geom, env)
+
+    monkeypatch.setattr(rates_module, "rate_closed_form", recording)
+    points = run_sweep(_temperature_spec(points=4))
+    assert all(p.result is not None for p in points)
+    assert threads == [threading.get_ident()] * 4
 
 
 @pytest.mark.parametrize(
