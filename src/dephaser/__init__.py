@@ -10,7 +10,6 @@ from .constants import CONST, PhysicalConstants
 from .coupling import (
     SPECTRAL_FORMS,
     SpectralDensity,
-    g_squared,
     load_spectral_table,
     spectral_density,
 )
@@ -68,7 +67,6 @@ from .specfun import (
     BoseMomentTable,
     bose_fifth_moment,
     bose_fifth_moment_tail,
-    bose_occupation,
     get_moment_table,
     sinc_deficit,
 )
@@ -80,7 +78,6 @@ from .sweep import (
     SweepSpec,
     fit_log_law,
     fit_power_law,
-    read_sweep_csv,
     run_sweep,
 )
 

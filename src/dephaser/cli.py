@@ -173,20 +173,26 @@ def _build_parser() -> _Parser:
                                  "double quantum dot (SI units throughout).")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
+    # flags shared by several commands, declared once each
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--T", type=float, required=True, metavar="KELVIN")
+    point.add_argument("--L", type=float, required=True, metavar="METERS")
+    point.add_argument("--D", type=float, required=True, metavar="METERS")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--material", metavar="FILE")
+    sampling.add_argument("--seed", type=int, default=12345)
+    sampling.add_argument("--samples", type=int, default=10**7)
+    routed = argparse.ArgumentParser(add_help=False)
+    routed.add_argument("--method", choices=sorted(_METHOD_BY_TOKEN),
+                        default="closed")
+    routed.add_argument("--out", metavar="FILE")
 
-    rate = sub.add_parser("rate", help="single dephasing-rate evaluation")
-    rate.add_argument("--T", type=float, required=True, metavar="KELVIN")
-    rate.add_argument("--L", type=float, required=True, metavar="METERS")
-    rate.add_argument("--D", type=float, required=True, metavar="METERS")
-    rate.add_argument("--material", metavar="FILE")
-    rate.add_argument("--method", choices=sorted(_METHOD_BY_TOKEN),
-                      default="closed")
-    rate.add_argument("--seed", type=int, default=12345)
-    rate.add_argument("--samples", type=int, default=10**7)
-    rate.add_argument("--out", metavar="FILE")
+    rate = sub.add_parser("rate", parents=[point, sampling, routed],
+                          help="single dephasing-rate evaluation")
     rate.set_defaults(func=_cmd_rate)
 
-    sweep = sub.add_parser("sweep", help="rate sweep over T or D")
+    sweep = sub.add_parser("sweep", parents=[sampling, routed],
+                           help="rate sweep over T or D")
     sweep.add_argument("--axis", choices=("T", "D"), required=True)
     sweep.add_argument("--min", type=float, required=True)
     sweep.add_argument("--max", type=float, required=True)
@@ -197,23 +203,11 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--L", type=float, required=True, metavar="METERS")
     sweep.add_argument("--D", type=float, metavar="METERS")
     sweep.add_argument("--T", type=float, metavar="KELVIN")
-    sweep.add_argument("--material", metavar="FILE")
-    sweep.add_argument("--method", choices=sorted(_METHOD_BY_TOKEN),
-                       default="closed")
-    sweep.add_argument("--seed", type=int, default=12345)
-    sweep.add_argument("--samples", type=int, default=10**7)
-    sweep.add_argument("--out", metavar="FILE")
     sweep.add_argument("--plot", metavar="FILE.svg")
     sweep.set_defaults(func=_cmd_sweep)
 
-    validate = sub.add_parser("validate",
+    validate = sub.add_parser("validate", parents=[point, sampling],
                               help="cross-check the three rate routes")
-    validate.add_argument("--T", type=float, required=True, metavar="KELVIN")
-    validate.add_argument("--L", type=float, required=True, metavar="METERS")
-    validate.add_argument("--D", type=float, required=True, metavar="METERS")
-    validate.add_argument("--material", metavar="FILE")
-    validate.add_argument("--seed", type=int, default=12345)
-    validate.add_argument("--samples", type=int, default=10**7)
     validate.set_defaults(func=_cmd_validate)
 
     curve = sub.add_parser("curve",

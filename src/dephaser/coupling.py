@@ -1,4 +1,4 @@
-"""Carrier-phonon coupling of the double dot and generic spectral densities."""
+"""Generic reservoir spectral densities J(ω), parametric or tabulated."""
 from __future__ import annotations
 
 import csv
@@ -8,51 +8,11 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CONST
-from .model import DotGeometry, MaterialParams
-
 SPECTRAL_FORMS = (
     "power-law-gaussian-cutoff",
     "power-law-exponential-cutoff",
     "tabulated",
 )
-
-
-def g_squared(k, material: MaterialParams, geom: DotGeometry):
-    """Volume-normalized squared difference coupling V|g_k|².
-
-    Parameters
-    ----------
-    k : array_like, shape (..., 3)
-        Wavevector components (k_x, k_y, k_z) in 1/m. |k| must be nonzero.
-    material, geom
-        Reservoir and double-dot parameters.
-
-    Returns
-    -------
-    ndarray or float
-        2 e² / (k² ħ³ ε₀ ε̃ Ω) · exp(−(Lk)²/2) · sin²(k_z D / 2), the
-        normalization volume stripped so continuum integrals carry no
-        volume symbol. Dimensional note: ħ² times this value carries m³;
-        the residual (J·s)⁻² reflects the energy normalization of the
-        displaced-mode couplings.
-    """
-    k = np.asarray(k, dtype=float)
-    if k.shape[-1] != 3:
-        raise ValueError("k must have shape (..., 3)")
-    k_sq = np.sum(k * k, axis=-1)
-    if np.any(k_sq == 0.0):
-        raise ValueError("k = 0 is excluded (1/k² singularity)")
-    scale = 2.0 * CONST.e_charge**2 / (
-        CONST.hbar**3 * CONST.eps0 * material.eps_lattice * material.Omega_rad_per_s
-    )
-    out = (
-        scale
-        / k_sq
-        * np.exp(-0.5 * geom.width_L_m**2 * k_sq)
-        * np.sin(0.5 * k[..., 2] * geom.separation_D_m) ** 2
-    )
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -62,14 +62,20 @@ def _over_spectrum(sd: SpectralDensity, integrand, cfg: QuadratureConfig):
     return integrate_semi_infinite(integrand, 0.0, _decay_scale(sd), cfg).value
 
 
+def _spectral_weight(sd: SpectralDensity, env: ThermalEnv, theta: float,
+                     omega: np.ndarray) -> np.ndarray:
+    """w_th(w) J(w)/(hbar w)^2, the weight of sin^2(wt/2) in the exponent."""
+    return (_thermal_weight(omega, env, theta) * spectral_density(sd, omega)
+            / (CONST.hbar * omega) ** 2)
+
+
 def _exponent_integrand(sd: SpectralDensity, env: ThermalEnv, theta: float,
                         times: np.ndarray):
     """Integrand of the decoherence exponent, one row per time."""
     half_t = 0.5 * times
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        factor = (2.0 * _thermal_weight(omega, env, theta)
-                  * spectral_density(sd, omega) / (CONST.hbar * omega) ** 2)
+        factor = 2.0 * _spectral_weight(sd, env, theta, omega)
         osc = np.multiply.outer(half_t, omega)
         np.sin(osc, out=osc)
         osc *= osc
@@ -109,9 +115,10 @@ def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray,
 
 def coherence_ratio(sd: SpectralDensity, env: ThermalEnv, t: float,
                     theta: float = 1.0) -> float:
-    """|rho_01(t)|/|rho_01(0)| for the harmonic reservoir, in (0, 1].
+    """|rho_01(t)|/|rho_01(0)| for the harmonic reservoir, in [0, 1].
 
-    t = 0 returns exactly 1. The integrand vanishes as w^(n-1) at the
+    t = 0 returns exactly 1; 0.0 means exp(-exponent) underflowed (an
+    exponent above about 745). The integrand vanishes as w^(n-1) at the
     origin for parametric J, so every finite-time value exists even when
     the long-time limit diverges.
     """
@@ -143,11 +150,7 @@ def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv,
             return None
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        return (
-            _thermal_weight(omega, env, theta)
-            * spectral_density(sd, omega)
-            / (CONST.hbar * omega) ** 2
-        )
+        return _spectral_weight(sd, env, theta, omega)
 
     return math.exp(-_over_spectrum(sd, integrand, _EXP_CFG))
 
@@ -157,7 +160,7 @@ class DecoherenceCurve:
     """Sampled coherence ratio versus time with its long-time plateau.
 
     plateau is None when the exponent diverges (no partial dephasing,
-    full decay).
+    full decay). A ratio of 0.0 means exp(-exponent) underflowed.
     """
 
     times_s: np.ndarray
@@ -169,8 +172,8 @@ class DecoherenceCurve:
         r = np.asarray(self.ratio, dtype=float)
         if t.ndim != 1 or t.shape != r.shape or t.size == 0:
             raise ValueError("times and ratio must be equal-length 1-D arrays")
-        if np.any(r <= 0.0) or np.any(r > 1.0):
-            raise ValueError("coherence ratio must lie in (0, 1]")
+        if np.any(r < 0.0) or np.any(r > 1.0):
+            raise ValueError("coherence ratio must lie in [0, 1]")
         t = t.copy()
         r = r.copy()
         t.setflags(write=False)

@@ -6,7 +6,7 @@ Everything downstream consumes the dimensionless bundle produced by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .constants import CONST
 
@@ -42,13 +42,13 @@ class MaterialParams:
     eps_lattice: float = 70.0
 
     def __post_init__(self):
-        for name in ("Omega_rad_per_s", "tau0_s", "c_sound_m_per_s",
-                     "k_D_per_m", "eps_lattice"):
+        for name in _MATERIAL_KEYS:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be a positive finite number")
 
 
+_MATERIAL_KEYS = tuple(f.name for f in fields(MaterialParams))
 GAAS = MaterialParams()
 
 
@@ -66,9 +66,9 @@ class DotGeometry:
 
     def __post_init__(self):
         if not math.isfinite(self.width_L_m) or self.width_L_m <= 0.0:
-            raise ValueError("width_L_m must be positive")
+            raise ValueError("width_L_m must be finite and > 0")
         if not math.isfinite(self.separation_D_m) or self.separation_D_m < 0.0:
-            raise ValueError("separation_D_m must be non-negative")
+            raise ValueError("separation_D_m must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class ThermalEnv:
 
     def __post_init__(self):
         if not math.isfinite(self.T_K) or self.T_K < 0.0:
-            raise ValueError("T_K must be non-negative")
+            raise ValueError("T_K must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -133,10 +133,6 @@ def derived_scales(material: MaterialParams, geom: DotGeometry,
         kd_l=material.k_D_per_m * geom.width_L_m,
         sep_ratio=math.sqrt(2.0) * geom.separation_D_m / geom.width_L_m,
     )
-
-
-_MATERIAL_KEYS = ("Omega_rad_per_s", "tau0_s", "c_sound_m_per_s",
-                  "k_D_per_m", "eps_lattice")
 
 
 def load_material(path) -> MaterialParams:

@@ -30,12 +30,7 @@ from .constants import CONST
 from .model import DotGeometry, MaterialParams, ThermalEnv, coupling_scale, derived_scales
 from .quadrature import NonConvergence, QuadratureConfig, integrate, integrate_nested
 from .runtime import worker_count
-from .specfun import (
-    BOSE_FIFTH_MOMENT_INF,
-    bose_fifth_moment_tail,
-    get_moment_table,
-    sinc_deficit,
-)
+from .specfun import _moment_bracket, sinc_deficit
 
 METHOD_CLOSED = "closed-form"
 METHOD_DOUBLE = "double-integral"
@@ -44,8 +39,6 @@ METHODS = (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC)
 
 # Beyond this the Gaussian form factor exp(-x^2) is below 1e-31.
 _FORM_FACTOR_CUT = 8.5
-# Switch from the interpolation table to the exponential tail expansion.
-_MOMENT_TAIL_SWITCH = 30.0
 
 _MIN_MC_SAMPLES = 10**4
 _MC_BLOCK = 1 << 20
@@ -99,24 +92,6 @@ def _result(gamma: float, method: str, err: float,
         error_estimate_per_s=err,
         mc_std_error_per_s=mc_se,
     )
-
-
-def _moment_bracket(x_debye: float, z: np.ndarray) -> np.ndarray:
-    """Difference of cumulative fifth moments, moment(x_debye) - moment(z).
-
-    z <= x_debye throughout. Both arguments beyond the table switch are
-    evaluated through the tail expansion directly so the bracket never
-    cancels two near-limit values.
-    """
-    table = get_moment_table()
-    if x_debye <= _MOMENT_TAIL_SWITCH:
-        return np.maximum(table.eval(x_debye) - table.eval(z), 0.0)
-    tail_xd = bose_fifth_moment_tail(x_debye)
-    small = z <= _MOMENT_TAIL_SWITCH
-    low = (BOSE_FIFTH_MOMENT_INF - tail_xd) - table.eval(
-        np.minimum(z, _MOMENT_TAIL_SWITCH))
-    high = bose_fifth_moment_tail(np.maximum(z, _MOMENT_TAIL_SWITCH)) - tail_xd
-    return np.maximum(np.where(small, low, high), 0.0)
 
 
 def _check_narrow_cutoff(root2_kdl: float) -> None:

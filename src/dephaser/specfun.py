@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, _eval_panels, integrate
 
 ZETA5 = 1.0369277551433699
 
@@ -18,22 +18,10 @@ BOSE_FIFTH_MOMENT_INF = 120.0 * ZETA5
 _SINC_SERIES_CUT = 1e-2
 # Beyond this the fifth moment equals its limit to better than 1e-15 absolute.
 _MOMENT_TAIL_CUT = 60.0
+# Switch from the interpolation table to the exponential tail expansion.
+_MOMENT_TAIL_SWITCH = 30.0
 
 _MOMENT_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
-
-
-def bose_occupation(x):
-    """Thermal occupation 1/(e^x - 1) for x = (mode energy)/(k_B T) > 0.
-
-    Stable at small x through expm1; underflows cleanly to 0 at large x.
-    Accepts scalars or arrays.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
-        raise ValueError("bose_occupation requires finite x > 0")
-    with np.errstate(over="ignore"):
-        out = 1.0 / np.expm1(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def sinc_deficit(y):
@@ -103,6 +91,24 @@ def bose_fifth_moment_tail(y):
     return float(out) if out.ndim == 0 else out
 
 
+def _moment_bracket(x_debye: float, z: np.ndarray) -> np.ndarray:
+    """Difference of cumulative fifth moments, moment(x_debye) - moment(z).
+
+    z <= x_debye throughout. Both arguments beyond the table switch are
+    evaluated through the tail expansion directly so the bracket never
+    cancels two near-limit values.
+    """
+    table = get_moment_table()
+    if x_debye <= _MOMENT_TAIL_SWITCH:
+        return np.maximum(table.eval(x_debye) - table.eval(z), 0.0)
+    tail_xd = bose_fifth_moment_tail(x_debye)
+    small = z <= _MOMENT_TAIL_SWITCH
+    low = (BOSE_FIFTH_MOMENT_INF - tail_xd) - table.eval(
+        np.minimum(z, _MOMENT_TAIL_SWITCH))
+    high = bose_fifth_moment_tail(np.maximum(z, _MOMENT_TAIL_SWITCH)) - tail_xd
+    return np.maximum(np.where(small, low, high), 0.0)
+
+
 @dataclass(frozen=True)
 class BoseMomentTable:
     """Precomputed fifth-moment values with monotone cubic interpolation.
@@ -123,8 +129,6 @@ class BoseMomentTable:
     def build(cls, upper: float = _MOMENT_TAIL_CUT, step: float = 5e-3) -> "BoseMomentTable":
         n = int(round(upper / step))
         nodes = upper * np.arange(n + 1) / n
-        from .quadrature import _eval_panels
-
         panel_vals, _, _ = _eval_panels(_moment_integrand, nodes[:-1], nodes[1:])
         values = np.concatenate([[0.0], np.cumsum(panel_vals[0])])
         slopes = np.empty_like(nodes)

@@ -8,7 +8,6 @@ growth. Fit windows are explicit inputs; no regime auto-detection.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -59,6 +58,8 @@ class SweepSpec:
             raise ValueError(f"unknown spacing {self.spacing!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown rate method {self.method!r}")
+        if not isinstance(self.points, (int, np.integer)) or isinstance(self.points, bool):
+            raise ValueError("points must be an integer")
         if self.points < 2:
             raise ValueError("points must be >= 2")
         if not (math.isfinite(self.min_value) and math.isfinite(self.max_value)):
@@ -69,14 +70,20 @@ class SweepSpec:
             raise ValueError("sweep values must be >= 0")
         if self.spacing == "logarithmic" and self.min_value <= 0.0:
             raise ValueError("logarithmic spacing requires min_value > 0")
-        if not math.isfinite(self.width_L_m) or self.width_L_m <= 0.0:
-            raise ValueError("width_L_m must be positive")
+        if self.axis == AXIS_TEMPERATURE and self.fixed_D_m is None:
+            raise ValueError("temperature axis requires fixed_D_m >= 0")
+        if self.axis == AXIS_DISTANCE and self.fixed_T_K is None:
+            raise ValueError("distance axis requires fixed_T_K >= 0")
+        # the width and the fixed value, checked by what run_sweep builds
+        self._inputs(self.min_value)
+
+    def _inputs(self, value: float) -> Tuple[DotGeometry, ThermalEnv]:
+        """The geometry and environment of the grid point at value."""
         if self.axis == AXIS_TEMPERATURE:
-            if self.fixed_D_m is None or self.fixed_D_m < 0.0:
-                raise ValueError("temperature axis requires fixed_D_m >= 0")
+            D, T = self.fixed_D_m, float(value)
         else:
-            if self.fixed_T_K is None or self.fixed_T_K < 0.0:
-                raise ValueError("distance axis requires fixed_T_K >= 0")
+            D, T = float(value), self.fixed_T_K
+        return DotGeometry(width_L_m=self.width_L_m, separation_D_m=D), ThermalEnv(T_K=T)
 
     def grid(self) -> np.ndarray:
         """The exact axis grid; reproducible to the last bit."""
@@ -108,14 +115,7 @@ def run_sweep(spec: SweepSpec) -> list:
     """
 
     def one(value: float) -> SweepPoint:
-        if spec.axis == AXIS_TEMPERATURE:
-            geom = DotGeometry(width_L_m=spec.width_L_m,
-                               separation_D_m=spec.fixed_D_m)
-            env = ThermalEnv(T_K=float(value))
-        else:
-            geom = DotGeometry(width_L_m=spec.width_L_m,
-                               separation_D_m=float(value))
-            env = ThermalEnv(T_K=spec.fixed_T_K)
+        geom, env = spec._inputs(value)
         try:
             result = compute_rate(spec.method, spec.material, geom, env,
                                   samples=spec.samples, seed=spec.seed)
@@ -142,39 +142,6 @@ def sweep_csv_text(points: Sequence[SweepPoint], axis: str) -> str:
     return csv_text(SWEEP_CSV_HEADER, rows)
 
 
-def read_sweep_csv(path) -> Tuple[str, list]:
-    """Parse a sweep CSV back into (axis, [SweepPoint]).
-
-    Rows recorded as failures (nan cells) come back as failure points, so
-    write -> read -> write round-trips byte-identically.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != SWEEP_CSV_HEADER:
-        raise ValueError(f"{path}: not a sweep CSV (bad header)")
-    axis = None
-    points = []
-    for row in rows[1:]:
-        if len(row) != 6:
-            raise ValueError(f"{path}: malformed row {row!r}")
-        axis = row[0]
-        value, gamma, t2, err = (float(row[1]), float(row[2]), float(row[3]),
-                                 float(row[5]))
-        if math.isnan(gamma):
-            points.append(SweepPoint(axis_value=value, method=row[4],
-                                     error="recorded failure"))
-        else:
-            points.append(SweepPoint(
-                axis_value=value,
-                method=row[4],
-                result=RateResult(gamma_per_s=gamma, t2_s=t2, method=row[4],
-                                  error_estimate_per_s=err),
-            ))
-    if axis is None:
-        raise ValueError(f"{path}: no data rows")
-    return axis, points
-
-
 @dataclass(frozen=True)
 class FitResult:
     """Least-squares line fit on transformed coordinates."""
@@ -185,22 +152,32 @@ class FitResult:
     window: Tuple[float, float]
 
 
-def _fit_window(points, window):
+def _fit_line(points, window, log_y: bool) -> FitResult:
+    """Least squares of y (or ln y) on ln x over the points inside window."""
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     xs, ys = [], []
     for x, y in points:
+        x, y = float(x), float(y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("fit requires finite x and y values")
         if lo <= x <= hi:
-            xs.append(float(x))
-            ys.append(float(y))
+            xs.append(x)
+            ys.append(y)
     if len(xs) < 3:
         raise ValueError("need at least 3 points inside the fit window")
     x = np.asarray(xs)
     y = np.asarray(ys)
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise ValueError("fit requires positive x and y values")
-    return x, y, (lo, hi)
+    lx = np.log(x)
+    ty = np.log(y) if log_y else y
+    slope, intercept = np.polyfit(lx, ty, 1)
+    resid = ty - (slope * lx + intercept)
+    return FitResult(slope=float(slope), intercept=float(intercept),
+                     residual_rms=float(np.sqrt(np.mean(resid**2))),
+                     window=(lo, hi))
 
 
 def fit_power_law(points: Sequence[Tuple[float, float]],
@@ -210,22 +187,10 @@ def fit_power_law(points: Sequence[Tuple[float, float]],
     Least squares on (ln x, ln y); the slope is the power-law exponent and
     residual_rms is measured in ln y.
     """
-    x, y, win = _fit_window(points, window)
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    return FitResult(slope=float(slope), intercept=float(intercept),
-                     residual_rms=float(np.sqrt(np.mean(resid**2))),
-                     window=win)
+    return _fit_line(points, window, log_y=True)
 
 
 def fit_log_law(points: Sequence[Tuple[float, float]],
                 window: Tuple[float, float]) -> FitResult:
     """Fit y = slope ln x + intercept; residual_rms is in y units."""
-    x, y, win = _fit_window(points, window)
-    lx = np.log(x)
-    slope, intercept = np.polyfit(lx, y, 1)
-    resid = y - (slope * lx + intercept)
-    return FitResult(slope=float(slope), intercept=float(intercept),
-                     residual_rms=float(np.sqrt(np.mean(resid**2))),
-                     window=win)
+    return _fit_line(points, window, log_y=False)

@@ -4,6 +4,7 @@ Most cases drive main(argv) in process; the byte-determinism checks run
 the real interpreter in subprocesses with different thread settings.
 """
 
+import argparse
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from dephaser.cli import main
+from dephaser.cli import _build_parser, main
 from dephaser.harmonic import asymptotic_coherence
 from dephaser.coupling import SpectralDensity
 from dephaser.model import GAAS, DotGeometry, ThermalEnv
@@ -111,6 +112,13 @@ def test_usage_errors_exit_one(capsys, argv):
     assert "error" in err
 
 
+def test_non_finite_temperature_message(capsys):
+    code, _, err = _run(capsys, ["rate", "--T", "nan", "--L", "4e-9",
+                                 "--D", "1e-8"])
+    assert code == 1
+    assert "finite" in err
+
+
 def test_material_parse_error_exits_three(tmp_path, capsys):
     bad = tmp_path / "mat.txt"
     bad.write_text("tau0_s = -1e-12\n", encoding="utf-8")
@@ -197,6 +205,17 @@ def test_curve_divergent_plateau(capsys):
     assert err.strip() == "plateau = divergent"
 
 
+def test_curve_underflowed_ratio_is_zero(capsys):
+    code, out, err = _run(capsys, [
+        "curve", "--spectral", "power-law-gaussian-cutoff", "--A", "1e-68",
+        "--n", "1", "--omega-c", "1e13", "--T", "300", "--tmax", "1e-10",
+        "--points", "5",
+    ])
+    assert code == 0
+    assert out.splitlines()[-1] == "1e-10,0.0"
+    assert err.strip() == "plateau = divergent"
+
+
 def test_curve_tabulated_from_file(tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text("omega,J\n1e12,1e-57\n2e12,1e-57\n", encoding="utf-8")
@@ -256,3 +275,81 @@ def test_cli_repeat_invocations_identical():
     second = _run_subprocess(argv, "2")
     assert first.returncode == 0
     assert first.stdout == second.stdout
+
+
+# Every option of every command: (required, default, choices).
+_METHODS = ("closed", "double", "mc")
+FLAG_SURFACE = {
+    "rate": {
+        ("--T",): (True, None, None),
+        ("--L",): (True, None, None),
+        ("--D",): (True, None, None),
+        ("--material",): (False, None, None),
+        ("--method",): (False, "closed", _METHODS),
+        ("--seed",): (False, 12345, None),
+        ("--samples",): (False, 10**7, None),
+        ("--out",): (False, None, None),
+    },
+    "sweep": {
+        ("--axis",): (True, None, ("T", "D")),
+        ("--min",): (True, None, None),
+        ("--max",): (True, None, None),
+        ("--points",): (True, None, None),
+        ("--log",): (False, False, None),
+        ("--linear",): (False, False, None),
+        ("--L",): (True, None, None),
+        ("--D",): (False, None, None),
+        ("--T",): (False, None, None),
+        ("--material",): (False, None, None),
+        ("--method",): (False, "closed", _METHODS),
+        ("--seed",): (False, 12345, None),
+        ("--samples",): (False, 10**7, None),
+        ("--out",): (False, None, None),
+        ("--plot",): (False, None, None),
+    },
+    "validate": {
+        ("--T",): (True, None, None),
+        ("--L",): (True, None, None),
+        ("--D",): (True, None, None),
+        ("--material",): (False, None, None),
+        ("--seed",): (False, 12345, None),
+        ("--samples",): (False, 10**7, None),
+    },
+    "curve": {
+        ("--spectral",): (True, None, ("power-law-gaussian-cutoff",
+                                       "power-law-exponential-cutoff",
+                                       "tabulated")),
+        ("--A",): (False, 0.0, None),
+        ("--n",): (False, 1.0, None),
+        ("--omega-c",): (False, 1.0, None),
+        ("--table",): (False, None, None),
+        ("--T",): (True, None, None),
+        ("--tmax",): (True, None, None),
+        ("--points",): (True, None, None),
+        ("--out",): (False, None, None),
+    },
+    "evolve": {
+        ("--gamma",): (True, None, None),
+        ("--E",): (False, 0.0, None),
+        ("--rho01",): (True, None, None),
+        ("--tmax",): (True, None, None),
+        ("--points",): (True, None, None),
+        ("--out",): (False, None, None),
+    },
+}
+
+
+def test_cli_flag_surface():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(FLAG_SURFACE)
+    for command, expected in FLAG_SURFACE.items():
+        seen = {}
+        for action in sub.choices[command]._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            choices = None if action.choices is None else tuple(action.choices)
+            seen[tuple(action.option_strings)] = (action.required,
+                                                  action.default, choices)
+        assert seen == expected, command

@@ -104,6 +104,10 @@ def test_geometry_validation():
         DotGeometry(width_L_m=0.0, separation_D_m=1e-9)
     with pytest.raises(ValueError):
         DotGeometry(width_L_m=4e-9, separation_D_m=-1e-9)
+    with pytest.raises(ValueError, match="finite"):
+        DotGeometry(width_L_m=math.nan, separation_D_m=1e-9)
+    with pytest.raises(ValueError, match="finite"):
+        DotGeometry(width_L_m=4e-9, separation_D_m=math.nan)
     geom = DotGeometry(width_L_m=4e-9, separation_D_m=0.0)
     assert geom.separation_D_m == 0.0
 
@@ -112,7 +116,7 @@ def test_thermal_env_validation():
     assert ThermalEnv(T_K=0.0).T_K == 0.0
     with pytest.raises(ValueError):
         ThermalEnv(T_K=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         ThermalEnv(T_K=math.nan)
 
 

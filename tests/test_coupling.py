@@ -1,102 +1,16 @@
-"""Tests for the double-dot coupling kernel and spectral densities."""
+"""Tests for the reservoir spectral densities."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from dephaser.constants import CONST
 from dephaser.coupling import (
     SPECTRAL_FORMS,
     SpectralDensity,
-    g_squared,
     load_spectral_table,
     spectral_density,
 )
-from dephaser.model import GAAS, DotGeometry
-
-GEOM = DotGeometry(width_L_m=4e-9, separation_D_m=10e-9)
-
-
-def _coupling_oracle(k_vec, material, geom):
-    # independent route: complex mode amplitudes of the two displaced dots,
-    # unit normalization volume
-    kx, ky, kz = k_vec
-    k = math.sqrt(kx * kx + ky * ky + kz * kz)
-    amp = (CONST.e_charge / (CONST.hbar * k)) * math.sqrt(
-        1.0
-        / (2.0 * CONST.hbar * material.Omega_rad_per_s * CONST.eps0 * material.eps_lattice)
-    )
-    envelope = math.exp(-((geom.width_L_m * k) ** 2) / 4.0)
-    f_upper = amp * envelope * cmath.exp(1j * kz * geom.separation_D_m / 2.0)
-    f_lower = amp * envelope * cmath.exp(-1j * kz * geom.separation_D_m / 2.0)
-    return abs(f_upper - f_lower) ** 2
-
-
-@pytest.mark.parametrize(
-    "k_vec",
-    [
-        (0.0, 0.0, math.pi / 10e-9),
-        (1e8, 2e8, 5e8),
-        (0.0, 3e8, 1e9),
-        (-4e8, 1e7, -2e8),
-    ],
-)
-def test_g_squared_matches_displaced_mode_oracle(k_vec):
-    assert g_squared(k_vec, GAAS, GEOM) == pytest.approx(
-        _coupling_oracle(k_vec, GAAS, GEOM), rel=1e-12
-    )
-
-
-def test_g_squared_rotation_invariance_about_z():
-    base = np.array([3e8, 0.0, 7e8])
-    ref = g_squared(base, GAAS, GEOM)
-    for angle in (0.3, 1.1, 2.9, 4.4):
-        c, s = math.cos(angle), math.sin(angle)
-        rotated = np.array([c * base[0] - s * base[1], s * base[0] + c * base[1], base[2]])
-        assert g_squared(rotated, GAAS, GEOM) == pytest.approx(ref, rel=1e-12)
-
-
-def test_g_squared_vanishes_without_separation():
-    geom0 = DotGeometry(width_L_m=4e-9, separation_D_m=0.0)
-    assert g_squared((1e8, 1e8, 1e9), GAAS, geom0) == 0.0
-
-
-def test_g_squared_vanishes_in_plane():
-    assert g_squared((1e9, 2e8, 0.0), GAAS, GEOM) == 0.0
-
-
-def test_g_squared_small_separation_quadratic():
-    D = 1e-4 * GEOM.width_L_m
-    geom = DotGeometry(width_L_m=GEOM.width_L_m, separation_D_m=D)
-    kz = 5e8
-    val = g_squared((0.0, 0.0, kz), GAAS, geom)
-    quadratic = g_squared((0.0, 0.0, kz), GAAS, GEOM) / math.sin(
-        0.5 * kz * GEOM.separation_D_m
-    ) ** 2 * (0.5 * kz * D) ** 2
-    assert val == pytest.approx(quadratic, rel=1e-6)
-
-
-def test_g_squared_gaussian_envelope_suppression():
-    L = GEOM.width_L_m
-    near = g_squared((0.0, 0.0, 1.0 / L), GAAS, GEOM)
-    far = g_squared((0.0, 0.0, 20.0 / L), GAAS, GEOM)
-    assert far < 1e-60 * near
-
-
-def test_g_squared_batch_shape():
-    ks = np.array([[0.0, 0.0, 1e9], [1e8, 0.0, 1e9]])
-    out = g_squared(ks, GAAS, GEOM)
-    assert out.shape == (2,)
-    assert out[0] == g_squared(ks[0], GAAS, GEOM)
-
-
-def test_g_squared_input_validation():
-    with pytest.raises(ValueError, match=r"\(\.\.\., 3\)"):
-        g_squared((1e8, 1e8), GAAS, GEOM)
-    with pytest.raises(ValueError, match="k = 0"):
-        g_squared((0.0, 0.0, 0.0), GAAS, GEOM)
 
 
 def test_spectral_density_power_law_values():

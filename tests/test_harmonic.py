@@ -167,8 +167,11 @@ def test_curve_is_deterministic(monkeypatch):
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError, match="\\(0, 1\\]"):
+    with pytest.raises(ValueError, match="\\[0, 1\\]"):
         DecoherenceCurve(times_s=np.array([0.0]), ratio=np.array([1.5]),
+                         plateau=None)
+    with pytest.raises(ValueError, match="\\[0, 1\\]"):
+        DecoherenceCurve(times_s=np.array([0.0]), ratio=np.array([-1e-300]),
                          plateau=None)
     with pytest.raises(ValueError):
         DecoherenceCurve(times_s=np.array([0.0, 1.0]), ratio=np.array([1.0]),
@@ -177,6 +180,16 @@ def test_curve_validation():
                              plateau=None)
     with pytest.raises(ValueError):
         curve.ratio[0] = 0.5
+
+
+def test_curve_keeps_an_underflowed_ratio():
+    # the exponent passes 745 at the first positive time, so exp(-exponent)
+    # is 0.0: a valid ratio, not an error
+    sd = SpectralDensity(form="power-law-gaussian-cutoff", amplitude=1e-68,
+                         exponent=1.0, cutoff_rad_per_s=1e13)
+    curve = decoherence_curve(sd, ThermalEnv(T_K=300.0), 1e-10, 5)
+    assert curve.ratio.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert curve.plateau is None
 
 
 def test_curve_csv_round_trip(tmp_path):

@@ -17,7 +17,6 @@ from dephaser.specfun import (
     BoseMomentTable,
     bose_fifth_moment,
     bose_fifth_moment_tail,
-    bose_occupation,
     get_moment_table,
     sinc_deficit,
 )
@@ -33,29 +32,6 @@ REMAINDER = {30.0: 2.708818495675773e-06,
              36.0: 1.6208727189974067e-08}
 
 RNG_SEED = 20260401
-
-
-def test_occupation_matches_expm1_form():
-    x = np.array([1e-8, 0.1, 1.0, 5.0, 50.0])
-    np.testing.assert_allclose(bose_occupation(x), 1.0 / np.expm1(x), rtol=0)
-
-
-def test_occupation_scalar_returns_float():
-    out = bose_occupation(1.0)
-    assert isinstance(out, float)
-    assert out == pytest.approx(1.0 / math.expm1(1.0), rel=1e-15)
-
-
-def test_occupation_limits():
-    # x n(x) -> 1 as x -> 0, n(x) -> e^-x for large x
-    assert 1e-10 * bose_occupation(1e-10) == pytest.approx(1.0, rel=1e-9)
-    assert bose_occupation(50.0) == pytest.approx(math.exp(-50.0), rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-def test_occupation_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
-        bose_occupation(bad)
 
 
 def test_sinc_deficit_zero_and_analytic_points():

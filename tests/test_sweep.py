@@ -1,4 +1,4 @@
-"""Tests for parameter sweeps, their CSV round trip, and scaling fits."""
+"""Tests for parameter sweeps, their CSV rows, and scaling fits."""
 
 import math
 import threading
@@ -8,18 +8,15 @@ import pytest
 
 import dephaser.rates as rates_module
 from dephaser.quadrature import NonConvergence
-from dephaser.rates import METHOD_CLOSED, METHOD_MC, RateResult
-from dephaser.runtime import write_text
+from dephaser.rates import METHOD_CLOSED, METHOD_MC
 from dephaser.sweep import (
     AXIS_DISTANCE,
     AXIS_TEMPERATURE,
-    SWEEP_CSV_HEADER,
     FitResult,
     SweepPoint,
     SweepSpec,
     fit_log_law,
     fit_power_law,
-    read_sweep_csv,
     run_sweep,
     sweep_csv_text,
 )
@@ -85,49 +82,11 @@ def test_sweep_is_deterministic_across_thread_counts(monkeypatch):
     assert baseline == threaded == serial
 
 
-def test_csv_round_trip_with_failure_row(tmp_path):
-    spec = _temperature_spec(points=3)
-    points = run_sweep(spec)
-    # splice in a recorded failure to exercise the nan cells
-    broken = SweepPoint(axis_value=55.5, method=METHOD_CLOSED,
-                        error="recorded failure")
-    points = points[:2] + [broken] + points[2:]
-    path = tmp_path / "sweep.csv"
-    write_text(path, sweep_csv_text(points, spec.axis))
-    first = path.read_text(encoding="utf-8")
-    axis, loaded = read_sweep_csv(path)
-    assert axis == AXIS_TEMPERATURE
-    assert loaded[2].error == "recorded failure"
-    assert loaded[2].result is None
-    assert loaded[0].result.gamma_per_s == points[0].result.gamma_per_s
-    path2 = tmp_path / "again.csv"
-    write_text(path2, sweep_csv_text(loaded, axis))
-    assert path2.read_text(encoding="utf-8") == first
-
-
 def test_csv_failure_row_renders_nan(tmp_path):
     broken = [SweepPoint(axis_value=1.0, method=METHOD_CLOSED, error="x")]
     text = sweep_csv_text(broken, AXIS_TEMPERATURE)
     row = text.splitlines()[1].split(",")
     assert row[2] == "nan" and row[3] == "nan" and row[5] == "nan"
-
-
-def test_read_sweep_csv_rejects_bad_files(tmp_path):
-    bad_header = tmp_path / "one.csv"
-    bad_header.write_text("a,b\n1,2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="bad header"):
-        read_sweep_csv(bad_header)
-
-    short_row = tmp_path / "two.csv"
-    short_row.write_text(",".join(SWEEP_CSV_HEADER) + "\n1,2,3\n",
-                         encoding="utf-8")
-    with pytest.raises(ValueError, match="malformed"):
-        read_sweep_csv(short_row)
-
-    no_rows = tmp_path / "three.csv"
-    no_rows.write_text(",".join(SWEEP_CSV_HEADER) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="no data rows"):
-        read_sweep_csv(no_rows)
 
 
 def test_sweep_records_nonconvergence_and_continues(monkeypatch):
@@ -174,6 +133,11 @@ def test_sweep_evaluates_every_point_on_the_calling_thread(monkeypatch):
         (dict(min_value=0.0, fixed_D_m=1e-9), "logarithmic"),
         (dict(fixed_D_m=None), "fixed_D_m"),
         (dict(width_L_m=0.0, fixed_D_m=1e-9), "width_L_m"),
+        (dict(points=2.5, fixed_D_m=1e-9), "integer"),
+        (dict(points=True, fixed_D_m=1e-9), "integer"),
+        (dict(fixed_D_m=math.nan), "separation_D_m"),
+        (dict(fixed_D_m=math.inf), "separation_D_m"),
+        (dict(axis=AXIS_DISTANCE, fixed_T_K=math.nan), "T_K"),
     ],
 )
 def test_sweep_spec_validation(kwargs, match):
@@ -242,4 +206,10 @@ def test_fit_window_validation():
         fit_power_law(pts, (0.5, 1.5))
     with pytest.raises(ValueError, match="positive"):
         fit_power_law([(1.0, 1.0), (2.0, -4.0), (3.0, 9.0)], (0.5, 5.0))
+    nan_y = [(1.0, 1.0), (2.0, math.nan), (3.0, 9.0), (4.0, 16.0)]
+    for fit in (fit_power_law, fit_log_law):
+        with pytest.raises(ValueError, match="finite"):
+            fit(nan_y, (0.5, 5.0))
+        with pytest.raises(ValueError, match="finite"):
+            fit([(math.nan, 1.0)] + pts, (0.5, 5.0))
     assert isinstance(fit_power_law(pts, (0.5, 5.0)), FitResult)
