@@ -172,6 +172,8 @@ class DecoherenceCurve:
         r = np.asarray(self.ratio, dtype=float)
         if t.ndim != 1 or t.shape != r.shape or t.size == 0:
             raise ValueError("times and ratio must be equal-length 1-D arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(r))):
+            raise ValueError("times and ratio must be finite")
         if np.any(r < 0.0) or np.any(r > 1.0):
             raise ValueError("coherence ratio must lie in [0, 1]")
         t = t.copy()

@@ -11,7 +11,8 @@ All routes compute the same physical rate gamma = 1/T2:
 * ``rate_monte_carlo``: importance-sampled evaluation of the underlying
   six-dimensional two-mode scattering integral with the energy-conservation
   delta resolved analytically (one radial magnitude, two independent unit
-  directions remain).
+  directions remain; by the symmetry about D only their polar cosines and
+  relative azimuth are drawn).
 
 Cross-agreement of the three is the package's main correctness argument;
 ``rate_validate`` runs it on demand.
@@ -42,7 +43,13 @@ _FORM_FACTOR_CUT = 8.5
 
 _MIN_MC_SAMPLES = 10**4
 _MC_BLOCK = 1 << 20
-_MC_DRAWS = 5  # uniforms consumed per sample: radial + two directions
+# a block is drawn and evaluated this many samples at a time (256 kB per
+# temporary), so its working set stays near the per-core cache
+_MC_CHUNK = 1 << 15
+# uniforms consumed per sample: one picks the radial cell and, through its
+# leftover fraction, the position in it; then the two polar cosines and the
+# relative azimuth of the two directions
+_MC_DRAWS = 4
 _MC_CELLS = 10**4
 
 
@@ -188,45 +195,130 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
                    p.prefactor_per_s * quad.abs_error_estimate)
 
 
-def _mc_block(seed: int, lo: int, hi: int, cum: np.ndarray, hist: np.ndarray,
-              cell_w: float, k_total: float, x_per_k: float, lw: float,
-              sep: float):
-    """One deterministic sample block: (count, sum, sum of squares)."""
-    offset = lo * _MC_DRAWS
+def _alias_table(hist: np.ndarray) -> tuple:
+    """Walker/Vose alias table over the cells of hist with positive weight.
+
+    Returns (prob, keep, alias): slot i gives cell keep[i] with probability
+    prob[i] and cell alias[i] otherwise, so a uniform slot draws cell c with
+    probability hist[c]/hist.sum(). Cells of zero weight are in no slot, so
+    they are never drawn, not even through rounding.
+    """
+    keep = np.flatnonzero(hist > 0.0)
+    n = keep.size
+    p = (hist[keep] * (n / hist.sum())).tolist()
+    prob = [1.0] * n
+    alias = list(range(n))
+    small = [i for i in range(n) if p[i] < 1.0]
+    large = [i for i in range(n) if p[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        big = large[-1]
+        prob[s] = p[s]
+        alias[s] = big
+        p[big] = (p[big] + p[s]) - 1.0
+        if p[big] < 1.0:
+            small.append(large.pop())
+    # slots left in either list are full up to rounding and keep prob 1
+    return np.array(prob), keep, keep[alias]
+
+
+def _radial_table(hist: np.ndarray, cell_w: float) -> tuple:
+    """The alias table of hist as affine maps from a uniform to k.
+
+    Returns (prob, k0, dk, inv_pdf). One uniform u gives slot
+    floor(u n) and a leftover f, uniform on [0, prob) when the slot keeps
+    its cell and on [prob, 1) when it gives its alias. Row 2i + 0 (kept)
+    or 2i + 1 (alias) of k0 and dk maps that range of f onto the cell,
+    k = k0 + f dk, and inv_pdf is 1/pdf = hist.sum() cell_w / hist there.
+    A branch that cannot occur (prob 0 or 1) maps to dk = 0. inv_pdf
+    overflows to inf only for a cell below about 1e-300 of the total
+    weight, which is kept with a probability below that and is never an
+    alias.
+    """
+    prob, keep, alias = _alias_table(hist)
+    cell = np.stack([keep, alias], axis=1)
+    start = np.stack([np.zeros_like(prob), prob], axis=1)
+    width = np.stack([prob, 1.0 - prob], axis=1)
+    dk = np.divide(cell_w, width, out=np.zeros_like(width), where=width > 0.0)
+    k0 = cell * cell_w - start * dk
+    with np.errstate(over="ignore"):
+        inv_pdf = hist.sum() * cell_w / hist[cell]
+    return prob, k0.ravel(), dk.ravel(), inv_pdf.ravel()
+
+
+def _moments(x: np.ndarray) -> tuple:
+    """(count, mean, M2) of x by two passes: M2 is the sum of squared
+    deviations from the mean."""
+    mean = x.sum() / x.size
+    dev = x - mean
+    return x.size, float(mean), float((dev * dev).sum())
+
+
+def _merge_moments(parts) -> tuple:
+    """Merge (count, mean, M2) triples strictly in the order given.
+
+    Chan, Golub & LeVeque's pairwise update; unlike sum(x^2) - n mean^2 it
+    does not cancel when the spread is small against the mean.
+    """
+    count, mean, m2 = 0, 0.0, 0.0
+    for n, mu, s2 in parts:
+        total = count + n
+        delta = mu - mean
+        mean += delta * (n / total)
+        m2 += s2 + delta * delta * (count * n / total)
+        count = total
+    return count, mean, m2
+
+
+def _mc_block(seed: int, lo: int, hi: int, table: tuple, cell_w: float,
+              x_per_k: float, lw: float, sep: float) -> tuple:
+    """(count, mean, M2) of the estimator over samples [lo, hi)."""
+    prob, k0, dk, inv_pdf = table
+    n_slots = prob.size
     bitgen = np.random.Philox(key=seed)
     # advance() counts 128-bit increments, each worth 4 float64 draws;
     # block starts are multiples of 4 draws by construction.
-    bitgen.advance(offset // 4)
-    u = np.random.Generator(bitgen).random((hi - lo, _MC_DRAWS))
-
-    s = u[:, 0] * k_total
-    j = np.searchsorted(cum, s, side="right")
-    frac = (s - (cum[j] - hist[j])) / hist[j]
-    k = (j + np.clip(frac, 1e-12, 1.0)) * cell_w
-    pdf = hist[j] / (k_total * cell_w)
-
-    zn = 2.0 * u[:, 1] - 1.0
-    zm = 2.0 * u[:, 3] - 1.0
-    phin = (2.0 * math.pi) * u[:, 2]
-    phim = (2.0 * math.pi) * u[:, 4]
-    rn = np.sqrt(np.maximum(1.0 - zn * zn, 0.0))
-    rm = np.sqrt(np.maximum(1.0 - zm * zm, 0.0))
-    dx = rn * np.cos(phin) - rm * np.cos(phim)
-    dy = rn * np.sin(phin) - rm * np.sin(phim)
-    dz = zn - zm
-    d2 = dx * dx + dy * dy + dz * dz
-
-    x = x_per_k * k
+    bitgen.advance(lo * _MC_DRAWS // 4)
+    gen = np.random.Generator(bitgen)
+    parts = []
+    # errstate is thread-local, so it is set here, in the worker thread
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        occ = 1.0 / np.expm1(x)
-        ang = np.where(
-            d2 > 0.0,
-            np.exp(-0.5 * lw * lw * k * k * d2)
-            * np.sin(0.5 * k * sep * dz) ** 2 / d2,
-            0.0,
-        )
-    est = k**4 * (2.0 * x) * occ * (occ + 1.0) * (4.0 * math.pi) ** 2 * ang / pdf
-    return hi - lo, float(est.sum()), float((est * est).sum())
+        for start in range(lo, hi, _MC_CHUNK):
+            u = gen.random((min(_MC_CHUNK, hi - start), _MC_DRAWS))
+
+            v = u[:, 0] * n_slots
+            slot = v.astype(np.intp)
+            f = v - slot
+            row = 2 * slot + (f >= prob[slot])
+            k = np.maximum(k0[row] + f * dk[row], 1e-12 * cell_w)
+
+            # D lies along z, so of the two directions only the polar
+            # cosines and the relative azimuth dphi enter, through
+            # |n - m|^2 = dz^2 + (rn - rm)^2 + 4 rn rm sin^2(dphi/2), a sum
+            # of non-negative terms; sin^2(dphi/2) has the same law for
+            # dphi/2 uniform on [0, pi/2) as on [0, pi)
+            zn = 2.0 * u[:, 1] - 1.0
+            zm = 2.0 * u[:, 2] - 1.0
+            rn = np.sqrt(1.0 - zn * zn)
+            rm = np.sqrt(1.0 - zm * zm)
+            half = np.sin((0.5 * math.pi) * u[:, 3])
+            dz = zn - zm
+            dr = rn - rm
+            d2 = dz * dz + dr * dr + 4.0 * rn * rm * half * half
+
+            x = x_per_k * k
+            k2 = k * k
+            occ = 1.0 / np.expm1(x)
+            # exp takes a slow path when its result underflows; clamping the
+            # exponent at -700 changes a sample by at most 1e-304 of its
+            # value without the Gaussian
+            gauss = np.exp(np.maximum((-0.5 * lw * lw) * k2 * d2, -700.0))
+            ang = np.where(d2 > 0.0,
+                           gauss * np.sin((0.5 * sep) * k * dz) ** 2 / d2, 0.0)
+            est = ((2.0 * (4.0 * math.pi) ** 2) * x * k2 * k2 * occ * (occ + 1.0)
+                   * ang * inv_pdf[row])
+            parts.append(_moments(est))
+    return _merge_moments(parts)
 
 
 def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
@@ -236,11 +328,15 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
 
     Samples the on-shell two-mode integral directly: the radial magnitude
     is drawn from a 10^4-cell histogram proportional to k^2 times the
-    thermal occupation, the two unit directions uniformly on the sphere.
-    Samples are laid out in fixed counter-based blocks and reduced in
-    block order, so a fixed seed gives identical bits run to run and for
-    any DEPHASER_THREADS on one numpy build and CPU. Across builds or
-    CPUs, values agree to about 1e-15 relative.
+    thermal occupation, through a Walker alias table (one uniform picks
+    the cell, its leftover fraction the position in the cell). D lies
+    along z, so of the two unit directions only the polar cosines and the
+    relative azimuth are drawn, uniformly. Samples are laid out in fixed
+    counter-based blocks, each drawn and evaluated in chunks of 2^15; the
+    mean and variance of chunks, then of blocks, are merged in order by
+    Chan, Golub and LeVeque's update, so a fixed seed gives identical bits
+    run to run and for any DEPHASER_THREADS on one numpy build and CPU.
+    Across builds or CPUs, values agree to about 1e-15 relative.
     """
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
         raise ValueError("samples must be an integer")
@@ -263,7 +359,7 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     k_total = float(hist.sum())
     if not math.isfinite(k_total) or k_total <= 0.0:
         return _result(0.0, METHOD_MC, 0.0, 0.0)
-    cum = np.cumsum(hist)
+    table = _radial_table(hist, cell_w)
 
     scale = (
         (8.0 / math.pi**4)
@@ -277,22 +373,12 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
 
     def work(span):
         lo, hi = span
-        return _mc_block(seed, lo, hi, cum, hist, cell_w, k_total, x_per_k,
+        return _mc_block(seed, lo, hi, table, cell_w, x_per_k,
                          geom.width_L_m, geom.separation_D_m)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        parts = list(pool.map(work, blocks))
-
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for m, s1, s2 in parts:
-        count += m
-        total += s1
-        total_sq += s2
-    mean = total / count
-    var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-    se_mean = math.sqrt(var / count)
+        count, mean, m2 = _merge_moments(pool.map(work, blocks))
+    se_mean = math.sqrt(m2 / (count - 1) / count)
     return _result(scale * mean, METHOD_MC, scale * se_mean, scale * se_mean)
 
 

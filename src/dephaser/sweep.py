@@ -169,8 +169,10 @@ def _fit_line(points, window, log_y: bool) -> FitResult:
         raise ValueError("need at least 3 points inside the fit window")
     x = np.asarray(xs)
     y = np.asarray(ys)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise ValueError("fit requires positive x and y values")
+    if np.any(x <= 0.0):
+        raise ValueError("fit requires positive x values")
+    if log_y and np.any(y <= 0.0):
+        raise ValueError("a power-law fit requires positive y values")
     lx = np.log(x)
     ty = np.log(y) if log_y else y
     slope, intercept = np.polyfit(lx, ty, 1)

@@ -173,6 +173,12 @@ def test_curve_validation():
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         DecoherenceCurve(times_s=np.array([0.0]), ratio=np.array([-1e-300]),
                          plateau=None)
+    with pytest.raises(ValueError, match="finite"):
+        DecoherenceCurve(times_s=np.array([0.0, 1.0]),
+                         ratio=np.array([1.0, math.nan]), plateau=None)
+    with pytest.raises(ValueError, match="finite"):
+        DecoherenceCurve(times_s=np.array([0.0, math.nan]),
+                         ratio=np.array([1.0, 0.5]), plateau=None)
     with pytest.raises(ValueError):
         DecoherenceCurve(times_s=np.array([0.0, 1.0]), ratio=np.array([1.0]),
                          plateau=None)

@@ -15,11 +15,13 @@ estimate and its standard error by about 1e-6 relative.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import dephaser.rates as rates_module
+from dephaser.constants import CONST
 from dephaser.model import GAAS, DotGeometry, MaterialParams, ThermalEnv
 from dephaser.rates import (
     METHOD_CLOSED,
@@ -43,9 +45,9 @@ ORACLE_GAMMA_100K = 1040671074013.1287
 ORACLE_GAMMA_50K = 97274256900.25523
 
 # frozen sampler output, 10^6 samples at the 100 K point
-MC_PIN_GAMMA = 1050067524091.3768
-MC_PIN_SE = 104218557924.65688
-MC_PIN_GAMMA_SEED999 = 1205292502773.7249
+MC_PIN_GAMMA = 1062140045554.9913
+MC_PIN_SE = 96804508290.73982
+MC_PIN_GAMMA_SEED999 = 885251401740.1672
 
 # recorded 10^8-sample run at the same point (not re-run in tests)
 MC_LONG_GAMMA = 1033696873724.8337
@@ -143,14 +145,140 @@ def test_monte_carlo_pin_consistent_with_oracle():
 
 
 def test_monte_carlo_thread_count_invariance(monkeypatch):
-    # spans several sampler blocks so the reduction order matters
-    samples = 2_500_000
-    monkeypatch.setenv("DEPHASER_THREADS", "1")
-    serial = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=40.0), samples=samples)
-    monkeypatch.setenv("DEPHASER_THREADS", "7")
-    threaded = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=40.0), samples=samples)
-    assert serial.gamma_per_s == threaded.gamma_per_s
-    assert serial.mc_std_error_per_s == threaded.mc_std_error_per_s
+    # both counts span several sampler blocks, so the reduction order
+    # matters, and neither is a multiple of the chunk size; 2^20 + 3 ends
+    # in a block of 3 samples
+    for samples in (2_500_000, 2**20 + 3):
+        bits = set()
+        for threads in ("1", "2", "7"):
+            monkeypatch.setenv("DEPHASER_THREADS", threads)
+            res = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=40.0),
+                                   samples=samples)
+            bits.add((res.gamma_per_s.hex(), res.mc_std_error_per_s.hex()))
+        assert len(bits) == 1
+
+
+def test_monte_carlo_chunk_size_changes_rounding_only(monkeypatch):
+    # a sample's draws do not depend on the chunk it is evaluated in, so
+    # evaluating a block in one piece gives the same estimate up to the
+    # order of the floating-point reduction
+    env = ThermalEnv(T_K=100.0)
+    chunked = rate_monte_carlo(GAAS, GEOM, env, samples=300_001)
+    monkeypatch.setattr(rates_module, "_MC_CHUNK", rates_module._MC_BLOCK)
+    whole = rate_monte_carlo(GAAS, GEOM, env, samples=300_001)
+    assert chunked.gamma_per_s == pytest.approx(whole.gamma_per_s, rel=1e-12)
+    assert chunked.mc_std_error_per_s == pytest.approx(
+        whole.mc_std_error_per_s, rel=1e-12)
+
+
+def _thermal_histogram(T_K):
+    # the radial histogram rate_monte_carlo samples: k^2 n(k) at cell mids
+    cell_w = GAAS.k_D_per_m / rates_module._MC_CELLS
+    mids = (np.arange(rates_module._MC_CELLS) + 0.5) * cell_w
+    x_per_k = CONST.hbar * GAAS.c_sound_m_per_s / (CONST.k_B * T_K)
+    with np.errstate(over="ignore"):
+        return mids * mids / np.expm1(x_per_k * mids)
+
+
+def _sparse_histogram():
+    # zero cells scattered among positive ones of very different weight
+    rng = np.random.default_rng(5)
+    hist = rng.exponential(size=1000) * 10.0 ** rng.integers(-300, 3, size=1000)
+    hist[rng.random(1000) < 0.6] = 0.0
+    return hist
+
+
+@pytest.mark.parametrize(
+    "hist",
+    [_thermal_histogram(T) for T in (1e-3, 0.1, 100.0, 1e4)] + [_sparse_histogram()],
+    ids=["1mK", "0.1K", "100K", "1e4K", "sparse"],
+)
+def test_alias_table_reproduces_the_histogram(hist):
+    prob, keep, alias = rates_module._alias_table(hist)
+    # every cell a slot can give has positive weight: a zero cell is
+    # never kept and never an alias target
+    assert np.all(hist[keep] > 0.0) and np.all(hist[alias] > 0.0)
+    assert keep.size == np.count_nonzero(hist)
+    assert np.all((prob >= 0.0) & (prob <= 1.0))
+    mass = np.zeros(hist.size)
+    np.add.at(mass, keep, prob)
+    np.add.at(mass, alias, 1.0 - prob)
+    target = hist / hist.sum()
+    np.testing.assert_allclose(mass / keep.size, target, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("T", [1e-3, 0.1, 100.0])
+def test_radial_table_maps_each_branch_onto_its_cell(T):
+    hist = _thermal_histogram(T)
+    cell_w = GAAS.k_D_per_m / rates_module._MC_CELLS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prob, k0, dk, inv_pdf = rates_module._radial_table(hist, cell_w)
+    _, keep, alias = rates_module._alias_table(hist)
+    k0, dk, inv_pdf = (a.reshape(-1, 2) for a in (k0, dk, inv_pdf))
+
+    def k(branch, f, mask):
+        return k0[mask, branch] + f * dk[mask, branch]
+
+    def close(got, cells):
+        np.testing.assert_allclose(got, cells * cell_w, rtol=1e-12,
+                                   atol=1e-12 * cell_w)
+
+    # the leftover f is in [0, prob) for the kept cell, [prob, 1) for the alias
+    kept, given = prob > 0.0, prob < 1.0
+    close(k(0, 0.0, kept), keep[kept])
+    close(k(0, prob[kept], kept), keep[kept] + 1)
+    close(k(1, prob[given], given), alias[given])
+    close(k(1, 1.0, given), alias[given] + 1)
+    assert np.all(dk[~given, 1] == 0.0)
+    with np.errstate(over="ignore"):
+        inv_keep = hist.sum() * cell_w / hist[keep]
+    assert np.all(np.isfinite(inv_pdf[:, 1]))   # an alias is never that light
+    np.testing.assert_array_equal(inv_pdf[:, 0], inv_keep)
+    np.testing.assert_array_equal(inv_pdf[:, 1],
+                                  hist.sum() * cell_w / hist[alias])
+    if T == 0.1:
+        assert np.count_nonzero(np.isinf(inv_pdf)) == 5
+
+
+@pytest.mark.parametrize("T", [1e-3, 0.1, 1e4])
+def test_monte_carlo_raises_no_floating_point_warning(monkeypatch, T):
+    # numpy's errstate is thread-local, so a floating-point warning in a
+    # pool thread escapes any errstate the caller holds. At 1 mK all but
+    # 16 cells are empty; at 0.1 K the five highest non-empty cells weigh
+    # below 1e-300 of the total, so their 1/pdf overflows
+    monkeypatch.setenv("DEPHASER_THREADS", "2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=T), samples=2**20 + 3)
+    assert math.isfinite(res.gamma_per_s) and res.gamma_per_s > 0.0
+    assert math.isfinite(res.mc_std_error_per_s) and res.mc_std_error_per_s > 0.0
+
+
+@pytest.mark.parametrize(
+    "offset, rel",
+    # the merge is exact up to the rounding of each block mean, ulp(offset);
+    # at 1e12 that is 1.2e-4 against a spread of 1, which no merge of
+    # double-precision means escapes (5e-8 here; np.var is itself off by
+    # 1.3e-8), so the reference is the exactly shifted data
+    [(1e6, 1e-12), (1e12, 1e-6)],
+)
+def test_variance_merge_is_stable(offset, rel):
+    rng = np.random.default_rng(3)
+    blocks = [offset + rng.standard_normal(n) for n in (1 << 16, 1 << 16, 3, 40_000)]
+    count, mean, m2 = rates_module._merge_moments(
+        rates_module._moments(b) for b in blocks)
+    data = np.concatenate(blocks)
+    exact_var = np.var(data - offset, ddof=1)   # the shift is exact here
+    assert count == data.size
+    assert mean == pytest.approx(data.mean(), rel=1e-15)
+    assert m2 / (count - 1) == pytest.approx(exact_var, rel=rel)
+    if rel == 1e-12:
+        assert m2 / (count - 1) == pytest.approx(np.var(data, ddof=1), rel=1e-12)
+    # the one-pass formula this merge replaces is off by 2e-4 at 1e6 and
+    # negative at 1e12
+    naive = ((data * data).sum() - count * (data.sum() / count) ** 2) / (count - 1)
+    assert abs(naive / exact_var - 1.0) > 1e-5
 
 
 def test_monte_carlo_error_scaling():
@@ -185,8 +313,6 @@ def test_narrow_cutoff_warning():
 
 
 def test_no_warning_for_wide_cutoff():
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error", CutoffValidityWarning)
         rate_closed_form(GAAS, GEOM, ThermalEnv(T_K=100.0))

@@ -198,6 +198,13 @@ def test_fit_log_law_flat_data():
     assert fit.intercept == pytest.approx(5.0, rel=1e-12)
 
 
+def test_fit_log_law_accepts_non_positive_y():
+    # y = ln x / ln 2 - 1 passes through -1, 0 and 1
+    fit = fit_log_law([(1.0, -1.0), (2.0, 0.0), (4.0, 1.0)], (0.5, 5.0))
+    assert fit.slope == pytest.approx(1.0 / math.log(2.0), rel=1e-12)
+    assert fit.intercept == pytest.approx(-1.0, rel=1e-12)
+
+
 def test_fit_window_validation():
     pts = [(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]
     with pytest.raises(ValueError, match="lo < hi"):
@@ -208,6 +215,8 @@ def test_fit_window_validation():
         fit_power_law([(1.0, 1.0), (2.0, -4.0), (3.0, 9.0)], (0.5, 5.0))
     nan_y = [(1.0, 1.0), (2.0, math.nan), (3.0, 9.0), (4.0, 16.0)]
     for fit in (fit_power_law, fit_log_law):
+        with pytest.raises(ValueError, match="positive x"):
+            fit([(0.0, 1.0)] + pts, (-1.0, 5.0))
         with pytest.raises(ValueError, match="finite"):
             fit(nan_y, (0.5, 5.0))
         with pytest.raises(ValueError, match="finite"):
