@@ -28,7 +28,8 @@ from typing import Optional
 import numpy as np
 
 from .constants import CONST
-from .model import DotGeometry, MaterialParams, ThermalEnv, coupling_scale, derived_scales
+from .model import (DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv,
+                    coupling_scale, derived_scales)
 from .quadrature import NonConvergence, QuadratureConfig, integrate, integrate_nested
 from .runtime import worker_count
 from .specfun import _moment_bracket, sinc_deficit
@@ -40,6 +41,9 @@ METHODS = (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC)
 
 # Beyond this the Gaussian form factor exp(-x^2) is below 1e-31.
 _FORM_FACTOR_CUT = 8.5
+# a*: the closed route switches from adaptive quadrature to the log-law
+# split where a l reaches this (see _closed_split for the bound)
+_SPLIT_SWITCH = 1000.0
 
 _MIN_MC_SAMPLES = 10**4
 _MC_BLOCK = 1 << 20
@@ -115,19 +119,42 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
                      env: ThermalEnv) -> RateResult:
     """Dephasing rate from the reduced one-dimensional integral.
 
-    gamma = prefactor * Int_0^inf dx/x exp(-x^2) (1 - sin(a x)/(a x))
-            * [moment(x_D) - moment(x x_D / (sqrt(2) k_D L))]
+    gamma = prefactor * Int_0^inf dx/x exp(-x^2) (1 - sin(a x)/(a x)) B(x),
+    B(x) = moment(x_D) - moment(x x_D / (sqrt(2) k_D L)),
 
     with a = sqrt(2) D/L and x_D the Debye cutoff in thermal units. The
     infinite limit is truncated where the Gaussian is below 1e-31 or at
     the exact form-factor limit sqrt(2) k_D L, whichever is smaller.
-    T = 0 and D = 0 short-circuit to a vanishing rate.
+
+    Below the switch a l = _SPLIT_SWITCH (a* = 1000), where l is the
+    narrowest scale of exp(-x^2) B(x) (_split_scale), the integral is
+    integrated adaptively on panels about pi/a wide, so the cost grows
+    with D. Above it, gamma = prefactor * [B0 K(a) + R], with B0 = B(0),
+    K(a) the log-law kernel and R a non-oscillating remainder that does
+    not depend on D (_closed_split). The cost is then the same for every
+    D, and the rate grows by prefactor * B0 per unit of ln D. T = 0 and
+    D = 0 short-circuit to a vanishing rate.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return _result(0.0, METHOD_CLOSED, 0.0)
     p = derived_scales(material, geom, env)
     root2_kdl = math.sqrt(2.0) * p.kd_l
     _check_narrow_cutoff(root2_kdl)
+    split = p.sep_ratio * _split_scale(p, root2_kdl) >= _SPLIT_SWITCH
+    try:
+        value, err = (_closed_split if split else _closed_adaptive)(p, root2_kdl)
+    except NonConvergence as exc:
+        raise NonConvergence(
+            f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
+            f"separation_D_m={geom.separation_D_m}: {exc}"
+        ) from exc
+    return _result(p.prefactor_per_s * value, METHOD_CLOSED,
+                   p.prefactor_per_s * err)
+
+
+def _closed_adaptive(p: RateIntegralParams, root2_kdl: float) -> tuple:
+    """(value, error) of the closed-route integral by adaptive quadrature,
+    seeded with panels about pi/a wide."""
     alpha = p.sep_ratio
     ratio = p.x_debye / root2_kdl
 
@@ -140,16 +167,70 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
         rel_tol=1e-8,
         panel_hint=min(0.5, math.pi / alpha),
     )
+    quad = integrate(integrand, 0.0, min(_FORM_FACTOR_CUT, root2_kdl), cfg)
+    return quad.value, quad.abs_error_estimate
+
+
+def _log_kernel(a: float) -> float:
+    """K(a) = Int_0^inf exp(-x^2) (1 - sin(a x)/(a x))/x dx for large a.
+
+    K(a) = ln a - 1 + gamma_E/2 + sum_n c_n/a^(2n) with
+    c_n = (2n-1)!! 2^(n-1)/(n (2n-1)) = 1, 1, 4, 30, ...: K is the mean of
+    Int exp(-x^2)(1 - cos(a t x))/x dx over t in [0, 1], whose derivative
+    in a t is Dawson's function. The series is cut after 4/a^6; what is
+    left is about 30/a^8, below 1e-22 for a >= _SPLIT_SWITCH.
+    """
+    y = 1.0 / (a * a)
+    return math.log(a) - 1.0 + 0.5 * np.euler_gamma + y * (1.0 + y * (1.0 + 4.0 * y))
+
+
+def _split_scale(p: RateIntegralParams, root2_kdl: float) -> float:
+    """l = min(1, sqrt(2) k_D L, sqrt(2) k_D L / x_D): the narrowest scale
+    of exp(-x^2) B(x), set by the Gaussian, the form-factor edge and the
+    thermal edge of B."""
+    return min(1.0, root2_kdl, root2_kdl / p.x_debye)
+
+
+def _closed_split(p: RateIntegralParams, root2_kdl: float) -> tuple:
+    """(value, error) of the closed-route integral as B0 K(a) + R.
+
+    With B0 = B(0), the integral is B0 Int exp(-x^2)(1 - sinc(a x))/x dx
+    plus the same with B - B0. The first is B0 K(a). In the second,
+    (B - B0)/x is smooth and vanishes like x^3 at 0, so it splits into
+    R = Int_0^8.5 exp(-x^2)(B - B0)/x dx, which does not depend on a,
+    and a dropped term -(1/a) Int sin(a x) G(x) dx with
+    G = exp(-x^2)(B - B0)/x^2. B is 0 beyond sqrt(2) k_D L, so when that
+    limit is below 8.5, R runs on past it with B = 0; that piece is the
+    tail correction of K, and G has a kink there.
+
+    To leading order in 1/(a l) (l from _split_scale) the dropped term is
+    at most B0 [2.12/(a l)^4 + 4 exp(-2 k_D^2 L^2)/(a l)^3]: the first is
+    G''(0)/a^4 = x_D^4/(2 (sqrt(2) k_D L)^4 a^4), over B0 >= 0.236
+    min(x_D, 1)^4; the second is the kink, whose slope jump is at most
+    4 exp(-2 k_D^2 L^2)/(sqrt(2) k_D L)^3 of B0. It is added to the
+    quadrature error. At a l = _SPLIT_SWITCH it is below 4e-9 B0; over
+    T 1 mK - 10^4 K and L 0.1 - 100 nm the integral is above 6 B0 there,
+    so the switch costs less than 7e-10 relative.
+    """
+    a = p.sep_ratio
+    ratio = p.x_debye / root2_kdl
+    b0 = float(_moment_bracket(p.x_debye, 0.0))
+
+    def remainder(x: np.ndarray) -> np.ndarray:
+        return np.exp(-x * x) / x * (_moment_bracket(p.x_debye, x * ratio) - b0)
+
+    # R is tiny against B0 K(a) at high T, so a relative tolerance on R
+    # alone would chase the moment table's interpolation noise
+    cfg = QuadratureConfig(abs_tol=1e-12 * b0, rel_tol=1e-12)
     upper = min(_FORM_FACTOR_CUT, root2_kdl)
-    try:
-        quad = integrate(integrand, 0.0, upper, cfg)
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
-            f"separation_D_m={geom.separation_D_m}: {exc}"
-        ) from exc
-    return _result(p.prefactor_per_s * quad.value, METHOD_CLOSED,
-                   p.prefactor_per_s * quad.abs_error_estimate)
+    parts = [integrate(remainder, 0.0, upper, cfg)]
+    if upper < _FORM_FACTOR_CUT:
+        parts.append(integrate(lambda x: -b0 * np.exp(-x * x) / x,
+                               upper, _FORM_FACTOR_CUT, cfg))
+    s = a * _split_scale(p, root2_kdl)
+    dropped = b0 * (2.12 / s**4 + 4.0 * math.exp(-root2_kdl * root2_kdl) / s**3)
+    value = b0 * _log_kernel(a) + sum(q.value for q in parts)
+    return value, sum(q.abs_error_estimate for q in parts) + dropped
 
 
 def rate_double_integral(material: MaterialParams, geom: DotGeometry,

@@ -17,12 +17,15 @@ estimate and its standard error by about 1e-6 relative.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dephaser.rates as rates_module
 from dephaser.constants import CONST
-from dephaser.model import GAAS, DotGeometry, MaterialParams, ThermalEnv
+from dephaser.model import GAAS, DotGeometry, MaterialParams, ThermalEnv, derived_scales
 from dephaser.rates import (
     METHOD_CLOSED,
     METHOD_DOUBLE,
@@ -37,6 +40,8 @@ from dephaser.rates import (
     rate_monte_carlo,
     rate_validate,
 )
+from dephaser.specfun import _moment_bracket
+from dephaser.sweep import fit_log_law
 
 GEOM = DotGeometry(width_L_m=4e-9, separation_D_m=10e-9)
 
@@ -49,9 +54,10 @@ MC_PIN_GAMMA = 1062140045554.9913
 MC_PIN_SE = 96804508290.73982
 MC_PIN_GAMMA_SEED999 = 885251401740.1672
 
-# recorded 10^8-sample run at the same point (not re-run in tests)
-MC_LONG_GAMMA = 1033696873724.8337
-MC_LONG_SE = 9648144291.573647
+# recorded 10^8-sample run at the same point with the default seed (not
+# re-run in tests; about 8 s on two cores)
+MC_LONG_GAMMA = 1046006089790.8795
+MC_LONG_SE = 9661511079.880766
 
 
 @pytest.mark.parametrize(
@@ -122,6 +128,134 @@ def test_rate_increases_with_temperature_and_separation():
     assert np.all(np.diff(grid, axis=1) > 0.0)
 
 
+def _switch_separation(T, L):
+    """The D at which the closed route switches to the log-law split."""
+    p = derived_scales(GAAS, DotGeometry(L, 1.0), ThermalEnv(T))
+    scale = rates_module._split_scale(p, math.sqrt(2.0) * p.kd_l)
+    return rates_module._SPLIT_SWITCH / scale * L / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("a", [30.0, 100.0, 1e3, 1e4, 1e5, 1e6])
+def test_log_kernel_matches_hypergeometric_oracle(a):
+    # K(a) = (a^2/12) 2F2(1, 1; 2, 5/2; -a^2/4), its small-a series summed
+    # exactly; the asymptotic series is cut after 4/a^6 and the next term
+    # is 30/a^8
+    with mpmath.workdps(40):
+        oracle = float(a * a / 12 * mpmath.hyp2f2(1, 1, 2, 2.5, -a * a / 4))
+    k = rates_module._log_kernel(a)
+    assert abs(k - oracle) <= 31.0 / a**8 + 1e-15 * oracle
+
+
+@pytest.mark.parametrize(
+    "T, L, D",
+    # at L = 0.1 nm the form-factor limit is below 8.5, so R has its
+    # tail piece
+    [(4.0, 4e-9, 10e-6), (4.0, 4e-9, 100e-6), (300.0, 4e-9, 10e-6),
+     (300.0, 4e-9, 100e-6), (300.0, 1e-10, 10e-6)],
+)
+def test_adaptive_and_split_closed_forms_agree_from_10_to_100_um(T, L, D):
+    p = derived_scales(GAAS, DotGeometry(L, D), ThermalEnv(T))
+    root2_kdl = math.sqrt(2.0) * p.kd_l
+    adaptive, _ = rates_module._closed_adaptive(p, root2_kdl)
+    split, err = rates_module._closed_split(p, root2_kdl)
+    assert split == pytest.approx(adaptive, rel=1e-8)
+    assert err <= 1e-10 * split
+
+
+def test_split_error_estimate_covers_the_switch_error():
+    # at L = 0.1 nm the kink of G at the form-factor limit gives the
+    # largest dropped term, 4 exp(-U^2)/(a l)^3 of B0; just above the
+    # switch it is 6e-11 relative, and the adaptive value is far closer
+    T, L = 300.0, 1e-10
+    p = derived_scales(GAAS, DotGeometry(L, 1.001 * _switch_separation(T, L)),
+                       ThermalEnv(T))
+    root2_kdl = math.sqrt(2.0) * p.kd_l
+    adaptive, _ = rates_module._closed_adaptive(p, root2_kdl)
+    split, err = rates_module._closed_split(p, root2_kdl)
+    assert abs(split - adaptive) <= err <= 1e-10 * split
+
+
+def test_switch_uses_the_thermal_scale_not_a_alone():
+    # at 10 mK and L = 4 nm, B falls to 0 within x ~ 0.1, so a = 1061 is
+    # only a l = 1.5: the split is off by 7e-4 there and the route must
+    # stay adaptive
+    geom, env = DotGeometry(4e-9, 3e-6), ThermalEnv(T_K=0.01)
+    p = derived_scales(GAAS, geom, env)
+    root2_kdl = math.sqrt(2.0) * p.kd_l
+    adaptive, _ = rates_module._closed_adaptive(p, root2_kdl)
+    split, _ = rates_module._closed_split(p, root2_kdl)
+    assert p.sep_ratio > rates_module._SPLIT_SWITCH
+    assert abs(split / adaptive - 1.0) > 1e-4
+    assert rate_closed_form(GAAS, geom, env).gamma_per_s == p.prefactor_per_s * adaptive
+
+
+@pytest.mark.parametrize("T, L", [(50.0, 4e-9), (300.0, 1e-10)])
+def test_split_evaluation_count_does_not_depend_on_separation(monkeypatch, T, L):
+    # at L = 0.1 nm the form-factor limit is below 8.5, so R has two pieces
+    true_integrate = rates_module.integrate
+    counts = []
+
+    def counting(f, a, b, cfg=None):
+        res = true_integrate(f, a, b, cfg)
+        counts[-1] += res.evaluations
+        return res
+
+    monkeypatch.setattr(rates_module, "integrate", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffValidityWarning)
+        for D in (100e-6, 1e-3, 1.0):
+            counts.append(0)
+            res = rate_closed_form(GAAS, DotGeometry(L, D), ThermalEnv(T_K=T))
+            assert math.isfinite(res.gamma_per_s) and res.gamma_per_s > 0.0
+    assert counts[0] > 0 and len(set(counts)) == 1
+
+
+def test_large_separation_slope_is_prefactor_times_b0():
+    env = ThermalEnv(T_K=50.0)
+    pts = [(D, rate_closed_form(GAAS, DotGeometry(4e-9, D), env).gamma_per_s)
+           for D in np.geomspace(100e-6, 1.0, 9)]
+    fit = fit_log_law(pts, (50e-6, 2.0))
+    p = derived_scales(GAAS, DotGeometry(4e-9, 1.0), env)
+    slope = p.prefactor_per_s * float(_moment_bracket(p.x_debye, 0.0))
+    assert fit.slope == pytest.approx(slope, rel=1e-8)
+    assert fit.residual_rms < 1e-8 * slope
+
+
+@given(log_T=st.floats(min_value=-3.0, max_value=4.0),
+       log_L=st.floats(min_value=-10.0, max_value=-7.0),
+       log_D=st.floats(min_value=-12.0, max_value=0.0))
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_closed_form_is_finite_and_non_decreasing_in_separation(log_T, log_L, log_D):
+    # the box T 1 mK - 10^4 K, L 0.1 - 100 nm, D 0 - 1 m; each grid
+    # straddles the switch to the log-law split
+    T, L = 10.0**log_T, 10.0**log_L
+    switch = _switch_separation(T, L)
+    seps = sorted({0.0, 10.0**log_D, 0.999 * switch, 1.001 * switch, 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffValidityWarning)
+        gammas = [rate_closed_form(GAAS, DotGeometry(L, D), ThermalEnv(T)).gamma_per_s
+                  for D in seps]
+    assert all(math.isfinite(g) for g in gammas)
+    assert gammas[0] == 0.0 and gammas[1] > 0.0
+    for lo, hi in zip(gammas[1:], gammas[2:]):
+        assert hi >= lo * (1.0 - 1e-8)
+
+
+@pytest.mark.parametrize(
+    "T, L, D",
+    # points above the switch where one double call takes well under 0.5 s
+    [(300.0, 4e-10, 3e-7), (1e4, 1e-10, 1e-7), (300.0, 4e-9, 1e-5)],
+)
+def test_split_closed_form_agrees_with_double_integral(T, L, D):
+    assert D > _switch_separation(T, L)
+    geom, env = DotGeometry(L, D), ThermalEnv(T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffValidityWarning)
+        closed = rate_closed_form(GAAS, geom, env).gamma_per_s
+    double = rate_double_integral(GAAS, geom, env).gamma_per_s
+    assert double == pytest.approx(closed, rel=1e-2)
+
+
 def test_monte_carlo_pinned_output():
     res = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=100.0), samples=10**6)
     assert res.gamma_per_s == pytest.approx(MC_PIN_GAMMA, rel=1e-12)
@@ -140,7 +274,7 @@ def test_monte_carlo_seed_changes_output():
 def test_monte_carlo_pin_consistent_with_oracle():
     # the pinned short run must sit within a few standard errors
     assert abs(MC_PIN_GAMMA - ORACLE_GAMMA_100K) <= 3.0 * MC_PIN_SE
-    # record of the long run: 0.7 standard errors off the quad oracle
+    # record of the long run: 0.55 standard errors off the quad oracle
     assert abs(MC_LONG_GAMMA - ORACLE_GAMMA_100K) <= 3.0 * MC_LONG_SE
 
 
