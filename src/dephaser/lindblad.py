@@ -14,7 +14,6 @@ ever compared against the rate engine.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -106,12 +105,17 @@ def _generator_coefficients(p: LindbladParams) -> np.ndarray:
     return np.array([[0.0, rot - g], [-rot - g, 0.0]], dtype=complex)
 
 
+def _coherence_factor(p: LindbladParams, t):
+    """rho_01(t)/rho_01(0) = exp((i E/hbar - gamma) t), for scalar or array t."""
+    return np.exp((1j * p.level_splitting_E_J / CONST.hbar - p.gamma_per_s) * t)
+
+
 def evolve_analytic(rho0: DensityMatrix2, p: LindbladParams,
                     t: float) -> DensityMatrix2:
     """Closed-form evolution: populations fixed, coherence rotated and damped."""
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and >= 0")
-    factor = cmath.exp((1j * p.level_splitting_E_J / CONST.hbar - p.gamma_per_s) * t)
+    factor = complex(_coherence_factor(p, t))
     return DensityMatrix2(
         rho00=rho0.rho00,
         rho01=rho0.rho01 * factor,
@@ -185,7 +189,7 @@ def trajectory(rho0: DensityMatrix2, p: LindbladParams, t_max: float,
                points: int) -> Trajectory2:
     """Analytic trajectory on a uniform grid over [0, t_max]."""
     times = uniform_times(t_max, points)
-    factor = np.exp((1j * p.level_splitting_E_J / CONST.hbar - p.gamma_per_s) * times)
+    factor = _coherence_factor(p, times)
     return Trajectory2(
         times_s=times,
         rho00=np.full(times.shape, rho0.rho00.real),

@@ -1,6 +1,8 @@
 """Markovian pure-dephasing rate of the double dot by three independent routes.
 
-All routes compute the same physical rate gamma = 1/T2:
+All routes compute the same physical rate gamma = 1/T2, and all stop at
+x = 60 in thermal units (_MOMENT_TAIL_CUT), past which the Bose
+fifth-moment weight holds less than 1e-19 of its total:
 
 * ``rate_closed_form``: the one-dimensional reduced integral over the
   Gaussian-damped wavefunction form factor times a difference of cumulative
@@ -32,7 +34,7 @@ from .model import (DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv,
                     coupling_scale, derived_scales)
 from .quadrature import NonConvergence, QuadratureConfig, integrate, integrate_nested
 from .runtime import worker_count
-from .specfun import _moment_bracket, sinc_deficit
+from .specfun import _MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand, sinc_deficit
 
 METHOD_CLOSED = "closed-form"
 METHOD_DOUBLE = "double-integral"
@@ -123,8 +125,9 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     B(x) = moment(x_D) - moment(x x_D / (sqrt(2) k_D L)),
 
     with a = sqrt(2) D/L and x_D the Debye cutoff in thermal units. The
-    infinite limit is truncated where the Gaussian is below 1e-31 or at
-    the exact form-factor limit sqrt(2) k_D L, whichever is smaller.
+    infinite limit is truncated at the smallest of 8.5 (the Gaussian is
+    below 1e-31), the form-factor limit sqrt(2) k_D L and, below the
+    switch, x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17.
 
     Below the switch a l = _SPLIT_SWITCH (a* = 1000), where l is the
     narrowest scale of exp(-x^2) B(x) (_split_scale), the integral is
@@ -167,7 +170,8 @@ def _closed_adaptive(p: RateIntegralParams, root2_kdl: float) -> tuple:
         rel_tol=1e-8,
         panel_hint=min(0.5, math.pi / alpha),
     )
-    quad = integrate(integrand, 0.0, min(_FORM_FACTOR_CUT, root2_kdl), cfg)
+    upper = min(_FORM_FACTOR_CUT, root2_kdl, _MOMENT_TAIL_CUT / ratio)
+    quad = integrate(integrand, 0.0, upper, cfg)
     return quad.value, quad.abs_error_estimate
 
 
@@ -240,8 +244,8 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     gamma = prefactor * Int_0^{x_D} dx x^5 e^x/(e^x-1)^2
             * Int_0^{sqrt(2) k_D L x/x_D} dt/t exp(-t^2) (1 - sin(a t)/(a t))
 
-    The Bose weight is evaluated as x^5 e^(-x)/expm1(-x)^2, which underflows
-    to an exact zero far beyond the thermal peak instead of overflowing.
+    The outer limit is min(x_D, 60). The Bose weight is evaluated as
+    x^5 e^(-x)/expm1(-x)^2, which does not overflow.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return _result(0.0, METHOD_DOUBLE, 0.0)
@@ -265,8 +269,8 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
         panel_hint=min(0.5, math.pi / alpha),
     )
     try:
-        quad = integrate_nested(integrand, 0.0, p.x_debye, t_upper, cfg,
-                                inner_cfg=inner_cfg)
+        quad = integrate_nested(integrand, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
+                                t_upper, cfg, inner_cfg=inner_cfg)
     except NonConvergence as exc:
         raise NonConvergence(
             f"{METHOD_DOUBLE} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
@@ -276,55 +280,21 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
                    p.prefactor_per_s * quad.abs_error_estimate)
 
 
-def _alias_table(hist: np.ndarray) -> tuple:
-    """Walker/Vose alias table over the cells of hist with positive weight.
+def _radial_table(x_per_k: float, k_max: float) -> Optional[tuple]:
+    """Edges (lo, width) of _MC_CELLS cells of equal weight over [0, k_max].
 
-    Returns (prob, keep, alias): slot i gives cell keep[i] with probability
-    prob[i] and cell alias[i] otherwise, so a uniform slot draws cell c with
-    probability hist[c]/hist.sum(). Cells of zero weight are in no slot, so
-    they are never drawn, not even through rounding.
+    The weight, the Bose fifth-moment integrand at x = x_per_k k, is the
+    radial integrand without its angular factor. Its cumulative sum over
+    _MC_CELLS midpoints is inverted by linear interpolation. None when the
+    weight does not sum to a finite positive value.
     """
-    keep = np.flatnonzero(hist > 0.0)
-    n = keep.size
-    p = (hist[keep] * (n / hist.sum())).tolist()
-    prob = [1.0] * n
-    alias = list(range(n))
-    small = [i for i in range(n) if p[i] < 1.0]
-    large = [i for i in range(n) if p[i] >= 1.0]
-    while small and large:
-        s = small.pop()
-        big = large[-1]
-        prob[s] = p[s]
-        alias[s] = big
-        p[big] = (p[big] + p[s]) - 1.0
-        if p[big] < 1.0:
-            small.append(large.pop())
-    # slots left in either list are full up to rounding and keep prob 1
-    return np.array(prob), keep, keep[alias]
-
-
-def _radial_table(hist: np.ndarray, cell_w: float) -> tuple:
-    """The alias table of hist as affine maps from a uniform to k.
-
-    Returns (prob, k0, dk, inv_pdf). One uniform u gives slot
-    floor(u n) and a leftover f, uniform on [0, prob) when the slot keeps
-    its cell and on [prob, 1) when it gives its alias. Row 2i + 0 (kept)
-    or 2i + 1 (alias) of k0 and dk maps that range of f onto the cell,
-    k = k0 + f dk, and inv_pdf is 1/pdf = hist.sum() cell_w / hist there.
-    A branch that cannot occur (prob 0 or 1) maps to dk = 0. inv_pdf
-    overflows to inf only for a cell below about 1e-300 of the total
-    weight, which is kept with a probability below that and is never an
-    alias.
-    """
-    prob, keep, alias = _alias_table(hist)
-    cell = np.stack([keep, alias], axis=1)
-    start = np.stack([np.zeros_like(prob), prob], axis=1)
-    width = np.stack([prob, 1.0 - prob], axis=1)
-    dk = np.divide(cell_w, width, out=np.zeros_like(width), where=width > 0.0)
-    k0 = cell * cell_w - start * dk
-    with np.errstate(over="ignore"):
-        inv_pdf = hist.sum() * cell_w / hist[cell]
-    return prob, k0.ravel(), dk.ravel(), inv_pdf.ravel()
+    grid = np.linspace(0.0, k_max, _MC_CELLS + 1)
+    mids = grid[:-1] + 0.5 * grid[1]
+    cum = np.concatenate(([0.0], np.cumsum(_moment_integrand(x_per_k * mids))))
+    if not math.isfinite(cum[-1]) or cum[-1] <= 0.0:
+        return None
+    edges = np.interp(np.linspace(0.0, cum[-1], _MC_CELLS + 1), cum, grid)
+    return edges[:-1], np.diff(edges)
 
 
 def _moments(x: np.ndarray) -> tuple:
@@ -351,11 +321,11 @@ def _merge_moments(parts) -> tuple:
     return count, mean, m2
 
 
-def _mc_block(seed: int, lo: int, hi: int, table: tuple, cell_w: float,
-              x_per_k: float, lw: float, sep: float) -> tuple:
+def _mc_block(seed: int, lo: int, hi: int, table: tuple, x_per_k: float,
+              lw: float, sep: float) -> tuple:
     """(count, mean, M2) of the estimator over samples [lo, hi)."""
-    prob, k0, dk, inv_pdf = table
-    n_slots = prob.size
+    k_lo, width = table
+    n_slots = width.size
     bitgen = np.random.Philox(key=seed)
     # advance() counts 128-bit increments, each worth 4 float64 draws;
     # block starts are multiples of 4 draws by construction.
@@ -370,8 +340,8 @@ def _mc_block(seed: int, lo: int, hi: int, table: tuple, cell_w: float,
             v = u[:, 0] * n_slots
             slot = v.astype(np.intp)
             f = v - slot
-            row = 2 * slot + (f >= prob[slot])
-            k = np.maximum(k0[row] + f * dk[row], 1e-12 * cell_w)
+            # k = 0 (u = 0 exactly) would give 0 * inf below
+            k = np.maximum(k_lo[slot] + f * width[slot], 1e-12 * width[0])
 
             # D lies along z, so of the two directions only the polar
             # cosines and the relative azimuth dphi enter, through
@@ -397,7 +367,7 @@ def _mc_block(seed: int, lo: int, hi: int, table: tuple, cell_w: float,
             ang = np.where(d2 > 0.0,
                            gauss * np.sin((0.5 * sep) * k * dz) ** 2 / d2, 0.0)
             est = ((2.0 * (4.0 * math.pi) ** 2) * x * k2 * k2 * occ * (occ + 1.0)
-                   * ang * inv_pdf[row])
+                   * ang * (n_slots * width[slot]))
             parts.append(_moments(est))
     return _merge_moments(parts)
 
@@ -408,16 +378,16 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     """Dephasing rate by importance-sampled momentum-space integration.
 
     Samples the on-shell two-mode integral directly: the radial magnitude
-    is drawn from a 10^4-cell histogram proportional to k^2 times the
-    thermal occupation, through a Walker alias table (one uniform picks
-    the cell, its leftover fraction the position in the cell). D lies
+    is drawn from 10^4 cells holding equal shares of the Bose fifth-moment
+    weight over [0, min(k_D, 60 k_B T/(hbar c))] (one uniform picks the
+    cell, its leftover fraction the position in the cell). D lies
     along z, so of the two unit directions only the polar cosines and the
     relative azimuth are drawn, uniformly. Samples are laid out in fixed
     counter-based blocks, each drawn and evaluated in chunks of 2^15; the
     mean and variance of chunks, then of blocks, are merged in order by
     Chan, Golub and LeVeque's update, so a fixed seed gives identical bits
     run to run and for any DEPHASER_THREADS on one numpy build and CPU.
-    Across builds or CPUs, values agree to about 1e-15 relative.
+    Across builds or CPUs, values agree to about 1e-14 relative.
     """
     if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
         raise ValueError("samples must be an integer")
@@ -430,17 +400,10 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return _result(0.0, METHOD_MC, 0.0, 0.0)
 
-    k_debye = material.k_D_per_m
-    thermal = CONST.k_B * env.T_K
-    x_per_k = CONST.hbar * material.c_sound_m_per_s / thermal
-    cell_w = k_debye / _MC_CELLS
-    mids = (np.arange(_MC_CELLS) + 0.5) * cell_w
-    with np.errstate(over="ignore"):
-        hist = mids * mids / np.expm1(x_per_k * mids)
-    k_total = float(hist.sum())
-    if not math.isfinite(k_total) or k_total <= 0.0:
+    x_per_k = CONST.hbar * material.c_sound_m_per_s / (CONST.k_B * env.T_K)
+    table = _radial_table(x_per_k, min(material.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
+    if table is None:
         return _result(0.0, METHOD_MC, 0.0, 0.0)
-    table = _radial_table(hist, cell_w)
 
     scale = (
         (8.0 / math.pi**4)
@@ -454,7 +417,7 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
 
     def work(span):
         lo, hi = span
-        return _mc_block(seed, lo, hi, table, cell_w, x_per_k,
+        return _mc_block(seed, lo, hi, table, x_per_k,
                          geom.width_L_m, geom.separation_D_m)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
