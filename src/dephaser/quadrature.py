@@ -4,26 +4,25 @@ and nested 2-D domains.
 Panels use an embedded 7-point Gauss / 15-point Kronrod pair. The rule is
 open (no endpoint evaluations), so integrands with a removable singularity
 at an interval edge are handled as long as every sampled node is finite.
-Integrands must be vectorized: they receive a 1-D ndarray of n nodes and
-return values of the same shape (scalar broadcasts are accepted).
-
-An integrand may instead return shape (m, n): m integrals over one shared
+Integrands are vectorized: they take a 1-D ndarray of n nodes and return
+shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
 its own error estimate and stopping test, so components many orders of
 magnitude apart each reach their own relative tolerance. Panels go to the
 integrand in chunks that keep one (m, n) block within 512 kB; chunking changes
 how often the integrand is called, never which nodes it sees or how their
-values are summed.
+values are summed. The inner integrals of a nested domain run as such
+components, one call per group of outer nodes.
 
 Kinks and breakpoints are left to the caller: an integrand that is smooth
-only between known points (an interpolated table) is integrated interval
-by interval between them, so no panel straddles a kink and none is
-bisected towards it.
+only between known points (an interpolated table) is integrated interval by
+interval between them, so no panel straddles a kink or is bisected towards it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,20 +64,14 @@ class QuadratureResult:
 
 # Positive abscissae of the 15-point Kronrod extension of 7-point Gauss
 # (QUADPACK values) and the matching weights.
-_XGK = np.array([
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
-])
-_WGK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
+_XGK = np.array([0.991455371120813, 0.949107912342759, 0.864864423359769,
+                 0.741531185599394, 0.586087235467691, 0.405845151377397,
+                 0.207784955007898, 0.0])
+_WGK = np.array([0.022935322010529, 0.063092092629979, 0.104790010322250,
+                 0.140653259715525, 0.169004726639267, 0.190350578064785,
+                 0.204432940075298, 0.209482141084728])
+_WG = np.array([0.129484966168870, 0.279705391489277, 0.381830050505119,
+                0.417959183673469])
 
 # Full 15-node layout, ascending in the reference interval [-1, 1].
 _NODES = np.concatenate([-_XGK[:7], [0.0], _XGK[6::-1]])
@@ -94,6 +87,8 @@ _BISECT_BATCH = 64
 # _SMALL_CALL panels go in one call; more start with a one-panel call.
 _BLOCK_ELEMS = 1 << 16
 _SMALL_CALL = 64
+# Cap on nodes x seed panels (a value and an error each) of a nested group.
+_GROUP_PANELS = 1 << 15
 
 # Gaussian tail bound: exp(-s^2) < 1e-30 at s = sqrt(ln 1e30).
 _TRUNC_SIGMA = math.sqrt(math.log(1e30))
@@ -104,11 +99,9 @@ def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
 
     Returns the panel values and error estimates, each (rows, panels), and
     the shape of one integral's value: () for an integrand returning (n,),
-    (m,) for one returning (m, n). `shape` is that of an earlier call, or
-    None on the first.
+    (m,) for one returning (m, n). `shape` is that of an earlier call, or None.
     """
-    mid = 0.5 * (lefts + rights)
-    half = 0.5 * (rights - lefts)
+    mid, half = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
     flat = nodes.ravel()
     y = np.asarray(f(flat), dtype=float)
@@ -140,11 +133,8 @@ def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
     tmp *= _WK_FULL
     resasc = np.abs(half) * tmp.sum(axis=-1)
     raw = np.abs(resk - resg)
-    scaled = np.where(
-        (resasc > 0) & (raw > 0),
-        resasc * np.minimum(1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-        raw,
-    )
+    scaled = np.where((resasc > 0) & (raw > 0), resasc * np.minimum(
+        1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5), raw)
     err = np.maximum(scaled, _EPS50 * resabs)
     return resk, err, got
 
@@ -217,22 +207,18 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
     if a > b:
         raise ValueError("need a <= b")
 
+    n0 = 1
     if cfg.panel_hint is not None and b > a:
-        n0 = int(np.ceil((b - a) / cfg.panel_hint))
-        n0 = max(1, min(n0, _MAX_SEED_PANELS))
-    else:
-        n0 = 1
+        n0 = max(1, min(int(np.ceil((b - a) / cfg.panel_hint)), _MAX_SEED_PANELS))
     edges = a + (b - a) * np.arange(n0 + 1) / n0
     lefts, rights = edges[:-1], edges[1:]
     vals, errs, shape = _eval_panels(f, lefts, rights)
     evaluations = 15 * n0
-    total_val = vals.sum(axis=1)
-    total_err = errs.sum(axis=1)
+    total_val, total_err = vals.sum(axis=1), errs.sum(axis=1)
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
     # Panels live in columns 0..n-1 in creation order; a split panel is
     # retired by a negative priority, its halves are appended.
-    n, weight, priority = n0, None, None
-    splits = 0
+    n, weight, priority, splits = n0, None, None, 0
 
     while (total_err > tol).any():
         if weight is None:
@@ -242,10 +228,9 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
         if not pick.size:
             worst = int(np.argmax(total_err / tol))
             where = f" in component {worst} of {total_err.size}" if shape else ""
-            raise NonConvergence(
-                f"error estimate {total_err[worst]:.3e} above tolerance "
-                f"{tol[worst]:.3e} after {splits} subdivisions of [{a!r}, {b!r}]{where}"
-            )
+            raise NonConvergence(f"error estimate {total_err[worst]:.3e} above tolerance "
+                                 f"{tol[worst]:.3e} after {splits} subdivisions of "
+                                 f"[{a!r}, {b!r}]{where}")
         splits += pick.size
         # the running totals drop the split panels one at a time, in order
         total_val = np.subtract.reduce(np.vstack([total_val, vals[:, pick].T]), axis=0)
@@ -280,9 +265,8 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
     return QuadratureResult(value, error, evaluations)
 
 
-def integrate_semi_infinite(
-    f: Callable, a: float, decay_scale: float, cfg: Optional[QuadratureConfig] = None
-) -> QuadratureResult:
+def integrate_semi_infinite(f: Callable, a: float, decay_scale: float,
+                            cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
     """Integrate f over [a, inf) assuming at least Gaussian decay.
 
     The integrand must fall off at least as fast as exp(-(x/decay_scale)^2)
@@ -293,51 +277,70 @@ def integrate_semi_infinite(
     if not decay_scale > 0:
         raise ValueError("decay_scale must be positive")
     res = integrate(f, a, a + decay_scale * _TRUNC_SIGMA, cfg)
-    return QuadratureResult(
-        res.value, res.abs_error_estimate + 1e-30 * abs(res.value), res.evaluations
-    )
+    return QuadratureResult(res.value, res.abs_error_estimate + 1e-30 * abs(res.value),
+                            res.evaluations)
 
 
-def integrate_nested(
-    f2: Callable,
-    a: float,
-    b: float,
-    t_max: Callable[[float], float],
-    cfg: Optional[QuadratureConfig] = None,
-    inner_cfg: Optional[QuadratureConfig] = None,
-) -> QuadratureResult:
+def _groups(counts: np.ndarray):
+    """Slices of ascending seed-panel counts within 2x of their first: at most
+    _GROUP_PANELS nodes x panels, and one block for the engine's first call."""
+    start = 0
+    while start < counts.size:
+        stop = int(np.searchsorted(counts, 2.0 * counts[start], side="right"))
+        m, c = np.arange(1, stop - start + 1), counts[start:stop]
+        fits = (m * c <= _GROUP_PANELS) & (15 * m * np.minimum(c, _SMALL_CALL) <= _BLOCK_ELEMS)
+        stop = start + max(1, int(np.count_nonzero(fits)))
+        yield slice(start, stop)
+        start = stop
+
+
+def integrate_nested(f2: Callable, a: float, b: float, t_max: Callable,
+                     cfg: Optional[QuadratureConfig] = None,
+                     inner_cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
     """Integrate f2(x, t) over x in [a, b], t in [0, t_max(x)].
 
-    The outer pass is adaptive in x; each outer node runs an inner adaptive
-    integral over t with tolerances tightened two orders below the outer
-    request (scaled by the outer measure) so inner noise cannot masquerade
-    as outer structure. NonConvergence is tagged with the failing axis.
+    t_max takes the outer nodes as a 1-D array (a scalar result broadcasts);
+    f2 takes x as (m, 1) and t as (m, n). The outer pass is adaptive in x.
+    Its nodes, sorted by t_max and grouped by _groups on their seed-panel
+    counts t_max/panel_hint, each keep their own inner stopping test in one
+    (m, n) call per group over s in [0, 1], t = t_max*s. Inner tolerances sit
+    two orders below the outer request (scaled by the outer measure) so inner
+    noise cannot masquerade as outer structure. Nodes with t_max = 0 add 0
+    and are never sampled. evaluations counts the values computed: the outer
+    nodes plus each group's size times its call's nodes. NonConvergence names
+    the failing axis, and on the inner one the node x.
     """
     cfg = cfg or QuadratureConfig()
-    if inner_cfg is None:
-        inner_cfg = QuadratureConfig(
-            abs_tol=cfg.abs_tol * 1e-2 / max(b - a, 1.0),
-            rel_tol=max(cfg.rel_tol * 1e-2, 1e-14),
-            max_subdivisions=cfg.max_subdivisions,
-            panel_hint=cfg.panel_hint,
-        )
-    inner_evals = 0
-    inner_err_max = 0.0
+    inner_cfg = inner_cfg or QuadratureConfig(
+        cfg.abs_tol * 1e-2 / max(b - a, 1.0), max(cfg.rel_tol * 1e-2, 1e-14),
+        cfg.max_subdivisions, cfg.panel_hint)
+    hint = inner_cfg.panel_hint
+    inner_evals, inner_err_max = 0, 0.0
 
     def outer_integrand(xs: np.ndarray) -> np.ndarray:
         nonlocal inner_evals, inner_err_max
-        out = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            top = float(t_max(float(x)))
-            if not (np.isfinite(top) and top >= 0.0):
-                raise ValueError(f"inner limit must be finite and non-negative, got {top!r} at x={x!r}")
+        tops = np.broadcast_to(np.asarray(t_max(xs), dtype=float), xs.shape)
+        bad = np.flatnonzero(~(np.isfinite(tops) & (tops >= 0.0)))
+        if bad.size:
+            raise ValueError(f"inner limit must be finite and non-negative, "
+                             f"got {float(tops[bad[0]])!r} at x={float(xs[bad[0]])!r}")
+        out = np.zeros_like(xs)
+        order = np.argsort(tops, kind="stable")
+        order = order[tops[order] > 0.0]
+        counts = np.ceil(tops[order] / hint) if hint else np.ones(order.size)
+        for g in _groups(counts):
+            idx = order[g]
+            x, top = xs[idx, None], tops[idx, None]
+            group_cfg = replace(inner_cfg, panel_hint=hint / top[-1, 0]) if hint else inner_cfg
             try:
-                r = integrate(lambda t: f2(float(x), t), 0.0, top, inner_cfg)
+                r = integrate(lambda s: top * f2(x, top * s), 0.0, 1.0, group_cfg)
             except NonConvergence as exc:
-                raise NonConvergence(f"inner axis at x={x!r}: {exc}") from exc
-            inner_evals += r.evaluations
-            inner_err_max = max(inner_err_max, r.abs_error_estimate)
-            out[i] = r.value
+                # the engine names the worst component: a position in idx
+                k = int(re.search(r"in component (\d+) of", str(exc)).group(1))
+                raise NonConvergence(f"inner axis at x={float(xs[idx[k]])!r}: {exc}") from exc
+            inner_evals += idx.size * r.evaluations
+            inner_err_max = max(inner_err_max, float(r.abs_error_estimate.max()))
+            out[idx] = r.value
         return out
 
     try:
@@ -346,8 +349,5 @@ def integrate_nested(
         if "inner axis" in str(exc):
             raise
         raise NonConvergence(f"outer axis: {exc}") from exc
-    return QuadratureResult(
-        outer.value,
-        outer.abs_error_estimate + (b - a) * inner_err_max,
-        outer.evaluations + inner_evals,
-    )
+    return QuadratureResult(outer.value, outer.abs_error_estimate + (b - a) * inner_err_max,
+                            outer.evaluations + inner_evals)

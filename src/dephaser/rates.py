@@ -245,7 +245,10 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
             * Int_0^{sqrt(2) k_D L x/x_D} dt/t exp(-t^2) (1 - sin(a t)/(a t))
 
     The outer limit is min(x_D, 60). The Bose weight is evaluated as
-    x^5 e^(-x)/expm1(-x)^2, which does not overflow.
+    x^5 e^(-x)/expm1(-x)^2, which does not overflow. The inner integrals
+    run batched, one engine call per group of outer nodes
+    (quadrature.integrate_nested); their seed panels resolve sin(a t), so
+    the cost still grows with D.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return _result(0.0, METHOD_DOUBLE, 0.0)
@@ -254,13 +257,13 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     alpha = p.sep_ratio
     slope = root2_kdl / p.x_debye
 
-    def integrand(x: float, t: np.ndarray) -> np.ndarray:
+    def integrand(x: np.ndarray, t: np.ndarray) -> np.ndarray:
         em = np.expm1(-x)
-        weight = x**5 * math.exp(-x) / (em * em)
+        weight = x**5 * np.exp(-x) / (em * em)
         return weight * np.exp(-t * t) / t * sinc_deficit(alpha * t)
 
-    def t_upper(x: float) -> float:
-        return min(slope * x, _FORM_FACTOR_CUT)
+    def t_upper(x: np.ndarray) -> np.ndarray:
+        return np.minimum(slope * x, _FORM_FACTOR_CUT)
 
     cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8)
     inner_cfg = QuadratureConfig(

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import sici
 
 from dephaser.quadrature import (
     _EPS50,
@@ -226,6 +227,69 @@ def test_nested_separable_product():
 def test_nested_inner_limit_validation():
     with pytest.raises(ValueError, match="inner limit"):
         integrate_nested(lambda x, t: t, 0.0, 1.0, lambda x: -1.0)
+
+
+@pytest.mark.parametrize("a", [50.0, 500.0])
+def test_nested_batched_oscillatory_inner_matches_analytic(a):
+    # int_0^1 int_0^x cos(a t) dt dx = (1 - cos a)/a^2; with panel_hint pi/a
+    # the seed counts ceil(a x/pi) run up to 16 or 160, far beyond one 2x group
+    shapes = set()
+
+    def f2(x, t):
+        shapes.add((x.shape, t.shape))
+        return np.cos(a * t)
+
+    cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-11, panel_hint=math.pi / a)
+    inner = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, panel_hint=math.pi / a)
+    res = integrate_nested(f2, 0.0, 1.0, lambda x: x, cfg, inner)
+    assert res.value == pytest.approx((1.0 - math.cos(a)) / a**2, rel=1e-10)
+    assert all(xs == (ts[0], 1) and len(ts) == 2 for xs, ts in shapes)
+    assert len({xs for xs, _ in shapes}) > 1
+
+
+def test_nested_zero_length_inner_range_is_never_sampled():
+    # sin(t)/t is 0/0 at t = 0, as the rate integrand is 0*inf there; nodes
+    # with t_max = 0 add exactly 0. int_0.5^1 Si(x) dx = [x Si(x) + cos x]
+    seen = []
+
+    def f2(x, t):
+        seen.append(x.min())
+        return np.sin(t) / t
+
+    res = integrate_nested(f2, 0.0, 1.0, lambda x: np.where(x < 0.5, 0.0, x))
+    antiderivative = [x * sici(x)[0] + math.cos(x) for x in (0.5, 1.0)]
+    assert res.value == pytest.approx(antiderivative[1] - antiderivative[0], rel=1e-10)
+    assert min(seen) >= 0.5
+
+
+def test_nested_evaluations_count_values_computed():
+    count = [0]
+
+    def f2(x, t):
+        count[0] += t.size
+        return x * t
+
+    outer = []
+
+    def t_max(x):
+        outer.append(x.size)
+        return x
+
+    res = integrate_nested(f2, 0.0, 2.0, t_max, QuadratureConfig(panel_hint=0.1))
+    assert res.value == pytest.approx(2.0, rel=1e-10)
+    assert res.evaluations == count[0] + sum(outer)
+
+
+def test_nested_inner_nonconvergence_names_node_and_tolerance():
+    inner = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-12, max_subdivisions=1)
+    with pytest.raises(NonConvergence) as info:
+        integrate_nested(lambda x, t: np.cos(200.0 * x * t), 0.0, 1.0, lambda x: 1.0 + x,
+                         inner_cfg=inner)
+    msg = str(info.value)
+    assert msg.startswith("inner axis at x=")
+    assert "above tolerance" in msg and "after 1 subdivisions" in msg
+    x = float(msg.split("x=")[1].split(":")[0])
+    assert 0.0 < x < 1.0
 
 
 def _sinc_kernel(x):

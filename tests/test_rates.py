@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dephaser.quadrature as quadrature_module
 import dephaser.rates as rates_module
 from dephaser.constants import CONST
 from dephaser.model import GAAS, DotGeometry, MaterialParams, ThermalEnv, derived_scales
@@ -109,6 +110,33 @@ def test_small_separation_routes_agree():
     double = rate_double_integral(GAAS, geom, env).gamma_per_s
     assert closed > 0.0
     assert double == pytest.approx(closed, rel=1e-4)
+
+
+def test_double_integral_batches_inner_integrals_in_bounded_groups(monkeypatch):
+    # about 1,900 outer nodes here; their inner integrals run as one call
+    # per group of nodes, and no block or group grows with the number of
+    # nodes an outer call brings
+    calls, blocks, groups = [], [], []
+    original = quadrature_module.integrate
+
+    def counting(f, a, b, cfg=None):
+        def seen(x):
+            y = f(x)
+            if np.ndim(y) == 2:
+                blocks.append(y.size)
+                groups.append(y.shape[0] * math.ceil(1.0 / cfg.panel_hint))
+            return y
+        calls.append(1)
+        return original(seen, a, b, cfg)
+
+    monkeypatch.setattr(quadrature_module, "integrate", counting)
+    monkeypatch.setattr(rates_module, "integrate", counting)
+    res = rate_double_integral(GAAS, DotGeometry(4e-9, 50e-9), ThermalEnv(20.0))
+    assert res.gamma_per_s == pytest.approx(
+        rate_closed_form(GAAS, DotGeometry(4e-9, 50e-9), ThermalEnv(20.0)).gamma_per_s, rel=1e-6)
+    assert len(calls) <= 60
+    assert 0 < max(blocks) <= quadrature_module._BLOCK_ELEMS
+    assert max(groups) <= quadrature_module._GROUP_PANELS
 
 
 @pytest.mark.parametrize("route", [rate_closed_form, rate_double_integral])
