@@ -14,7 +14,8 @@ fifth-moment weight holds less than 1e-19 of its total:
   six-dimensional two-mode scattering integral with the energy-conservation
   delta resolved analytically (one radial magnitude, two independent unit
   directions remain; by the symmetry about D only their polar cosines and
-  relative azimuth are drawn).
+  relative azimuth are drawn), four uniforms per sample from one PCG64
+  stream per seed.
 
 Cross-agreement of the three is the package's main correctness argument;
 ``rate_validate`` runs it on demand.
@@ -49,12 +50,14 @@ _SPLIT_SWITCH = 1000.0
 
 _MIN_MC_SAMPLES = 10**4
 _MC_BLOCK = 1 << 20
-# a block is drawn and evaluated this many samples at a time (256 kB per
-# temporary), so its working set stays near the per-core cache
+# a block is drawn and evaluated this many samples at a time, in buffers
+# of 256 kB reused from chunk to chunk, so its working set stays near the
+# per-core cache
 _MC_CHUNK = 1 << 15
 # uniforms consumed per sample: one picks the radial cell and, through its
 # leftover fraction, the position in it; then the two polar cosines and the
-# relative azimuth of the two directions
+# relative azimuth of the two directions. Sample i takes steps 4 i to
+# 4 i + 3 of the seed's PCG64 stream, whichever block it falls in
 _MC_DRAWS = 4
 _MC_CELLS = 10**4
 
@@ -305,7 +308,8 @@ def _moments(x: np.ndarray) -> tuple:
     deviations from the mean."""
     mean = x.sum() / x.size
     dev = x - mean
-    return x.size, float(mean), float((dev * dev).sum())
+    dev *= dev
+    return x.size, float(mean), float(dev.sum())
 
 
 def _merge_moments(parts) -> tuple:
@@ -324,54 +328,112 @@ def _merge_moments(parts) -> tuple:
     return count, mean, m2
 
 
+def _sin_sq(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sin(x)^2 into out (which may be x), as 1/(1 + 1/tan(x)^2).
+
+    numpy's float64 sin is scalar code while its tan is vectorised, so this
+    is several times faster; on [0, 1e7) it is within 7e-16 relative of
+    np.sin(x)**2. At tan(x) = 0 it divides by zero on its way to 0, so it
+    is called under errstate(divide="ignore").
+    """
+    np.tan(x, out=out)
+    out *= out
+    np.divide(1.0, out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def _mc_block(seed: int, lo: int, hi: int, table: tuple, x_per_k: float,
               lw: float, sep: float) -> tuple:
     """(count, mean, M2) of the estimator over samples [lo, hi)."""
     k_lo, width = table
     n_slots = width.size
-    bitgen = np.random.Philox(key=seed)
-    # advance() counts 128-bit increments, each worth 4 float64 draws;
-    # block starts are multiples of 4 draws by construction.
-    bitgen.advance(lo * _MC_DRAWS // 4)
+    # one PCG64 stream per seed; a float64 uniform is one 64-bit step of
+    # it, so the block starts lo * _MC_DRAWS steps in
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(lo * _MC_DRAWS)
     gen = np.random.Generator(bitgen)
+    # one set of chunk buffers per block, filled in place through out=
+    size = min(_MC_CHUNK, hi - lo)
+    draws = np.empty((size, _MC_DRAWS))
+    slots = np.empty(size, dtype=np.intp)
+    positive = np.empty(size, dtype=bool)
+    bufs = np.empty((6, size))
     parts = []
     # errstate is thread-local, so it is set here, in the worker thread
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(lo, hi, _MC_CHUNK):
-            u = gen.random((min(_MC_CHUNK, hi - start), _MC_DRAWS))
+            n = min(_MC_CHUNK, hi - start)
+            u = gen.random(out=draws[:n])
+            slot, ok = slots[:n], positive[:n]
+            k, w, a, b, c, d = bufs[:, :n]
 
-            v = u[:, 0] * n_slots
-            slot = v.astype(np.intp)
-            f = v - slot
+            # radial cell and position in it: k = k_lo + f w, 1/pdf = n_slots w
+            np.multiply(u[:, 0], n_slots, out=a)
+            np.copyto(slot, a, casting="unsafe")
+            a -= slot
+            np.take(width, slot, out=w)
+            np.take(k_lo, slot, out=k)
+            a *= w
+            k += a
             # k = 0 (u = 0 exactly) would give 0 * inf below
-            k = np.maximum(k_lo[slot] + f * width[slot], 1e-12 * width[0])
+            np.maximum(k, 1e-12 * width[0], out=k)
 
             # D lies along z, so of the two directions only the polar
             # cosines and the relative azimuth dphi enter, through
             # |n - m|^2 = dz^2 + (rn - rm)^2 + 4 rn rm sin^2(dphi/2), a sum
             # of non-negative terms; sin^2(dphi/2) has the same law for
             # dphi/2 uniform on [0, pi/2) as on [0, pi)
-            zn = 2.0 * u[:, 1] - 1.0
-            zm = 2.0 * u[:, 2] - 1.0
-            rn = np.sqrt(1.0 - zn * zn)
-            rm = np.sqrt(1.0 - zm * zm)
-            half = np.sin((0.5 * math.pi) * u[:, 3])
-            dz = zn - zm
-            dr = rn - rm
-            d2 = dz * dz + dr * dr + 4.0 * rn * rm * half * half
+            np.multiply(u[:, 1], 2.0, out=a)
+            a -= 1.0                                # zn
+            np.multiply(u[:, 2], 2.0, out=b)
+            b -= 1.0                                # zm
+            np.multiply(a, a, out=c)
+            np.subtract(1.0, c, out=c)
+            np.sqrt(c, out=c)                       # rn
+            np.multiply(b, b, out=d)
+            np.subtract(1.0, d, out=d)
+            np.sqrt(d, out=d)                       # rm
+            a -= b                                  # dz
+            np.subtract(c, d, out=b)                # dr
+            c *= 4.0
+            c *= d
+            np.multiply(u[:, 3], 0.5 * math.pi, out=d)
+            c *= _sin_sq(d, d)                      # 4 rn rm sin^2(dphi/2)
+            b *= b
+            np.multiply(a, a, out=d)
+            d += b
+            d += c                                  # d2 = |n - m|^2
 
-            x = x_per_k * k
-            k2 = k * k
-            occ = 1.0 / np.expm1(x)
+            np.multiply(k, 0.5 * sep, out=b)
+            b *= a
+            _sin_sq(b, b)                           # sin^2(sep k dz/2)
             # exp takes a slow path when its result underflows; clamping the
             # exponent at -700 changes a sample by at most 1e-304 of its
             # value without the Gaussian
-            gauss = np.exp(np.maximum((-0.5 * lw * lw) * k2 * d2, -700.0))
-            ang = np.where(d2 > 0.0,
-                           gauss * np.sin((0.5 * sep) * k * dz) ** 2 / d2, 0.0)
-            est = ((2.0 * (4.0 * math.pi) ** 2) * x * k2 * k2 * occ * (occ + 1.0)
-                   * ang * (n_slots * width[slot]))
-            parts.append(_moments(est))
+            np.multiply(k, k, out=a)                # k^2
+            np.multiply(a, -0.5 * lw * lw, out=c)
+            c *= d
+            np.maximum(c, -700.0, out=c)
+            np.exp(c, out=c)
+            c *= b
+            # d2 = 0 only where n = m, where dz = 0 has already made c 0
+            np.greater(d, 0.0, out=ok)
+            np.divide(c, d, out=c, where=ok)        # angular factor
+
+            np.multiply(k, x_per_k, out=b)          # x
+            np.expm1(b, out=d)
+            np.divide(1.0, d, out=d)                # occupation
+            np.add(d, 1.0, out=k)
+            b *= 2.0 * (4.0 * math.pi) ** 2
+            b *= a
+            b *= a
+            b *= d
+            b *= k
+            b *= c
+            w *= n_slots
+            b *= w
+            parts.append(_moments(b))
     return _merge_moments(parts)
 
 
@@ -386,8 +448,11 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     cell, its leftover fraction the position in the cell). D lies
     along z, so of the two unit directions only the polar cosines and the
     relative azimuth are drawn, uniformly. Samples are laid out in fixed
-    counter-based blocks, each drawn and evaluated in chunks of 2^15; the
-    mean and variance of chunks, then of blocks, are merged in order by
+    blocks of 2^20 along one PCG64 stream per seed, each block starting at
+    its own offset (PCG64.advance) and evaluated in chunks of 2^15; the
+    sines come from numpy's vectorised tan. A call of one block, or with
+    one thread, runs in the calling thread, a larger one in a thread pool.
+    The mean and variance of chunks, then of blocks, are merged in order by
     Chan, Golub and LeVeque's update, so a fixed seed gives identical bits
     run to run and for any DEPHASER_THREADS on one numpy build and CPU.
     Across builds or CPUs, values agree to about 1e-14 relative.
@@ -423,8 +488,13 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
         return _mc_block(seed, lo, hi, table, x_per_k,
                          geom.width_L_m, geom.separation_D_m)
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        count, mean, m2 = _merge_moments(pool.map(work, blocks))
+    threads = min(worker_count(), len(blocks))
+    if threads == 1:
+        # one block, or one thread: a pool would only add its start-up
+        count, mean, m2 = _merge_moments(map(work, blocks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            count, mean, m2 = _merge_moments(pool.map(work, blocks))
     se_mean = math.sqrt(m2 / (count - 1) / count)
     return _result(scale * mean, METHOD_MC, scale * se_mean, scale * se_mean)
 

@@ -32,12 +32,13 @@ def sinc_deficit(y):
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise ValueError("sinc_deficit requires finite y >= 0")
-    small = y < _SINC_SERIES_CUT
-    y2 = np.where(small, y, 0.0) ** 2
-    series = y2 / 6.0 - y2 * y2 / 120.0 + y2 * y2 * y2 / 5040.0
-    direct = 1.0 - np.sinc(np.where(small, 1.0, y) / np.pi)
-    out = np.where(small, series, direct)
-    return float(out) if out.ndim == 0 else out
+    flat = np.atleast_1d(y)
+    out = 1.0 - np.sinc(flat / np.pi)
+    small = flat < _SINC_SERIES_CUT
+    if small.any():
+        y2 = flat[small] ** 2
+        out[small] = y2 / 6.0 - y2 * y2 / 120.0 + y2 * y2 * y2 / 5040.0
+    return float(out[0]) if y.ndim == 0 else out
 
 
 def _moment_integrand(u: np.ndarray) -> np.ndarray:

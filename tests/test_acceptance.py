@@ -49,7 +49,7 @@ GEOM_REF = DotGeometry(width_L_m=L_REF, separation_D_m=10e-9)
 
 
 def test_criterion_01_three_route_equivalence():
-    # 4 x 4 grid, 10^7 Monte Carlo samples per point; runs in about 15 s
+    # 4 x 4 grid, 10^7 Monte Carlo samples per point; runs in about 8 s
     # on two cores, far under the five-minute budget
     for T in (20.0, 50.0, 100.0, 300.0):
         for D in (6e-9, 10e-9, 50e-9, 500e-9):

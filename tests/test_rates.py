@@ -3,14 +3,14 @@
 The two deterministic reference rates were computed with
 scipy.integrate.quad on the reduced one-dimensional integral, entirely
 outside this package. The Monte Carlo pins freeze the output of the
-counter-based sampler for one seed; any change to the sampling layout is
+sampler's PCG64 stream for one seed; any change to the sampling layout is
 meant to show up here.
 
 Bit contract of the Monte Carlo route: identical bits run to run and for
 any DEPHASER_THREADS on one numpy build and CPU. Across builds or CPUs,
 values agree to about 1e-14 relative. The pins are therefore checked to
-rel=1e-12: platform drift (with AVX-512 dispatch turned off, none on the
-pins and 9e-15 on an estimate at 10^4 K) is far below that, while adding
+rel=1e-12: platform drift (with AVX-512 dispatch turned off, at most
+2e-16 on the pins and 6e-15 on an estimate at 10^4 K) is far below that, while adding
 or dropping a single sample moves the estimate and its standard error by
 about 1e-6 relative.
 """
@@ -53,14 +53,14 @@ ORACLE_GAMMA_100K = 1040671074013.1287
 ORACLE_GAMMA_50K = 97274256900.25523
 
 # frozen sampler output, 10^6 samples at the 100 K point
-MC_PIN_GAMMA = 1034756509627.0583
-MC_PIN_SE = 57615552446.54671
-MC_PIN_GAMMA_SEED999 = 917307454473.6755
+MC_PIN_GAMMA = 1142740876266.5754
+MC_PIN_SE = 66235417050.34374
+MC_PIN_GAMMA_SEED999 = 1014573240824.4406
 
 # recorded 10^8-sample run at the same point with the default seed (not
-# re-run in tests; about 8 s on two cores)
-MC_LONG_GAMMA = 1041181177793.6654
-MC_LONG_SE = 5787209843.226424
+# re-run in tests; about 5 s on two cores)
+MC_LONG_GAMMA = 1044769914273.9678
+MC_LONG_SE = 5774701847.432322
 
 
 @pytest.mark.parametrize(
@@ -338,15 +338,16 @@ def test_monte_carlo_seed_changes_output():
 def test_monte_carlo_pin_consistent_with_oracle():
     # the pinned short run must sit within a few standard errors
     assert abs(MC_PIN_GAMMA - ORACLE_GAMMA_100K) <= 3.0 * MC_PIN_SE
-    # record of the long run: 0.09 standard errors off the quad oracle
+    # record of the long run: 0.71 standard errors off the quad oracle
     assert abs(MC_LONG_GAMMA - ORACLE_GAMMA_100K) <= 3.0 * MC_LONG_SE
 
 
 def test_monte_carlo_thread_count_invariance(monkeypatch):
-    # both counts span several sampler blocks, so the reduction order
-    # matters, and neither is a multiple of the chunk size; 2^20 + 3 ends
-    # in a block of 3 samples
-    for samples in (2_500_000, 2**20 + 3):
+    # the first two counts span several sampler blocks, so the reduction
+    # order matters, and neither is a multiple of the chunk size; 2^20 + 3
+    # ends in a block of 3 samples. The last two fit in one block, which
+    # runs in the calling thread whatever the thread count
+    for samples in (2_500_000, 2**20 + 3, 2**20, 10**4):
         bits = set()
         for threads in ("1", "2", "7"):
             monkeypatch.setenv("DEPHASER_THREADS", threads)
@@ -367,6 +368,85 @@ def test_monte_carlo_chunk_size_changes_rounding_only(monkeypatch):
     assert chunked.gamma_per_s == pytest.approx(whole.gamma_per_s, rel=1e-12)
     assert chunked.mc_std_error_per_s == pytest.approx(
         whole.mc_std_error_per_s, rel=1e-12)
+
+
+def _reference_mc_block(seed, lo, hi, table, x_per_k, lw, sep):
+    """(count, mean, M2) of the estimator written out with np.sin on whole
+    arrays, from the same PCG64 rows as rates._mc_block."""
+    k_lo, width = table
+    n_slots = width.size
+    bitgen = np.random.PCG64(seed)
+    bitgen.advance(lo * rates_module._MC_DRAWS)
+    u = np.random.Generator(bitgen).random((hi - lo, rates_module._MC_DRAWS))
+    v = u[:, 0] * n_slots
+    slot = v.astype(np.intp)
+    k = np.maximum(k_lo[slot] + (v - slot) * width[slot], 1e-12 * width[0])
+    zn = 2.0 * u[:, 1] - 1.0
+    zm = 2.0 * u[:, 2] - 1.0
+    rn = np.sqrt(1.0 - zn * zn)
+    rm = np.sqrt(1.0 - zm * zm)
+    dz = zn - zm
+    d2 = dz**2 + (rn - rm) ** 2 + 4.0 * rn * rm * np.sin(0.5 * math.pi * u[:, 3]) ** 2
+    x = x_per_k * k
+    occ = 1.0 / np.expm1(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ang = np.where(d2 > 0.0, np.exp(-0.5 * lw * lw * k * k * d2)
+                       * np.sin(0.5 * sep * k * dz) ** 2 / d2, 0.0)
+    est = 2.0 * (4.0 * math.pi) ** 2 * x * k**4 * occ * (occ + 1.0) * ang * n_slots * width[slot]
+    mean = est.mean()
+    return est.size, mean, ((est - mean) ** 2).sum()
+
+
+def _mc_args(T, D):
+    """The radial table and kernel arguments rate_monte_carlo uses at (T, D)."""
+    x_per_k = CONST.hbar * GAAS.c_sound_m_per_s / (CONST.k_B * T)
+    table = rates_module._radial_table(
+        x_per_k, min(GAAS.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
+    return table, x_per_k, GEOM.width_L_m, D
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2**20), (2**20, 2**20 + 3 * 2**15 + 5)],
+                         ids=["full", "partial"])
+@pytest.mark.parametrize("T, D", [(1e-3, 10e-9), (100.0, 10e-9), (1e4, 10e-9),
+                                  (100.0, 500e-9)])
+def test_mc_block_matches_reference_kernel(T, D, lo, hi):
+    # the kernel's tan identities, reused buffers and chunked moments change
+    # only rounding against the straightforward np.sin estimator
+    args = _mc_args(T, D)
+    count, mean, m2 = rates_module._mc_block(11, lo, hi, *args)
+    ref_count, ref_mean, ref_m2 = _reference_mc_block(11, lo, hi, *args)
+    assert count == ref_count == hi - lo
+    assert mean == pytest.approx(ref_mean, rel=1e-13)
+    assert m2 == pytest.approx(ref_m2, rel=1e-13)
+
+
+def test_sin_sq_matches_numpy_sin():
+    rng = np.random.default_rng(4)
+    x = np.concatenate((rng.random(10**6) * 1e7, rng.random(10**5) * 0.5 * math.pi,
+                        np.arange(1, 10**5) * (0.5 * math.pi), [0.0]))
+    with np.errstate(divide="ignore"):
+        got = rates_module._sin_sq(x, np.empty_like(x))
+    ref = np.sin(x) ** 2
+    assert got[-1] == 0.0
+    np.testing.assert_allclose(got[:-1], ref[:-1], rtol=2e-15, atol=0.0)
+
+
+def test_block_offset_continues_the_stream():
+    # advance(lo * _MC_DRAWS) puts a block on the rows the stream from 0
+    # gives it, for the generator and for the kernel: a block split at a
+    # chunk boundary merges to the bits of the whole
+    bitgen = np.random.PCG64(7)
+    bitgen.advance(5 * rates_module._MC_DRAWS)
+    rows = np.random.Generator(bitgen).random((3, rates_module._MC_DRAWS))
+    stream = np.random.Generator(np.random.PCG64(7)).random((8, rates_module._MC_DRAWS))
+    np.testing.assert_array_equal(rows, stream[5:])
+
+    args = _mc_args(100.0, 10e-9)
+    edge = rates_module._MC_BLOCK
+    whole = rates_module._mc_block(7, 0, edge + 10, *args)
+    split = rates_module._merge_moments([rates_module._mc_block(7, 0, edge, *args),
+                                         rates_module._mc_block(7, edge, edge + 10, *args)])
+    assert [float(v).hex() for v in whole] == [float(v).hex() for v in split]
 
 
 @pytest.mark.parametrize("T", [1e-3, 0.1, 100.0, 1e4])
@@ -428,13 +508,15 @@ def test_monte_carlo_raises_no_floating_point_warning(monkeypatch, T):
     # numpy's errstate is thread-local, so a floating-point warning in a
     # pool thread escapes any errstate the caller holds. The table stops at
     # x = 60, so its weight cannot overflow at 1 mK, and at 10^4 K it
-    # spans all of [0, k_D]
+    # spans all of [0, k_D]; at D = 1 mm there the phase sep k dz/2 that
+    # goes through tan reaches about 1e7
     monkeypatch.setenv("DEPHASER_THREADS", "2")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        res = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=T), samples=2**20 + 3)
-    assert math.isfinite(res.gamma_per_s) and res.gamma_per_s > 0.0
-    assert math.isfinite(res.mc_std_error_per_s) and res.mc_std_error_per_s > 0.0
+    for geom in (GEOM, DotGeometry(width_L_m=4e-9, separation_D_m=1e-3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rate_monte_carlo(GAAS, geom, ThermalEnv(T_K=T), samples=2**20 + 3)
+        assert math.isfinite(res.gamma_per_s) and res.gamma_per_s > 0.0
+        assert math.isfinite(res.mc_std_error_per_s) and res.mc_std_error_per_s > 0.0
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,33 @@ def test_sinc_deficit_small_argument_quadratic():
     np.testing.assert_allclose(sinc_deficit(y), y * y / 6.0, rtol=1e-7)
 
 
+def _sinc_deficit_both_branches(y):
+    # the formula that evaluated the series and the direct branch on every
+    # element and picked one by np.where
+    y = np.asarray(y, dtype=float)
+    small = y < 1e-2
+    y2 = np.where(small, y, 0.0) ** 2
+    series = y2 / 6.0 - y2 * y2 / 120.0 + y2 * y2 * y2 / 5040.0
+    out = np.where(small, series, 1.0 - np.sinc(np.where(small, 1.0, y) / np.pi))
+    return float(out) if out.ndim == 0 else out
+
+
+def test_sinc_deficit_bits_match_the_both_branch_formula():
+    # the series now runs on the small elements only; the closed and
+    # double routes must see the same bits as before
+    y = np.concatenate(([0.0, 5e-324, np.nextafter(1e-2, 0.0), 1e-2,
+                         np.nextafter(1e-2, 1.0)],
+                        np.geomspace(1e-5, 1e2, 2001), [math.pi, 1e7]))
+    got = sinc_deficit(y.reshape(8, -1))
+    assert got.shape == (8, y.size // 8)
+    assert [v.hex() for v in got.ravel()] == [
+        v.hex() for v in _sinc_deficit_both_branches(y)]
+    for scalar in (0.0, 3e-3, 1e-2, 2.5):
+        value = sinc_deficit(scalar)
+        assert isinstance(value, float)
+        assert value.hex() == _sinc_deficit_both_branches(scalar).hex()
+
+
 @given(st.floats(min_value=1e-300, max_value=1e12, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_sinc_deficit_bounds(y):
