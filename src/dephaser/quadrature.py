@@ -11,8 +11,8 @@ its own error estimate and stopping test, so components many orders of
 magnitude apart each reach their own relative tolerance. Panels go to the
 integrand in chunks that keep one (m, n) block within 512 kB; chunking changes
 how often the integrand is called, never which nodes it sees or how their
-values are summed. The inner integrals of a nested domain run as such
-components, one call per group of outer nodes.
+values are summed. A nested domain with a separable integrand tabulates its
+inner integral in one pass and reads it at every outer node.
 
 Kinks and breakpoints are left to the caller: an integrand that is smooth
 only between known points (an interpolated table) is integrated interval by
@@ -21,8 +21,7 @@ interval between them, so no panel straddles a kink or is bisected towards it.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -87,8 +86,6 @@ _BISECT_BATCH = 64
 # _SMALL_CALL panels go in one call; more start with a one-panel call.
 _BLOCK_ELEMS = 1 << 16
 _SMALL_CALL = 64
-# Cap on nodes x seed panels (a value and an error each) of a nested group.
-_GROUP_PANELS = 1 << 15
 
 # Gaussian tail bound: exp(-s^2) < 1e-30 at s = sqrt(ln 1e30).
 _TRUNC_SIGMA = math.sqrt(math.log(1e30))
@@ -188,28 +185,14 @@ def _grown(x: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
-def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
-    """Adaptive integration of f over [a, b].
-
-    The returned abs_error_estimate is the summed panel estimate; the result
-    satisfies |value - integral| <= max(abs_tol, rel_tol*|value|) unless
-    NonConvergence is raised. For an integrand returning (m, n), value and
-    abs_error_estimate are arrays of length m and every component meets
-    that test on its own. Each bisection round splits the panels with the
-    largest error relative to the seed pass's tolerance, taking the worst
-    component of each panel. Deterministic for identical inputs: panel
-    selection ties break on creation order and the final sum runs left to
-    right over the surviving panels.
-    """
-    cfg = cfg or QuadratureConfig()
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("integration limits must be finite")
-    if a > b:
-        raise ValueError("need a <= b")
-
-    n0 = 1
+def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig) -> tuple:
+    """The engine loop of integrate: (vals, errs, lefts, order, shape, evaluations).
+    vals and errs, (rows, panels), are the surviving panels sorted by left
+    edge, lefts[order] their left edges; the last panel ends at b."""
+    n0 = asked = 1
     if cfg.panel_hint is not None and b > a:
-        n0 = max(1, min(int(np.ceil((b - a) / cfg.panel_hint)), _MAX_SEED_PANELS))
+        asked = int(np.ceil((b - a) / cfg.panel_hint))
+        n0 = max(1, min(asked, _MAX_SEED_PANELS))
     edges = a + (b - a) * np.arange(n0 + 1) / n0
     lefts, rights = edges[:-1], edges[1:]
     vals, errs, shape = _eval_panels(f, lefts, rights)
@@ -228,9 +211,11 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
         if not pick.size:
             worst = int(np.argmax(total_err / tol))
             where = f" in component {worst} of {total_err.size}" if shape else ""
+            capped = (f"; panel_hint asked for {asked} seed panels, {n0} used"
+                      if asked > n0 else "")
             raise NonConvergence(f"error estimate {total_err[worst]:.3e} above tolerance "
                                  f"{tol[worst]:.3e} after {splits} subdivisions of "
-                                 f"[{a!r}, {b!r}]{where}")
+                                 f"[{a!r}, {b!r}]{where}{capped}")
         splits += pick.size
         # the running totals drop the split panels one at a time, in order
         total_val = np.subtract.reduce(np.vstack([total_val, vals[:, pick].T]), axis=0)
@@ -254,11 +239,35 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
         priority[new] = (new_errs * weight).max(axis=0)
         n += la.size
 
+    order = slice(None)
     if splits:
         # a stable sort keeps creation order among equal left edges
         live = np.flatnonzero(priority[:n] >= 0.0)
         order = live[np.argsort(lefts[live], kind="stable")]
         vals, errs = vals[:, order], errs[:, order]
+    return vals, errs, lefts, order, shape, evaluations
+
+
+def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
+    """Adaptive integration of f over [a, b].
+
+    The returned abs_error_estimate is the summed panel estimate; the result
+    satisfies |value - integral| <= max(abs_tol, rel_tol*|value|) unless
+    NonConvergence is raised. For an integrand returning (m, n), value and
+    abs_error_estimate are arrays of length m and every component meets
+    that test on its own. Each bisection round splits the panels with the
+    largest error relative to the seed pass's tolerance, taking the worst
+    component of each panel. Deterministic for identical inputs: panel
+    selection ties break on creation order and the final sum runs left to
+    right over the surviving panels. NonConvergence names the budget, the
+    interval and any cap of panel_hint's seed panels at _MAX_SEED_PANELS.
+    """
+    cfg = cfg or QuadratureConfig()
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("integration limits must be finite")
+    if a > b:
+        raise ValueError("need a <= b")
+    vals, errs, _, _, shape, evaluations = _adaptive(f, a, b, cfg)
     value, error = _ordered_sum(vals), _ordered_sum(errs)
     if not shape:
         return QuadratureResult(float(value[0]), float(error[0]), evaluations)
@@ -281,73 +290,66 @@ def integrate_semi_infinite(f: Callable, a: float, decay_scale: float,
                             res.evaluations)
 
 
-def _groups(counts: np.ndarray):
-    """Slices of ascending seed-panel counts within 2x of their first: at most
-    _GROUP_PANELS nodes x panels, and one block for the engine's first call."""
-    start = 0
-    while start < counts.size:
-        stop = int(np.searchsorted(counts, 2.0 * counts[start], side="right"))
-        m, c = np.arange(1, stop - start + 1), counts[start:stop]
-        fits = (m * c <= _GROUP_PANELS) & (15 * m * np.minimum(c, _SMALL_CALL) <= _BLOCK_ELEMS)
-        stop = start + max(1, int(np.count_nonzero(fits)))
-        yield slice(start, stop)
-        start = stop
-
-
-def integrate_nested(f2: Callable, a: float, b: float, t_max: Callable,
+def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_max: Callable,
                      cfg: Optional[QuadratureConfig] = None,
                      inner_cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
-    """Integrate f2(x, t) over x in [a, b], t in [0, t_max(x)].
+    """Integrate weight(x) inner(t) over x in [a, b], t in [0, t_max(x)].
 
-    t_max takes the outer nodes as a 1-D array (a scalar result broadcasts);
-    f2 takes x as (m, 1) and t as (m, n). The outer pass is adaptive in x.
-    Its nodes, sorted by t_max and grouped by _groups on their seed-panel
-    counts t_max/panel_hint, each keep their own inner stopping test in one
-    (m, n) call per group over s in [0, 1], t = t_max*s. Inner tolerances sit
-    two orders below the outer request (scaled by the outer measure) so inner
-    noise cannot masquerade as outer structure. Nodes with t_max = 0 add 0
-    and are never sampled. evaluations counts the values computed: the outer
-    nodes plus each group's size times its call's nodes. NonConvergence names
-    the failing axis, and on the inner one the node x.
-    """
+    weight, inner and t_max take 1-D arrays (a scalar result broadcasts);
+    t_max must be finite, non-negative and largest at a or b (t_top). One
+    adaptive pass of inner over [0, t_top] (inner_cfg, by default two orders
+    below cfg) tabulates H(tau) = Int_0^tau inner; a node x reads H(t_max(x))
+    as the prefix sum of the panels left of tau plus one 15-node Kronrod
+    panel from the edge below tau, so a tau of 0 or on an edge samples
+    nothing. The outer pass is integrate(..., cfg). abs_error_estimate adds
+    (b - a) max|weight| (table estimate + largest partial-panel estimate);
+    evaluations counts table nodes, outer nodes and 15 per partial panel.
+    NonConvergence names the axis; the inner text names [0, t_top]."""
     cfg = cfg or QuadratureConfig()
     inner_cfg = inner_cfg or QuadratureConfig(
         cfg.abs_tol * 1e-2 / max(b - a, 1.0), max(cfg.rel_tol * 1e-2, 1e-14),
         cfg.max_subdivisions, cfg.panel_hint)
-    hint = inner_cfg.panel_hint
-    inner_evals, inner_err_max = 0, 0.0
+
+    def limits(xs: np.ndarray, top: float) -> np.ndarray:
+        tops = np.broadcast_to(np.asarray(t_max(xs), dtype=float), xs.shape)
+        bad = ~(np.isfinite(tops) & (tops >= 0.0) & (tops <= top))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"inner limit must be finite, non-negative and at most its value "
+                             f"at a or b, got {float(tops[k])!r} at x={float(xs[k])!r}")
+        return tops
+
+    t_top = float(limits(np.array([a, b], dtype=float), math.inf).max())
+    edges, prefix, table_err, table_evals = np.zeros(1), np.zeros(1), 0.0, 0
+    if t_top > 0.0:
+        try:
+            vals, errs, lefts, order, _, table_evals = _adaptive(inner, 0.0, t_top, inner_cfg)
+        except NonConvergence as exc:
+            raise NonConvergence(f"inner axis: {exc}") from exc
+        edges = np.append(lefts[order], t_top)
+        prefix = np.concatenate([[0.0], np.cumsum(vals[0])])
+        table_err = float(_ordered_sum(errs)[0])
+    partial_evals, partial_err, weight_max = 0, 0.0, 0.0
 
     def outer_integrand(xs: np.ndarray) -> np.ndarray:
-        nonlocal inner_evals, inner_err_max
-        tops = np.broadcast_to(np.asarray(t_max(xs), dtype=float), xs.shape)
-        bad = np.flatnonzero(~(np.isfinite(tops) & (tops >= 0.0)))
-        if bad.size:
-            raise ValueError(f"inner limit must be finite and non-negative, "
-                             f"got {float(tops[bad[0]])!r} at x={float(xs[bad[0]])!r}")
-        out = np.zeros_like(xs)
-        order = np.argsort(tops, kind="stable")
-        order = order[tops[order] > 0.0]
-        counts = np.ceil(tops[order] / hint) if hint else np.ones(order.size)
-        for g in _groups(counts):
-            idx = order[g]
-            x, top = xs[idx, None], tops[idx, None]
-            group_cfg = replace(inner_cfg, panel_hint=hint / top[-1, 0]) if hint else inner_cfg
-            try:
-                r = integrate(lambda s: top * f2(x, top * s), 0.0, 1.0, group_cfg)
-            except NonConvergence as exc:
-                # the engine names the worst component: a position in idx
-                k = int(re.search(r"in component (\d+) of", str(exc)).group(1))
-                raise NonConvergence(f"inner axis at x={float(xs[idx[k]])!r}: {exc}") from exc
-            inner_evals += idx.size * r.evaluations
-            inner_err_max = max(inner_err_max, float(r.abs_error_estimate.max()))
-            out[idx] = r.value
-        return out
+        nonlocal partial_evals, partial_err, weight_max
+        taus = limits(xs, t_top)
+        j = np.searchsorted(edges, taus, side="right") - 1
+        h = prefix[j]
+        cut = np.flatnonzero(taus > edges[j])
+        if cut.size:
+            v, e, _ = _eval_panels(inner, edges[j[cut]], taus[cut])
+            h[cut] += v[0]
+            partial_evals += 15 * cut.size
+            partial_err = max(partial_err, float(e.max()))
+        w = np.broadcast_to(np.asarray(weight(xs), dtype=float), xs.shape)
+        weight_max = max(weight_max, float(np.abs(w).max()))
+        return w * h
 
     try:
         outer = integrate(outer_integrand, a, b, cfg)
     except NonConvergence as exc:
-        if "inner axis" in str(exc):
-            raise
         raise NonConvergence(f"outer axis: {exc}") from exc
-    return QuadratureResult(outer.value, outer.abs_error_estimate + (b - a) * inner_err_max,
-                            outer.evaluations + inner_evals)
+    inner_err = (b - a) * weight_max * (table_err + partial_err)
+    return QuadratureResult(outer.value, outer.abs_error_estimate + inner_err,
+                            outer.evaluations + table_evals + partial_evals)

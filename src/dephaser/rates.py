@@ -248,10 +248,11 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
             * Int_0^{sqrt(2) k_D L x/x_D} dt/t exp(-t^2) (1 - sin(a t)/(a t))
 
     The outer limit is min(x_D, 60). The Bose weight is evaluated as
-    x^5 e^(-x)/expm1(-x)^2, which does not overflow. The inner integrals
-    run batched, one engine call per group of outer nodes
-    (quadrature.integrate_nested); their seed panels resolve sin(a t), so
-    the cost still grows with D.
+    x^5 e^(-x)/expm1(-x)^2, which does not overflow. quadrature.integrate_nested
+    tabulates the inner integral in one adaptive pass and reads it at every
+    outer node. That pass resolves sin(a t), so its cost still grows with D:
+    about 3 ms at (20 K, 500 nm), 17 ms at (1 K, 2 um), 0.2-0.3 s at 300 um,
+    and NonConvergence at 1 mm, where the engine caps its seed panels.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return _result(0.0, METHOD_DOUBLE, 0.0)
@@ -260,23 +261,20 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     alpha = p.sep_ratio
     slope = root2_kdl / p.x_debye
 
-    def integrand(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    def weight(x: np.ndarray) -> np.ndarray:
         em = np.expm1(-x)
-        weight = x**5 * np.exp(-x) / (em * em)
-        return weight * np.exp(-t * t) / t * sinc_deficit(alpha * t)
+        return x**5 * np.exp(-x) / (em * em)
 
-    def t_upper(x: np.ndarray) -> np.ndarray:
-        return np.minimum(slope * x, _FORM_FACTOR_CUT)
+    def inner(t: np.ndarray) -> np.ndarray:
+        return np.exp(-t * t) / t * sinc_deficit(alpha * t)
 
     cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8)
-    inner_cfg = QuadratureConfig(
-        abs_tol=1e-250,
-        rel_tol=1e-10,
-        panel_hint=min(0.5, math.pi / alpha),
-    )
+    inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10,
+                                 panel_hint=min(0.5, math.pi / alpha))
     try:
-        quad = integrate_nested(integrand, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
-                                t_upper, cfg, inner_cfg=inner_cfg)
+        quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
+                                lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
+                                cfg, inner_cfg=inner_cfg)
     except NonConvergence as exc:
         raise NonConvergence(
             f"{METHOD_DOUBLE} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "

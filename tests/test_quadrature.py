@@ -176,8 +176,20 @@ def test_non_finite_sample_reports_location():
 
 def test_non_convergence_reports_budget():
     cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=2)
-    with pytest.raises(NonConvergence, match="subdivisions"):
+    with pytest.raises(NonConvergence, match="subdivisions") as info:
         integrate(lambda x: np.sin(700.0 * x) / (1e-3 + x), 0.0, 1.0, cfg)
+    assert "seed panels" not in str(info.value)
+
+
+def test_non_convergence_reports_the_seed_panel_cap():
+    # panel_hint asks for 10^6 seed panels; the engine uses _MAX_SEED_PANELS
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1,
+                           panel_hint=1e-6)
+    with pytest.raises(NonConvergence) as info:
+        integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, cfg)
+    assert str(info.value).endswith(
+        "after 1 subdivisions of [0.0, 1.0]; panel_hint asked for 1000000 seed panels, "
+        "200000 used")
 
 
 def test_limits_validation():
@@ -214,82 +226,129 @@ def test_semi_infinite_rejects_bad_scale():
 
 
 def test_nested_triangle_area():
-    res = integrate_nested(lambda x, t: np.ones_like(t), 0.0, 1.0, lambda x: x)
+    res = integrate_nested(lambda x: 1.0, lambda t: np.ones_like(t), 0.0, 1.0, lambda x: x)
     assert res.value == pytest.approx(0.5, rel=1e-10)
 
 
 def test_nested_separable_product():
     # int_0^1 int_0^1 x t dt dx = 1/4
-    res = integrate_nested(lambda x, t: x * t, 0.0, 1.0, lambda x: 1.0)
+    res = integrate_nested(lambda x: x, lambda t: t, 0.0, 1.0, lambda x: 1.0)
     assert res.value == pytest.approx(0.25, rel=1e-10)
 
 
 def test_nested_inner_limit_validation():
-    with pytest.raises(ValueError, match="inner limit"):
-        integrate_nested(lambda x, t: t, 0.0, 1.0, lambda x: -1.0)
+    with pytest.raises(ValueError, match="inner limit must be finite, non-negative"):
+        integrate_nested(lambda x: 1.0, lambda t: t, 0.0, 1.0, lambda x: -1.0)
+    # the table reaches the larger of t_max(a) and t_max(b) only
+    with pytest.raises(ValueError, match=r"at most its value at a or b, got 0\.50"):
+        integrate_nested(lambda x: 1.0, lambda t: t, 0.0, 1.0, lambda x: 0.5 + x * (1.0 - x))
 
 
 @pytest.mark.parametrize("a", [50.0, 500.0])
-def test_nested_batched_oscillatory_inner_matches_analytic(a):
-    # int_0^1 int_0^x cos(a t) dt dx = (1 - cos a)/a^2; with panel_hint pi/a
-    # the seed counts ceil(a x/pi) run up to 16 or 160, far beyond one 2x group
+def test_nested_oscillatory_inner_matches_analytic(a):
+    # int_0^1 int_0^x cos(a t) dt dx = (1 - cos a)/a^2, with panel_hint pi/a
     shapes = set()
 
-    def f2(x, t):
-        shapes.add((x.shape, t.shape))
+    def inner(t):
+        shapes.add(t.shape[1:])
         return np.cos(a * t)
 
     cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-11, panel_hint=math.pi / a)
-    inner = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, panel_hint=math.pi / a)
-    res = integrate_nested(f2, 0.0, 1.0, lambda x: x, cfg, inner)
+    inner_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, panel_hint=math.pi / a)
+    res = integrate_nested(lambda x: 1.0, inner, 0.0, 1.0, lambda x: x, cfg, inner_cfg)
     assert res.value == pytest.approx((1.0 - math.cos(a)) / a**2, rel=1e-10)
-    assert all(xs == (ts[0], 1) and len(ts) == 2 for xs, ts in shapes)
-    assert len({xs for xs, _ in shapes}) > 1
+    assert shapes == {()}
+
+
+class _Phased:
+    """Separable test integrand that tags each inner call with the number of
+    t_max calls before it: 1 is the table pass, which follows the call at
+    (a, b); later ones are partial panels at outer nodes."""
+
+    def __init__(self, weight, inner, t_max):
+        self.weight, self.inner, self.t_max = weight, inner, t_max
+        self.phase, self.inner_calls, self.outer_nodes = 0, [], []
+
+    def run(self, a, b, cfg=None, inner_cfg=None):
+        def t_max(x):
+            self.phase += 1
+            if self.phase > 1:
+                self.outer_nodes.append(x.copy())
+            return self.t_max(x)
+
+        def inner(t):
+            self.inner_calls.append((self.phase, t.copy()))
+            return self.inner(t)
+
+        return integrate_nested(self.weight, inner, a, b, t_max, cfg, inner_cfg)
+
+    def values(self, table: bool) -> int:
+        return sum(t.size for phase, t in self.inner_calls if (phase == 1) == table)
 
 
 def test_nested_zero_length_inner_range_is_never_sampled():
     # sin(t)/t is 0/0 at t = 0, as the rate integrand is 0*inf there; nodes
-    # with t_max = 0 add exactly 0. int_0.5^1 Si(x) dx = [x Si(x) + cos x]
-    seen = []
-
-    def f2(x, t):
-        seen.append(x.min())
-        return np.sin(t) / t
-
-    res = integrate_nested(f2, 0.0, 1.0, lambda x: np.where(x < 0.5, 0.0, x))
+    # with t_max = 0 add exactly 0 and get no partial panel.
+    # int_0.5^1 Si(x) dx = [x Si(x) + cos x]
+    run = _Phased(lambda x: 1.0, lambda t: np.sin(t) / t,
+                  lambda x: np.where(x < 0.5, 0.0, x))
+    res = run.run(0.0, 1.0)
     antiderivative = [x * sici(x)[0] + math.cos(x) for x in (0.5, 1.0)]
     assert res.value == pytest.approx(antiderivative[1] - antiderivative[0], rel=1e-10)
-    assert min(seen) >= 0.5
+    assert min(t.min() for _, t in run.inner_calls) > 0.0
+    reached = sum(np.count_nonzero(x >= 0.5) for x in run.outer_nodes)
+    assert 0 < reached < sum(x.size for x in run.outer_nodes)
+    assert run.values(table=False) == 15 * reached
 
 
 def test_nested_evaluations_count_values_computed():
-    count = [0]
-
-    def f2(x, t):
-        count[0] += t.size
-        return x * t
-
-    outer = []
-
-    def t_max(x):
-        outer.append(x.size)
-        return x
-
-    res = integrate_nested(f2, 0.0, 2.0, t_max, QuadratureConfig(panel_hint=0.1))
+    # the table over [0, 2] keeps its 20 seed panels (x t is linear in t);
+    # no outer node lands on a table edge, so each gets one partial panel
+    run = _Phased(lambda x: x, lambda t: t, lambda x: x)
+    res = run.run(0.0, 2.0, QuadratureConfig(panel_hint=0.1))
     assert res.value == pytest.approx(2.0, rel=1e-10)
-    assert res.evaluations == count[0] + sum(outer)
+    nodes = sum(x.size for x in run.outer_nodes)
+    assert run.values(table=True) == 15 * 20
+    assert run.values(table=False) == 15 * nodes
+    assert res.evaluations == run.values(table=True) + nodes + 15 * nodes
 
 
-def test_nested_inner_nonconvergence_names_node_and_tolerance():
-    inner = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-12, max_subdivisions=1)
+def test_nested_node_on_a_panel_edge_samples_nothing():
+    # every outer node has tau = 0.5, an edge of the table's four seed
+    # panels over [0, t_max(1)] = [0, 1]: H(0.5) is a prefix sum alone.
+    # int_0^1 3 x^2 dx * int_0^0.5 t dt = 1/8
+    run = _Phased(lambda x: 3.0 * x * x, lambda t: t, lambda x: np.where(x < 1.0, 0.5, 1.0))
+    res = run.run(0.0, 1.0, inner_cfg=QuadratureConfig(panel_hint=0.25))
+    assert res.value == pytest.approx(0.125, rel=1e-14)
+    assert run.values(table=True) == 15 * 4 and run.values(table=False) == 0
+    assert res.evaluations == 15 * 4 + sum(x.size for x in run.outer_nodes)
+
+
+@pytest.mark.parametrize("weight, inner, exact", [
+    # H(tau) = 2 sqrt(tau): the table's first panel and every partial panel
+    # from 0 carry the same relative error, well above rounding
+    (lambda x: 1.0, lambda t: 1.0 / np.sqrt(t), 4.0 / 3.0),
+    (lambda x: 3.0 * x * x, lambda t: 1.0 / np.sqrt(t), 12.0 / 7.0),
+    # H(tau) = tau ln tau - tau
+    (lambda x: 1.0, np.log, -0.75),
+    # H(tau) = sin(30 tau)/30
+    (lambda x: np.exp(x), lambda t: np.cos(30.0 * t),
+     (math.exp(1.0) * (math.sin(30.0) - 30.0 * math.cos(30.0)) + 30.0) / 901.0 / 30.0),
+])
+def test_nested_error_estimate_covers_the_true_error(weight, inner, exact):
+    loose = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-4)
+    res = integrate_nested(weight, inner, 0.0, 1.0, lambda x: x, loose, loose)
+    assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-3 * abs(exact)
+
+
+def test_nested_inner_nonconvergence_names_the_table_range():
+    inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-12, max_subdivisions=1)
     with pytest.raises(NonConvergence) as info:
-        integrate_nested(lambda x, t: np.cos(200.0 * x * t), 0.0, 1.0, lambda x: 1.0 + x,
-                         inner_cfg=inner)
+        integrate_nested(lambda x: 1.0, lambda t: np.cos(200.0 * t), 0.0, 1.0,
+                         lambda x: 1.0 + x, inner_cfg=inner_cfg)
     msg = str(info.value)
-    assert msg.startswith("inner axis at x=")
-    assert "above tolerance" in msg and "after 1 subdivisions" in msg
-    x = float(msg.split("x=")[1].split(":")[0])
-    assert 0.0 < x < 1.0
+    assert msg.startswith("inner axis: error estimate")
+    assert "above tolerance" in msg and "after 1 subdivisions of [0.0, 2.0]" in msg
 
 
 def _sinc_kernel(x):

@@ -28,6 +28,7 @@ import dephaser.quadrature as quadrature_module
 import dephaser.rates as rates_module
 from dephaser.constants import CONST
 from dephaser.model import GAAS, DotGeometry, MaterialParams, ThermalEnv, derived_scales
+from dephaser.quadrature import NonConvergence
 from dephaser.rates import (
     METHOD_CLOSED,
     METHOD_DOUBLE,
@@ -51,6 +52,8 @@ GEOM = DotGeometry(width_L_m=4e-9, separation_D_m=10e-9)
 # scipy quad oracles at L = 4 nm, D = 10 nm
 ORACLE_GAMMA_100K = 1040671074013.1287
 ORACLE_GAMMA_50K = 97274256900.25523
+# at 10^4 K, x_D = 0.043; the moment bracket is 8.76327e-7 there
+ORACLE_GAMMA_10000K = 252983991317069.12
 
 # frozen sampler output, 10^6 samples at the 100 K point
 MC_PIN_GAMMA = 1142740876266.5754
@@ -82,7 +85,10 @@ def test_closed_form_error_estimate_is_tight():
 
 @pytest.mark.parametrize(
     "T, D",
-    [(100.0, 10e-9), (50.0, 10e-9), (200.0, 30e-9), (300.0, 1e-6), (5.0, 10e-9)],
+    [(100.0, 10e-9), (50.0, 10e-9), (200.0, 30e-9), (300.0, 1e-6), (5.0, 10e-9),
+     (1.0, 2e-6)]
+    # the benchmark's double grid, with (2 K, 500 nm)
+    + [(T, D) for T in (2.0, 20.0, 300.0) for D in (10e-9, 50e-9, 500e-9)],
 )
 def test_double_integral_agrees_with_closed_form(T, D):
     geom = DotGeometry(width_L_m=4e-9, separation_D_m=D)
@@ -90,6 +96,13 @@ def test_double_integral_agrees_with_closed_form(T, D):
     closed = rate_closed_form(GAAS, geom, env).gamma_per_s
     double = rate_double_integral(GAAS, geom, env).gamma_per_s
     assert double == pytest.approx(closed, rel=1e-6)
+
+
+def test_double_integral_matches_the_10000_K_oracle():
+    # closed sits 9.4e-6 below this oracle here: the moment table's absolute
+    # interpolation error at x_D = 0.043. double uses no moment table
+    res = rate_double_integral(GAAS, GEOM, ThermalEnv(T_K=1e4))
+    assert res.gamma_per_s == pytest.approx(ORACLE_GAMMA_10000K, rel=1e-10)
 
 
 @pytest.mark.parametrize("L, D", [(4e-9, 10e-9), (100e-9, 1e-6)])
@@ -112,31 +125,44 @@ def test_small_separation_routes_agree():
     assert double == pytest.approx(closed, rel=1e-4)
 
 
-def test_double_integral_batches_inner_integrals_in_bounded_groups(monkeypatch):
-    # about 1,900 outer nodes here; their inner integrals run as one call
-    # per group of nodes, and no block or group grows with the number of
-    # nodes an outer call brings
-    calls, blocks, groups = [], [], []
-    original = quadrature_module.integrate
+@pytest.mark.parametrize("D", [50e-9, 10e-6])
+def test_double_integral_makes_one_table_pass_and_one_outer_pass(monkeypatch, D):
+    # the inner integral is tabulated by one engine pass over [0, 8.5],
+    # then read at every node of one outer integrate over [0, x_D]
+    passes, outer = [], []
+    adaptive, integrate = quadrature_module._adaptive, quadrature_module.integrate
 
-    def counting(f, a, b, cfg=None):
-        def seen(x):
-            y = f(x)
-            if np.ndim(y) == 2:
-                blocks.append(y.size)
-                groups.append(y.shape[0] * math.ceil(1.0 / cfg.panel_hint))
-            return y
-        calls.append(1)
-        return original(seen, a, b, cfg)
+    def counting_adaptive(f, a, b, cfg):
+        passes.append((a, b))
+        return adaptive(f, a, b, cfg)
 
-    monkeypatch.setattr(quadrature_module, "integrate", counting)
-    monkeypatch.setattr(rates_module, "integrate", counting)
-    res = rate_double_integral(GAAS, DotGeometry(4e-9, 50e-9), ThermalEnv(20.0))
-    assert res.gamma_per_s == pytest.approx(
-        rate_closed_form(GAAS, DotGeometry(4e-9, 50e-9), ThermalEnv(20.0)).gamma_per_s, rel=1e-6)
-    assert len(calls) <= 60
-    assert 0 < max(blocks) <= quadrature_module._BLOCK_ELEMS
-    assert max(groups) <= quadrature_module._GROUP_PANELS
+    def counting_integrate(f, a, b, cfg=None):
+        outer.append((a, b))
+        return integrate(f, a, b, cfg)
+
+    monkeypatch.setattr(quadrature_module, "_adaptive", counting_adaptive)
+    monkeypatch.setattr(quadrature_module, "integrate", counting_integrate)
+    geom, env = DotGeometry(4e-9, D), ThermalEnv(20.0)
+    res = rate_double_integral(GAAS, geom, env)
+    x_debye = derived_scales(GAAS, geom, env).x_debye
+    assert passes == [(0.0, rates_module._FORM_FACTOR_CUT), (0.0, x_debye)]
+    assert outer == [(0.0, x_debye)]
+    assert res.gamma_per_s == pytest.approx(rate_closed_form(GAAS, geom, env).gamma_per_s,
+                                            rel=1e-6)
+
+
+def test_double_integral_at_1_mm_names_the_seed_panel_cap():
+    # the table's panel_hint pi/a asks for more seed panels than the engine
+    # uses, and the NonConvergence text says so
+    a = math.sqrt(2.0) * 1e-3 / 4e-9
+    asked = math.ceil(rates_module._FORM_FACTOR_CUT / (math.pi / a))
+    with pytest.raises(NonConvergence) as info:
+        rate_double_integral(GAAS, DotGeometry(4e-9, 1e-3), ThermalEnv(50.0))
+    msg = str(info.value)
+    assert msg.startswith("double-integral rate at T_K=50.0, width_L_m=4e-09, "
+                          "separation_D_m=0.001: inner axis: error estimate")
+    assert msg.endswith(f"subdivisions of [0.0, 8.5]; panel_hint asked for {asked} seed "
+                        f"panels, {quadrature_module._MAX_SEED_PANELS} used")
 
 
 @pytest.mark.parametrize("route", [rate_closed_form, rate_double_integral])
@@ -318,6 +344,17 @@ def test_split_closed_form_agrees_with_double_integral(T, L, D):
         closed = rate_closed_form(GAAS, geom, env).gamma_per_s
     double = rate_double_integral(GAAS, geom, env).gamma_per_s
     assert double == pytest.approx(closed, rel=1e-2)
+
+
+@pytest.mark.parametrize(
+    "T, L, D", [(4.0, 4e-9, 100e-6), (300.0, 4e-9, 100e-6), (50.0, 4e-9, 300e-6)],
+)
+def test_double_integral_matches_split_closed_form(T, L, D):
+    assert D > _switch_separation(T, L)
+    geom, env = DotGeometry(L, D), ThermalEnv(T)
+    closed = rate_closed_form(GAAS, geom, env).gamma_per_s
+    double = rate_double_integral(GAAS, geom, env).gamma_per_s
+    assert double == pytest.approx(closed, rel=1e-6)
 
 
 def test_monte_carlo_pinned_output():
