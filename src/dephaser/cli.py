@@ -156,10 +156,8 @@ def _cmd_evolve(parser, args) -> int:
         re, im = float(pieces[0]), float(pieces[1])
     except ValueError:
         parser.error("--rho01 must be re,im with numeric parts")
-    coherence = complex(re, im)
     try:
-        state = DensityMatrix2(rho00=0.5, rho01=coherence,
-                               rho10=coherence.conjugate(), rho11=0.5)
+        state = DensityMatrix2(rho00=0.5, rho01=complex(re, im))
     except ValueError as exc:
         parser.error(f"--rho01 gives an invalid state: {exc}")
     traj = trajectory(state, params, args.tmax, args.points)

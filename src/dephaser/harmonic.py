@@ -25,8 +25,9 @@ import numpy as np
 from .constants import CONST
 from .coupling import SpectralDensity, spectral_density
 from .model import ThermalEnv
-from .quadrature import _TRUNC_SIGMA, QuadratureConfig, integrate, integrate_semi_infinite
+from .quadrature import _TRUNC_SIGMA, QuadratureConfig, integrate
 from .runtime import csv_text, fmt_float, uniform_times
+from .specfun import _sin_sq
 
 _EXP_CFG = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-10)
 # Bound on times x seed panels in one batched pass: the engine keeps a value
@@ -40,26 +41,26 @@ def _thermal_weight(omega: np.ndarray, env: ThermalEnv, theta: float) -> np.ndar
     return 1.0 / np.tanh(CONST.hbar * omega / (theta * CONST.k_B * env.T_K))
 
 
-def _decay_scale(sd: SpectralDensity) -> float:
-    """integrate_semi_infinite's decay scale for a parametric density: the
-    cut-off is below 1e-30 beyond _TRUNC_SIGMA times it."""
-    if sd.form == "power-law-gaussian-cutoff":
-        return sd.cutoff_rad_per_s
-    return sd.cutoff_rad_per_s * _TRUNC_SIGMA  # exp(-w/w_c) is 1e-30 at w_c*_TRUNC_SIGMA^2
+def _intervals(sd: SpectralDensity) -> list:
+    """The pieces (lo, hi) over which sd is integrated, and the only rule for them.
 
-
-def _over_spectrum(sd: SpectralDensity, integrand, cfg: QuadratureConfig):
-    """Integral of integrand(omega) over the support of sd.
-
-    A tabulated density is integrated from knot to knot, so no panel
-    straddles a kink of the interpolated table; a parametric one up to the
-    point where its cut-off falls below 1e-30.
+    A tabulated density goes from knot to knot, so no panel straddles a
+    kink of the interpolated table. A parametric one is one piece [0, W],
+    W the point where its cut-off falls to 1e-30: exp(-s^2) at
+    s = _TRUNC_SIGMA, exp(-s) at s = _TRUNC_SIGMA^2 (s = w/w_c).
     """
     if sd.form == "tabulated":
         knots = sd.table_omega_rad_per_s
-        return sum(integrate(integrand, lo, hi, cfg).value
-                   for lo, hi in zip(knots[:-1], knots[1:]))
-    return integrate_semi_infinite(integrand, 0.0, _decay_scale(sd), cfg).value
+        return list(zip(knots[:-1], knots[1:]))
+    edge = sd.cutoff_rad_per_s * _TRUNC_SIGMA
+    if sd.form == "power-law-exponential-cutoff":
+        edge *= _TRUNC_SIGMA
+    return [(0.0, edge)]
+
+
+def _over_spectrum(sd: SpectralDensity, integrand, cfg: QuadratureConfig):
+    """Integral of integrand(omega) over the support of sd, piece by piece."""
+    return sum(integrate(integrand, lo, hi, cfg).value for lo, hi in _intervals(sd))
 
 
 def _spectral_weight(sd: SpectralDensity, env: ThermalEnv, theta: float,
@@ -77,8 +78,8 @@ def _exponent_integrand(sd: SpectralDensity, env: ThermalEnv, theta: float,
     def integrand(omega: np.ndarray) -> np.ndarray:
         factor = 2.0 * _spectral_weight(sd, env, theta, omega)
         osc = np.multiply.outer(half_t, omega)
-        np.sin(osc, out=osc)
-        osc *= osc
+        with np.errstate(divide="ignore"):
+            _sin_sq(osc, osc)
         osc *= factor
         return osc
 
@@ -90,9 +91,10 @@ def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray,
     """Coherence ratio at every time; the times share each quadrature pass.
 
     The time-independent factor 2 w_th J/(hbar w)^2 is evaluated once per
-    node and multiplied by sin^2(wt/2) for every time of a pass; each time
-    keeps its own error estimate. Seed panels are pi/max(t) wide, fine
-    enough for the fastest oscillation. A pass takes as many times as keep
+    node and multiplied by sin^2(wt/2) (specfun._sin_sq) for every time of
+    a pass; each time keeps its own error estimate. Seed panels are
+    pi/max(t) wide over each piece of _intervals(sd), fine enough for the
+    fastest oscillation. A pass takes as many times as keep
     its (times x seed panels) store within _PASS_ELEMS: all of them unless
     the seed panels number in the thousands. t = 0 gives exactly 1.
     """
@@ -102,10 +104,8 @@ def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray,
     positive = np.flatnonzero(times > 0.0)
     if positive.size and (sd.form == "tabulated" or sd.amplitude != 0.0):
         cfg = replace(_EXP_CFG, panel_hint=math.pi / times.max())
-        if sd.form == "tabulated":
-            span = sd.table_omega_rad_per_s[-1] - sd.table_omega_rad_per_s[0]
-        else:
-            span = _decay_scale(sd) * _TRUNC_SIGMA
+        pieces = _intervals(sd)
+        span = pieces[-1][1] - pieces[0][0]
         per_pass = max(1, int(_PASS_ELEMS / (span / cfg.panel_hint + 1.0)))
         for rows in np.split(positive, range(per_pass, positive.size, per_pass)):
             integrand = _exponent_integrand(sd, env, theta, times[rows])

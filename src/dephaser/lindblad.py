@@ -23,7 +23,7 @@ import numpy as np
 from .constants import CONST
 from .runtime import csv_text, fmt_float, uniform_times
 
-_HERMITICITY_TOL = 1e-12
+_PSD_TOL = 1e-12
 
 # A rate above this puts T2 under 10 ps, comparable to the reservoir memory
 # time, where the time-local (Markovian) description loses its premise.
@@ -36,35 +36,32 @@ class MarkovValidityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class DensityMatrix2:
-    """Validated 2x2 density matrix.
+    """2x2 density matrix, stored as its population rho00 and coherence rho01.
 
-    Requires Hermiticity (rho10 = conj(rho01), real diagonal), unit trace
-    within 1e-12, and eigenvalues >= -1e-12.
+    rho10 = conj(rho01) and rho11 = 1 - rho00 are derived, so the matrix is
+    Hermitian with unit trace by construction. Positive semidefinite means
+    |rho01|^2 <= rho00 (1 - rho00), checked to within 1e-12; this also puts
+    rho00 in [0, 1].
     """
 
-    rho00: complex
+    rho00: float
     rho01: complex
-    rho10: complex
-    rho11: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "rho00", complex(self.rho00))
+        object.__setattr__(self, "rho00", float(self.rho00))
         object.__setattr__(self, "rho01", complex(self.rho01))
-        object.__setattr__(self, "rho10", complex(self.rho10))
-        object.__setattr__(self, "rho11", complex(self.rho11))
-        for entry in (self.rho00, self.rho01, self.rho10, self.rho11):
-            if not (math.isfinite(entry.real) and math.isfinite(entry.imag)):
-                raise ValueError("density matrix entries must be finite")
-        if abs(self.rho10 - self.rho01.conjugate()) > _HERMITICITY_TOL:
-            raise ValueError("density matrix must be Hermitian")
-        if abs(self.rho00.imag) > _HERMITICITY_TOL or abs(self.rho11.imag) > _HERMITICITY_TOL:
-            raise ValueError("diagonal entries must be real")
-        if abs(self.rho00 + self.rho11 - 1.0) > _HERMITICITY_TOL:
-            raise ValueError("trace must be 1")
-        p0, p1 = self.rho00.real, self.rho11.real
-        gap = math.sqrt((p0 - p1) ** 2 + 4.0 * abs(self.rho01) ** 2)
-        if 0.5 * ((p0 + p1) - gap) < -1e-12:
+        if not all(map(math.isfinite, (self.rho00, self.rho01.real, self.rho01.imag))):
+            raise ValueError("density matrix entries must be finite")
+        if abs(self.rho01) ** 2 > self.rho00 * (1.0 - self.rho00) + _PSD_TOL:
             raise ValueError("density matrix must be positive semidefinite")
+
+    @property
+    def rho10(self) -> complex:
+        return self.rho01.conjugate()
+
+    @property
+    def rho11(self) -> float:
+        return 1.0 - self.rho00
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.rho00, self.rho01],
@@ -116,12 +113,7 @@ def evolve_analytic(rho0: DensityMatrix2, p: LindbladParams,
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and >= 0")
     factor = complex(_coherence_factor(p, t))
-    return DensityMatrix2(
-        rho00=rho0.rho00,
-        rho01=rho0.rho01 * factor,
-        rho10=rho0.rho10 * factor.conjugate(),
-        rho11=rho0.rho11,
-    )
+    return DensityMatrix2(rho00=rho0.rho00, rho01=rho0.rho01 * factor)
 
 
 def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
@@ -151,8 +143,8 @@ def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
         return rho
 
     final = run(steps)
-    state = DensityMatrix2(rho00=final[0, 0], rho01=final[0, 1],
-                           rho10=final[1, 0], rho11=final[1, 1])
+    # the generator leaves the diagonal untouched, so final[0, 0] is rho00
+    state = DensityMatrix2(rho00=final[0, 0].real, rho01=final[0, 1])
     if not return_error:
         return state
     if steps == 1:
@@ -165,24 +157,27 @@ def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
 
 @dataclass(frozen=True)
 class Trajectory2:
-    """Sampled analytic evolution of one initial state."""
+    """Sampled analytic evolution of one initial state; rho11 = 1 - rho00."""
 
     times_s: np.ndarray
     rho00: np.ndarray
-    rho11: np.ndarray
     rho01: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times_s, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("times must be a non-empty 1-D array")
-        for name in ("times_s", "rho00", "rho11", "rho01"):
+        for name in ("times_s", "rho00", "rho01"):
             arr = np.asarray(getattr(self, name))
             if arr.shape != t.shape:
                 raise ValueError("trajectory columns must share one shape")
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def rho11(self) -> np.ndarray:
+        return 1.0 - self.rho00
 
 
 def trajectory(rho0: DensityMatrix2, p: LindbladParams, t_max: float,
@@ -192,8 +187,7 @@ def trajectory(rho0: DensityMatrix2, p: LindbladParams, t_max: float,
     factor = _coherence_factor(p, times)
     return Trajectory2(
         times_s=times,
-        rho00=np.full(times.shape, rho0.rho00.real),
-        rho11=np.full(times.shape, rho0.rho11.real),
+        rho00=np.full(times.shape, rho0.rho00),
         rho01=rho0.rho01 * factor,
     )
 

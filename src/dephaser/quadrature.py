@@ -9,10 +9,12 @@ shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
 its own error estimate and stopping test, so components many orders of
 magnitude apart each reach their own relative tolerance. Panels go to the
-integrand in chunks that keep one (m, n) block within 512 kB; chunking changes
-how often the integrand is called, never which nodes it sees or how their
-values are summed. A nested domain with a separable integrand tabulates its
-inner integral in one pass and reads it at every outer node.
+integrand in chunks. A call holds at most 512 kB (_BLOCK_ELEMS values),
+except the first call of a pass, which is made before m is known and holds
+up to _SMALL_CALL panels of m rows. Chunking changes how often the
+integrand is called, never which nodes it sees or how their values are
+summed. A nested domain with a separable integrand tabulates its inner
+integral in one pass and reads it at every outer node.
 
 Kinks and breakpoints are left to the caller: an integrand that is smooth
 only between known points (an interpolated table) is integrated interval by
@@ -82,8 +84,9 @@ _EPS50 = 50.0 * np.finfo(float).eps
 _MAX_SEED_PANELS = 200_000
 _BISECT_BATCH = 64
 # Panels go to the integrand in chunks whose (m, nodes) result holds at
-# most this many values (512 kB of float64). Before m is known, up to
-# _SMALL_CALL panels go in one call; more start with a one-panel call.
+# most this many values (512 kB of float64), once m is known. The first call
+# of a pass comes before that: up to _SMALL_CALL panels go in it whole, so
+# it holds up to _SMALL_CALL * 15 * m values; more start with one panel.
 _BLOCK_ELEMS = 1 << 16
 _SMALL_CALL = 64
 

@@ -174,7 +174,7 @@ def test_criterion_08_thermal_integral_anchors():
 def test_criterion_09_master_equation_suite():
     gamma = 1e9
     p = LindbladParams(gamma_per_s=gamma, level_splitting_E_J=2e-25)
-    rho0 = DensityMatrix2(0.6, 0.3 + 0.2j, 0.3 - 0.2j, 0.4)
+    rho0 = DensityMatrix2(0.6, 0.3 + 0.2j)
     for gamma_t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
         t = gamma_t / gamma
         numeric = evolve_numeric(rho0, p, t)

@@ -284,3 +284,54 @@ def test_long_curve_splits_times_into_bounded_passes(monkeypatch):
     split = decoherence_curve(SD_QUADRATIC, WARM, 1e-11, 9)
     assert rows == [3, 3, 2]
     np.testing.assert_allclose(split.ratio, whole.ratio, rtol=1e-10, atol=0.0)
+
+
+def test_intervals_of_a_table_are_its_knot_pairs():
+    assert harmonic._intervals(SD_TABLE) == list(zip(TABLE_OMEGA[:-1], TABLE_OMEGA[1:]))
+
+
+@pytest.mark.parametrize(
+    "sd, cutoff",
+    [(SD_CUBIC, lambda s: math.exp(-s * s)), (SD_EXPONENTIAL, lambda s: math.exp(-s))],
+    ids=["gaussian", "exponential"],
+)
+def test_intervals_of_a_parametric_form_end_where_the_cutoff_is_1e_30(sd, cutoff):
+    [(lo, hi)] = harmonic._intervals(sd)
+    assert lo == 0.0
+    assert cutoff(hi / sd.cutoff_rad_per_s) == pytest.approx(1e-30, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "sd, env",
+    [(SD_CUBIC, WARM), (SD_EXPONENTIAL, ThermalEnv(T_K=4.0)), (SD_TABLE, LIQUID_HE)],
+    ids=["gaussian", "exponential", "tabulated"],
+)
+def test_one_integrate_call_per_piece(monkeypatch, sd, env):
+    calls = []
+    original = harmonic.integrate
+
+    def spy(f, a, b, cfg=None):
+        calls.append((a, b))
+        return original(f, a, b, cfg)
+
+    monkeypatch.setattr(harmonic, "integrate", spy)
+    pieces = harmonic._intervals(sd)
+    decoherence_curve(sd, env, 4e-12, 9)  # one pass over the times, then the plateau
+    assert calls == pieces + pieces
+    calls.clear()
+    asymptotic_coherence(sd, env)
+    assert calls == pieces
+
+
+@pytest.mark.parametrize(
+    "sd, env, t_max",
+    [(SD_QUADRATIC, WARM, 1e-11), (SD_EXPONENTIAL, ThermalEnv(T_K=4.0), 4e-12),
+     (SD_TABLE, LIQUID_HE, 1e-11)],
+    ids=["gaussian", "exponential", "tabulated"],
+)
+def test_curve_with_numpy_sine_squared_agrees(monkeypatch, sd, env, t_max):
+    fast = decoherence_curve(sd, env, t_max, 50)
+    monkeypatch.setattr(harmonic, "_sin_sq",
+                        lambda x, out: np.square(np.sin(x, out=out), out=out))
+    plain = decoherence_curve(sd, env, t_max, 50)
+    np.testing.assert_allclose(fast.ratio, plain.ratio, rtol=1e-14, atol=0.0)

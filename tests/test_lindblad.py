@@ -23,8 +23,8 @@ from dephaser.lindblad import (
 )
 from dephaser.runtime import write_text
 
-BALANCED = DensityMatrix2(0.5, 0.5, 0.5, 0.5)
-TILTED = DensityMatrix2(0.6, 0.3 + 0.2j, 0.3 - 0.2j, 0.4)
+BALANCED = DensityMatrix2(0.5, 0.5)
+TILTED = DensityMatrix2(0.6, 0.3 + 0.2j)
 
 STATE_SEED = 47119
 
@@ -34,7 +34,7 @@ def _random_state(rng):
     r = rng.uniform(0.0, 1.0) * math.sqrt(p0 * (1.0 - p0))
     phase = rng.uniform(0.0, 2.0 * math.pi)
     c = r * cmath.exp(1j * phase)
-    return DensityMatrix2(p0, c, c.conjugate(), 1.0 - p0)
+    return DensityMatrix2(p0, c)
 
 
 def test_zero_time_is_identity():
@@ -113,7 +113,7 @@ def test_pure_rotation_when_rate_vanishes():
 def test_evolution_preserves_positivity():
     # DensityMatrix2 construction enforces the PSD check at every step
     p = LindbladParams(gamma_per_s=3e9, level_splitting_E_J=1e-24)
-    pure = DensityMatrix2(0.5, 0.5, 0.5, 0.5)
+    pure = DensityMatrix2(0.5, 0.5)
     for t in np.linspace(0.0, 5e-9, 40):
         out = evolve_analytic(pure, p, float(t))
         assert abs(out.rho01) <= math.sqrt(out.rho00.real * out.rho11.real) + 1e-12
@@ -168,11 +168,11 @@ def test_markov_validity_warning():
 @pytest.mark.parametrize(
     "entries",
     [
-        (0.6, 0.3, 0.2, 0.4),              # not Hermitian
-        (0.7, 0.1, 0.1, 0.7),              # trace 1.4
-        (0.5, 0.6, 0.6, 0.5),              # |rho01| too large: not PSD
-        (0.5 + 0.1j, 0.0, 0.0, 0.5),       # imaginary diagonal
-        (math.nan, 0.0, 0.0, 1.0),         # non-finite
+        (0.5, 0.6),                        # |rho01| too large: not PSD
+        (math.nan, 0.0),                   # non-finite population
+        (0.5, complex(0.0, math.inf)),     # non-finite coherence
+        (1.2, 0.0),                        # population above 1: not PSD
+        (-0.1, 0.0),                       # negative population: not PSD
     ],
 )
 def test_density_matrix_rejects_invalid(entries):
@@ -180,8 +180,15 @@ def test_density_matrix_rejects_invalid(entries):
         DensityMatrix2(*entries)
 
 
+def test_off_diagonal_partner_and_second_population_are_derived():
+    assert TILTED.rho10 == 0.3 - 0.2j
+    assert TILTED.rho11 == 1.0 - 0.6
+    traj = trajectory(TILTED, LindbladParams(gamma_per_s=1e9), 1e-9, 3)
+    np.testing.assert_array_equal(traj.rho11, np.full(3, TILTED.rho11))
+
+
 def test_density_matrix_accepts_pure_boundary():
-    state = DensityMatrix2(0.5, 0.5, 0.5, 0.5)
+    state = DensityMatrix2(0.5, 0.5)
     assert state.as_array().trace() == pytest.approx(1.0)
 
 
@@ -194,7 +201,7 @@ def test_density_matrix_accepts_pure_boundary():
 @settings(max_examples=60, deadline=None)
 def test_coherence_modulus_decay_law(p0, frac, phase, gamma_t):
     c = frac * math.sqrt(p0 * (1.0 - p0)) * cmath.exp(1j * phase)
-    rho0 = DensityMatrix2(p0, c, c.conjugate(), 1.0 - p0)
+    rho0 = DensityMatrix2(p0, c)
     gamma = 1e9
     out = evolve_analytic(rho0, LindbladParams(gamma_per_s=gamma), gamma_t / gamma)
     assert abs(out.rho01) == pytest.approx(abs(c) * math.exp(-gamma_t), abs=1e-12)
@@ -222,7 +229,7 @@ def test_trajectory_degenerate_grid():
 def test_trajectory_validation():
     with pytest.raises(ValueError, match="shape"):
         Trajectory2(times_s=np.array([0.0, 1.0]), rho00=np.array([0.5]),
-                    rho11=np.array([0.5, 0.5]), rho01=np.array([0.1, 0.1]))
+                    rho01=np.array([0.1, 0.1]))
 
 
 def test_trajectory_csv_round_trip(tmp_path):

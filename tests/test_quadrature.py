@@ -13,8 +13,10 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 from dephaser.quadrature import (
+    _BLOCK_ELEMS,
     _EPS50,
     _NODES,
+    _SMALL_CALL,
     _WG_FULL,
     _WK_FULL,
     NonConvergence,
@@ -127,6 +129,26 @@ def test_batched_blocks_stay_bounded():
     assert max(seen) * k.size <= 1 << 16
     assert sum(seen) == res.evaluations
     np.testing.assert_allclose(res.value, np.sin(3.0 * k) / k, rtol=1e-8, atol=1e-10)
+
+
+def test_first_block_holds_the_seed_panels_and_later_blocks_stay_bounded():
+    # 199 components over 26 seed panels, the shape of a tabulated curve:
+    # the first call comes before m is known and takes all 26 panels
+    # (77,610 values, above 2^16); every later call holds at most 2^16
+    k = np.arange(1.0, 200.0)
+    blocks = []
+
+    def f(x):
+        out = np.cos(np.multiply.outer(k, x))
+        blocks.append(out.size)
+        return out
+
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-8, panel_hint=0.125)
+    res = integrate(f, 0.0, 3.25, cfg)
+    assert blocks[0] == 26 * 15 * k.size > _BLOCK_ELEMS
+    assert blocks[0] <= _SMALL_CALL * 15 * k.size
+    assert len(blocks) > 1 and max(blocks[1:]) <= _BLOCK_ELEMS
+    np.testing.assert_allclose(res.value, np.sin(3.25 * k) / k, rtol=1e-8, atol=1e-10)
 
 
 def test_integrand_shape_errors():

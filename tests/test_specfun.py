@@ -15,6 +15,7 @@ from dephaser.specfun import (
     BOSE_FIFTH_MOMENT_INF,
     ZETA5,
     BoseMomentTable,
+    _sin_sq,
     bose_fifth_moment,
     bose_fifth_moment_tail,
     get_moment_table,
@@ -93,6 +94,17 @@ def test_sinc_deficit_bounds(y):
 def test_sinc_deficit_rejects_bad_input(bad):
     with pytest.raises(ValueError):
         sinc_deficit(bad)
+
+
+def test_sin_sq_matches_numpy_sin():
+    rng = np.random.default_rng(4)
+    x = np.concatenate((rng.random(10**6) * 1e7, rng.random(10**5) * 0.5 * math.pi,
+                        np.arange(1, 10**5) * (0.5 * math.pi), [0.0]))
+    with np.errstate(divide="ignore"):
+        got = _sin_sq(x, np.empty_like(x))
+    ref = np.sin(x) ** 2
+    assert got[-1] == 0.0
+    np.testing.assert_allclose(got[:-1], ref[:-1], rtol=2e-15, atol=0.0)
 
 
 @pytest.mark.parametrize(

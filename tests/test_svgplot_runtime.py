@@ -1,9 +1,13 @@
 """Tests for the SVG chart writer and process-level helpers."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dephaser
 from dephaser.runtime import fmt_float, worker_count, write_text
 from dephaser.svgplot import loglog_svg_text
 
@@ -66,3 +70,14 @@ def test_fmt_float_round_trips():
         assert float(fmt_float(v)) == v
     assert fmt_float(math.inf) == "inf"
     assert fmt_float(-math.inf) == "-inf"
+
+
+def test_package_imports_no_test_only_dependency():
+    # numpy is the one runtime dependency; scipy, mpmath and hypothesis are
+    # installed for the tests only, so a fresh interpreter must not load them
+    src = os.path.dirname(os.path.dirname(dephaser.__file__))
+    code = ("import sys, dephaser, dephaser.cli; "
+            "print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
