@@ -104,6 +104,9 @@ def _cmd_sweep(parser, args) -> int:
     _check_sampling(parser, args)
     points = run_sweep(replace(spec, material=_load_material_arg(args)))
     _emit(sweep_csv_text(points, axis), args.out)
+    for p in points:
+        if p.error is not None:
+            sys.stderr.write(f"{axis} = {fmt_float(p.axis_value)}: {p.error}\n")
     if args.plot:
         xs = [p.axis_value for p in points if p.result is not None]
         ys = [p.result.gamma_per_s for p in points if p.result is not None]

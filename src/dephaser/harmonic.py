@@ -5,14 +5,14 @@ never decays exponentially; its modulus follows
 
     |rho_01(t)| / |rho_01(0)| = exp[-2 Int dw w_th(w) J(w) sin^2(wt/2)/(hbar w)^2]
 
-with the thermal weight w_th(w) = coth(hbar w/(theta k_B T)). For
-super-Ohmic reservoirs the exponent saturates and the coherence reaches a
-finite plateau (partial dephasing); for Ohmic reservoirs at T > 0 the
-exponent grows without bound.
+with the thermal weight w_th(w) = coth(hbar w/(k_B T)). For super-Ohmic
+reservoirs the exponent saturates and the coherence reaches a finite
+plateau (partial dephasing); for Ohmic reservoirs at T > 0 the exponent
+grows without bound.
 
-The coth-argument convention constant theta defaults to 1, the form this
-implementation reproduces; the more common convention is theta = 2. It is
-a parameter so both are available, but every reference value here uses 1.
+The weight depends on T alone, so the other common convention,
+coth(hbar w/(2 k_B T)), is the same computation at twice the temperature:
+pass 2T for it.
 """
 from __future__ import annotations
 
@@ -35,10 +35,10 @@ _EXP_CFG = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-10)
 _PASS_ELEMS = 1 << 20
 
 
-def _thermal_weight(omega: np.ndarray, env: ThermalEnv, theta: float) -> np.ndarray:
+def _thermal_weight(omega: np.ndarray, env: ThermalEnv) -> np.ndarray:
     if env.T_K == 0.0:
         return np.ones_like(omega)
-    return 1.0 / np.tanh(CONST.hbar * omega / (theta * CONST.k_B * env.T_K))
+    return 1.0 / np.tanh(CONST.hbar * omega / (CONST.k_B * env.T_K))
 
 
 def _intervals(sd: SpectralDensity) -> list:
@@ -63,20 +63,19 @@ def _over_spectrum(sd: SpectralDensity, integrand, cfg: QuadratureConfig):
     return sum(integrate(integrand, lo, hi, cfg).value for lo, hi in _intervals(sd))
 
 
-def _spectral_weight(sd: SpectralDensity, env: ThermalEnv, theta: float,
+def _spectral_weight(sd: SpectralDensity, env: ThermalEnv,
                      omega: np.ndarray) -> np.ndarray:
     """w_th(w) J(w)/(hbar w)^2, the weight of sin^2(wt/2) in the exponent."""
-    return (_thermal_weight(omega, env, theta) * spectral_density(sd, omega)
+    return (_thermal_weight(omega, env) * spectral_density(sd, omega)
             / (CONST.hbar * omega) ** 2)
 
 
-def _exponent_integrand(sd: SpectralDensity, env: ThermalEnv, theta: float,
-                        times: np.ndarray):
+def _exponent_integrand(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray):
     """Integrand of the decoherence exponent, one row per time."""
     half_t = 0.5 * times
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        factor = 2.0 * _spectral_weight(sd, env, theta, omega)
+        factor = 2.0 * _spectral_weight(sd, env, omega)
         osc = np.multiply.outer(half_t, omega)
         with np.errstate(divide="ignore"):
             _sin_sq(osc, osc)
@@ -86,8 +85,7 @@ def _exponent_integrand(sd: SpectralDensity, env: ThermalEnv, theta: float,
     return integrand
 
 
-def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray,
-            theta: float) -> np.ndarray:
+def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray) -> np.ndarray:
     """Coherence ratio at every time; the times share each quadrature pass.
 
     The time-independent factor 2 w_th J/(hbar w)^2 is evaluated once per
@@ -98,8 +96,6 @@ def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray,
     its (times x seed panels) store within _PASS_ELEMS: all of them unless
     the seed panels number in the thousands. t = 0 gives exactly 1.
     """
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValueError("theta must be positive")
     exponents = np.zeros(times.shape)
     positive = np.flatnonzero(times > 0.0)
     if positive.size and (sd.form == "tabulated" or sd.amplitude != 0.0):
@@ -108,13 +104,12 @@ def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray,
         span = pieces[-1][1] - pieces[0][0]
         per_pass = max(1, int(_PASS_ELEMS / (span / cfg.panel_hint + 1.0)))
         for rows in np.split(positive, range(per_pass, positive.size, per_pass)):
-            integrand = _exponent_integrand(sd, env, theta, times[rows])
+            integrand = _exponent_integrand(sd, env, times[rows])
             exponents[rows] = _over_spectrum(sd, integrand, cfg)
     return np.exp(-exponents)
 
 
-def coherence_ratio(sd: SpectralDensity, env: ThermalEnv, t: float,
-                    theta: float = 1.0) -> float:
+def coherence_ratio(sd: SpectralDensity, env: ThermalEnv, t: float) -> float:
     """|rho_01(t)|/|rho_01(0)| for the harmonic reservoir, in [0, 1].
 
     t = 0 returns exactly 1; 0.0 means exp(-exponent) underflowed (an
@@ -124,11 +119,10 @@ def coherence_ratio(sd: SpectralDensity, env: ThermalEnv, t: float,
     """
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and >= 0")
-    return float(_ratios(sd, env, np.array([float(t)]), theta)[0])
+    return float(_ratios(sd, env, np.array([float(t)]))[0])
 
 
-def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv,
-                         theta: float = 1.0) -> Optional[float]:
+def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv) -> Optional[float]:
     """Long-time coherence plateau, or None when no finite plateau exists.
 
     Replaces sin^2(wt/2) by its mean 1/2. The limit is finite for
@@ -138,8 +132,6 @@ def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv,
     densities have support bounded away from zero frequency, so their
     plateau is always finite.
     """
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise ValueError("theta must be positive")
     if sd.form != "tabulated":
         if sd.amplitude == 0.0:
             return 1.0
@@ -150,7 +142,7 @@ def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv,
             return None
 
     def integrand(omega: np.ndarray) -> np.ndarray:
-        return _spectral_weight(sd, env, theta, omega)
+        return _spectral_weight(sd, env, omega)
 
     return math.exp(-_over_spectrum(sd, integrand, _EXP_CFG))
 
@@ -185,7 +177,7 @@ class DecoherenceCurve:
 
 
 def decoherence_curve(sd: SpectralDensity, env: ThermalEnv, t_max: float,
-                      points: int, theta: float = 1.0) -> DecoherenceCurve:
+                      points: int) -> DecoherenceCurve:
     """Sample the coherence ratio on a uniform grid over [0, t_max].
 
     t_max = 0 produces the single trivial sample at t = 0. The points share
@@ -193,8 +185,8 @@ def decoherence_curve(sd: SpectralDensity, env: ThermalEnv, t_max: float,
     long; the curve is deterministic and uses no threads.
     """
     times = uniform_times(t_max, points)
-    return DecoherenceCurve(times_s=times, ratio=_ratios(sd, env, times, theta),
-                            plateau=asymptotic_coherence(sd, env, theta))
+    return DecoherenceCurve(times_s=times, ratio=_ratios(sd, env, times),
+                            plateau=asymptotic_coherence(sd, env))
 
 
 def curve_csv_text(curve: DecoherenceCurve) -> str:

@@ -92,15 +92,15 @@ class RateIntegralParams:
         Overall rate scale multiplying the dimensionless double integral.
     x_debye : float
         Debye cutoff in thermal units, hbar c k_D / (k_B T).
-    kd_l : float
-        Debye wavenumber times dot width, k_D L.
+    form_factor_limit : float
+        U = sqrt(2) k_D L, the form-factor limit of the rate integrals.
     sep_ratio : float
         sqrt(2) D / L, the argument scale of the oscillatory deficit factor.
     """
 
     prefactor_per_s: float
     x_debye: float
-    kd_l: float
+    form_factor_limit: float
     sep_ratio: float
 
 
@@ -130,7 +130,7 @@ def derived_scales(material: MaterialParams, geom: DotGeometry,
     return RateIntegralParams(
         prefactor_per_s=pre,
         x_debye=CONST.hbar * material.c_sound_m_per_s * material.k_D_per_m / thermal,
-        kd_l=material.k_D_per_m * geom.width_L_m,
+        form_factor_limit=math.sqrt(2.0) * (material.k_D_per_m * geom.width_L_m),
         sep_ratio=math.sqrt(2.0) * geom.separation_D_m / geom.width_L_m,
     )
 

@@ -294,24 +294,19 @@ def integrate_semi_infinite(f: Callable, a: float, decay_scale: float,
 
 
 def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_max: Callable,
-                     cfg: Optional[QuadratureConfig] = None,
-                     inner_cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
+                     cfg: QuadratureConfig, inner_cfg: QuadratureConfig) -> QuadratureResult:
     """Integrate weight(x) inner(t) over x in [a, b], t in [0, t_max(x)].
 
     weight, inner and t_max take 1-D arrays (a scalar result broadcasts);
     t_max must be finite, non-negative and largest at a or b (t_top). One
-    adaptive pass of inner over [0, t_top] (inner_cfg, by default two orders
-    below cfg) tabulates H(tau) = Int_0^tau inner; a node x reads H(t_max(x))
-    as the prefix sum of the panels left of tau plus one 15-node Kronrod
-    panel from the edge below tau, so a tau of 0 or on an edge samples
-    nothing. The outer pass is integrate(..., cfg). abs_error_estimate adds
-    (b - a) max|weight| (table estimate + largest partial-panel estimate);
-    evaluations counts table nodes, outer nodes and 15 per partial panel.
-    NonConvergence names the axis; the inner text names [0, t_top]."""
-    cfg = cfg or QuadratureConfig()
-    inner_cfg = inner_cfg or QuadratureConfig(
-        cfg.abs_tol * 1e-2 / max(b - a, 1.0), max(cfg.rel_tol * 1e-2, 1e-14),
-        cfg.max_subdivisions, cfg.panel_hint)
+    adaptive pass of inner over [0, t_top] at inner_cfg tabulates
+    H(tau) = Int_0^tau inner; a node x reads H(t_max(x)) as the prefix sum
+    of the panels left of tau plus one 15-node Kronrod panel from the edge
+    below tau, so a tau of 0 or on an edge samples nothing. The outer pass
+    is integrate(..., cfg). abs_error_estimate adds (b - a) max|weight|
+    (table estimate + largest partial-panel estimate); evaluations counts
+    table nodes, outer nodes and 15 per partial panel. NonConvergence names
+    the axis; the inner text names [0, t_top]."""
 
     def limits(xs: np.ndarray, top: float) -> np.ndarray:
         tops = np.broadcast_to(np.asarray(t_max(xs), dtype=float), xs.shape)

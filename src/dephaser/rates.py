@@ -85,13 +85,13 @@ class RateResult:
     """A dephasing rate with an accuracy statement.
 
     error_estimate_per_s is the quadrature error bound for deterministic
-    routes and equals mc_std_error_per_s for the Monte Carlo route.
+    routes and the standard error of the mean for the Monte Carlo route,
+    which alone also reports it as mc_std_error_per_s (None otherwise).
     """
 
     gamma_per_s: float
     method: str
     error_estimate_per_s: float
-    mc_std_error_per_s: Optional[float] = None
 
     def __post_init__(self):
         if not (self.gamma_per_s >= 0.0) or not math.isfinite(self.gamma_per_s):
@@ -102,11 +102,15 @@ class RateResult:
         """1/gamma_per_s, or +inf when the rate vanishes exactly."""
         return 1.0 / self.gamma_per_s if self.gamma_per_s > 0.0 else math.inf
 
+    @property
+    def mc_std_error_per_s(self) -> Optional[float]:
+        return self.error_estimate_per_s if self.method == METHOD_MC else None
 
-def _check_narrow_cutoff(root2_kdl: float) -> None:
-    if root2_kdl < 10.0:
+
+def _check_narrow_cutoff(p: RateIntegralParams) -> None:
+    if p.form_factor_limit < 10.0:
         warnings.warn(
-            f"sqrt(2) k_D L = {root2_kdl:.3g} < 10: extending the form-factor "
+            f"sqrt(2) k_D L = {p.form_factor_limit:.3g} < 10: extending the form-factor "
             "limit to infinity is marginal here",
             CutoffValidityWarning,
             stacklevel=3,
@@ -137,11 +141,10 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_CLOSED, 0.0)
     p = derived_scales(material, geom, env)
-    root2_kdl = math.sqrt(2.0) * p.kd_l
-    _check_narrow_cutoff(root2_kdl)
-    split = p.sep_ratio * _split_scale(p, root2_kdl) >= _SPLIT_SWITCH
+    _check_narrow_cutoff(p)
+    split = p.sep_ratio * _split_scale(p) >= _SPLIT_SWITCH
     try:
-        value, err = (_closed_split if split else _closed_adaptive)(p, root2_kdl)
+        value, err = (_closed_split if split else _closed_adaptive)(p)
     except NonConvergence as exc:
         raise NonConvergence(
             f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
@@ -151,11 +154,11 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
                       p.prefactor_per_s * err)
 
 
-def _closed_adaptive(p: RateIntegralParams, root2_kdl: float) -> tuple:
+def _closed_adaptive(p: RateIntegralParams) -> tuple:
     """(value, error) of the closed-route integral by adaptive quadrature,
     seeded with panels about pi/a wide."""
     alpha = p.sep_ratio
-    ratio = p.x_debye / root2_kdl
+    ratio = p.x_debye / p.form_factor_limit
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return np.exp(-x * x) / x * sinc_deficit(alpha * x) * _moment_bracket(
@@ -166,7 +169,7 @@ def _closed_adaptive(p: RateIntegralParams, root2_kdl: float) -> tuple:
         rel_tol=1e-8,
         panel_hint=min(0.5, math.pi / alpha),
     )
-    upper = min(_FORM_FACTOR_CUT, root2_kdl, _MOMENT_TAIL_CUT / ratio)
+    upper = min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / ratio)
     quad = integrate(integrand, 0.0, upper, cfg)
     return quad.value, quad.abs_error_estimate
 
@@ -184,14 +187,14 @@ def _log_kernel(a: float) -> float:
     return math.log(a) - 1.0 + 0.5 * np.euler_gamma + y * (1.0 + y * (1.0 + 4.0 * y))
 
 
-def _split_scale(p: RateIntegralParams, root2_kdl: float) -> float:
-    """l = min(1, sqrt(2) k_D L, sqrt(2) k_D L / x_D): the narrowest scale
-    of exp(-x^2) B(x), set by the Gaussian, the form-factor edge and the
+def _split_scale(p: RateIntegralParams) -> float:
+    """l = min(1, U, U/x_D), U = sqrt(2) k_D L: the narrowest scale of
+    exp(-x^2) B(x), set by the Gaussian, the form-factor edge and the
     thermal edge of B."""
-    return min(1.0, root2_kdl, root2_kdl / p.x_debye)
+    return min(1.0, p.form_factor_limit, p.form_factor_limit / p.x_debye)
 
 
-def _closed_split(p: RateIntegralParams, root2_kdl: float) -> tuple:
+def _closed_split(p: RateIntegralParams) -> tuple:
     """(value, error) of the closed-route integral as B0 K(a) + R.
 
     With B0 = B(0), the integral is B0 Int exp(-x^2)(1 - sinc(a x))/x dx
@@ -213,7 +216,8 @@ def _closed_split(p: RateIntegralParams, root2_kdl: float) -> tuple:
     so the switch costs less than 7e-10 relative.
     """
     a = p.sep_ratio
-    ratio = p.x_debye / root2_kdl
+    u = p.form_factor_limit
+    ratio = p.x_debye / u
     b0 = float(_moment_bracket(p.x_debye, 0.0))
 
     def remainder(x: np.ndarray) -> np.ndarray:
@@ -222,13 +226,13 @@ def _closed_split(p: RateIntegralParams, root2_kdl: float) -> tuple:
     # R is tiny against B0 K(a) at high T, so a relative tolerance on R
     # alone would chase the moment table's interpolation noise
     cfg = QuadratureConfig(abs_tol=1e-12 * b0, rel_tol=1e-12)
-    upper = min(_FORM_FACTOR_CUT, root2_kdl)
+    upper = min(_FORM_FACTOR_CUT, u)
     parts = [integrate(remainder, 0.0, upper, cfg)]
     if upper < _FORM_FACTOR_CUT:
         parts.append(integrate(lambda x: -b0 * np.exp(-x * x) / x,
                                upper, _FORM_FACTOR_CUT, cfg))
-    s = a * _split_scale(p, root2_kdl)
-    dropped = b0 * (2.12 / s**4 + 4.0 * math.exp(-root2_kdl * root2_kdl) / s**3)
+    s = a * _split_scale(p)
+    dropped = b0 * (2.12 / s**4 + 4.0 * math.exp(-u * u) / s**3)
     value = b0 * _log_kernel(a) + sum(q.value for q in parts)
     return value, sum(q.abs_error_estimate for q in parts) + dropped
 
@@ -250,9 +254,8 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_DOUBLE, 0.0)
     p = derived_scales(material, geom, env)
-    root2_kdl = math.sqrt(2.0) * p.kd_l
     alpha = p.sep_ratio
-    slope = root2_kdl / p.x_debye
+    slope = p.form_factor_limit / p.x_debye
 
     def weight(x: np.ndarray) -> np.ndarray:
         em = np.expm1(-x)
@@ -442,12 +445,12 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     samples = int(samples)
     seed = int(seed)
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
-        return RateResult(0.0, METHOD_MC, 0.0, 0.0)
+        return RateResult(0.0, METHOD_MC, 0.0)
 
     x_per_k = CONST.hbar * material.c_sound_m_per_s / (CONST.k_B * env.T_K)
     table = _radial_table(x_per_k, min(material.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
     if table is None:
-        return RateResult(0.0, METHOD_MC, 0.0, 0.0)
+        return RateResult(0.0, METHOD_MC, 0.0)
 
     scale = (
         (8.0 / math.pi**4)
@@ -472,7 +475,7 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             count, mean, m2 = _merge_moments(pool.map(work, blocks))
     se_mean = math.sqrt(m2 / (count - 1) / count)
-    return RateResult(scale * mean, METHOD_MC, scale * se_mean, scale * se_mean)
+    return RateResult(scale * mean, METHOD_MC, scale * se_mean)
 
 
 def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,

@@ -11,7 +11,8 @@ import numpy as np
 
 
 def worker_count() -> int:
-    """Thread count from DEPHASER_THREADS; 0 or unset means all cores.
+    """Thread count from DEPHASER_THREADS; 0 or unset means all cores this
+    process may use (its CPU affinity where the platform reports one).
 
     Results never depend on this value, only wall time does: work items
     are mapped in deterministic order and reduced sequentially.
@@ -24,6 +25,8 @@ def worker_count() -> int:
     if n < 0:
         raise ValueError("DEPHASER_THREADS must be >= 0")
     if n == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     return n
 

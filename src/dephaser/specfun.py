@@ -22,6 +22,8 @@ _MOMENT_TAIL_CUT = 60.0
 _MOMENT_TAIL_SWITCH = 30.0
 
 _MOMENT_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
+# The moment table's panels, of equal width 5e-3 over [0, _MOMENT_TAIL_CUT].
+_MOMENT_TABLE_PANELS = 12_000
 
 
 def sinc_deficit(y):
@@ -129,22 +131,22 @@ def _moment_bracket(x_debye: float, z: np.ndarray) -> np.ndarray:
 class BoseMomentTable:
     """Precomputed fifth-moment values with monotone cubic interpolation.
 
-    Node values come from panel-wise Gauss-Kronrod integration accumulated
-    left to right; slopes are the exact integrand, clamped into the
-    monotonicity region of the cubic. Interpolation error stays below 1e-10
-    absolute, cross-checked against direct integration in the test suite.
-    Immutable after construction and safe for concurrent reads.
+    One grid, _MOMENT_TABLE_PANELS panels over [0, 60]; past 60 eval returns
+    BOSE_FIFTH_MOMENT_INF. Node values come from panel-wise Gauss-Kronrod
+    integration accumulated left to right; slopes are the exact integrand,
+    clamped into the monotonicity region of the cubic. Interpolation error
+    stays below 1e-10 absolute, cross-checked against direct integration in
+    the test suite. Immutable, so safe for concurrent reads.
     """
 
     nodes: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
-    infinity: float = BOSE_FIFTH_MOMENT_INF
 
     @classmethod
-    def build(cls, upper: float = _MOMENT_TAIL_CUT, step: float = 5e-3) -> "BoseMomentTable":
-        n = int(round(upper / step))
-        nodes = upper * np.arange(n + 1) / n
+    def build(cls) -> "BoseMomentTable":
+        n = _MOMENT_TABLE_PANELS
+        nodes = _MOMENT_TAIL_CUT * np.arange(n + 1) / n
         panel_vals, _, _ = _eval_panels(_moment_integrand, nodes[:-1], nodes[1:])
         values = np.concatenate([[0.0], np.cumsum(panel_vals[0])])
         slopes = np.empty_like(nodes)
@@ -178,7 +180,7 @@ class BoseMomentTable:
             + h01 * self.values[idx + 1]
             + h11 * h * self.slopes[idx + 1]
         )
-        out = np.where(x > self.nodes[-1], self.infinity, out)
+        out = np.where(x > self.nodes[-1], BOSE_FIFTH_MOMENT_INF, out)
         return float(out) if out.ndim == 0 else out
 
 

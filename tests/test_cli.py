@@ -12,10 +12,12 @@ import sys
 
 import pytest
 
+import dephaser.rates as rates_module
 from dephaser.cli import _build_parser, main
 from dephaser.harmonic import asymptotic_coherence
 from dephaser.coupling import SpectralDensity
 from dephaser.model import GAAS, DotGeometry, ThermalEnv
+from dephaser.quadrature import NonConvergence
 from dephaser.rates import rate_closed_form, rate_monte_carlo
 
 RATE_ARGS = ["rate", "--T", "100", "--L", "4e-9", "--D", "10e-9"]
@@ -157,6 +159,25 @@ def test_sweep_csv_and_plot(tmp_path, capsys):
     assert gammas == sorted(gammas)
     svg = plot.read_text(encoding="utf-8")
     assert svg.startswith("<svg ") and "polyline" in svg
+
+
+def test_sweep_failed_point_reason_goes_to_stderr(capsys, monkeypatch):
+    argv = ["sweep", "--axis", "T", "--min", "20", "--max", "80", "--points", "4",
+            "--log", "--L", "4e-9", "--D", "10e-9"]
+    _, clean, _ = _run(capsys, argv)
+
+    def flaky(material, geom, env):
+        if env.T_K == 80.0:
+            raise NonConvergence("synthetic failure at 80 K")
+        return rate_closed_form(material, geom, env)
+
+    monkeypatch.setattr(rates_module, "rate_closed_form", flaky)
+    code, out, err = _run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[:4] == clean.splitlines()[:4]
+    assert out.splitlines()[4] == "temperature,80.0,nan,nan,closed-form,nan"
+    assert len(out.splitlines()) == 5
+    assert err == "temperature = 80.0: synthetic failure at 80 K\n"
 
 
 def test_sweep_distance_axis(capsys):

@@ -70,7 +70,9 @@ def test_prefactor_temperature_power():
 
 def test_geometry_ratios():
     params = derived_scales(GAAS, GEOM, ThermalEnv(T_K=100.0))
-    assert params.kd_l == pytest.approx(1.1e10 * 4e-9, rel=1e-15)
+    assert params.form_factor_limit == math.sqrt(2.0) * (GAAS.k_D_per_m * GEOM.width_L_m)
+    assert params.form_factor_limit == pytest.approx(math.sqrt(2.0) * 1.1e10 * 4e-9,
+                                                     rel=1e-15)
     assert params.sep_ratio == pytest.approx(math.sqrt(2.0) * 2.5, rel=1e-15)
 
 

@@ -26,7 +26,7 @@ from dephaser.model import ThermalEnv
 from dephaser.runtime import write_text
 
 # quad oracle: amplitude 1e-82, exponent 2, Gaussian cutoff 1e13 rad/s,
-# T = 77 K, theta = 1, t = 0.5 ps
+# T = 77 K (thermal weight coth(hbar w/(k_B T))), t = 0.5 ps
 RATIO_ORACLE_77K = 0.832301966772657
 
 SD_QUADRATIC = SpectralDensity(form="power-law-gaussian-cutoff", amplitude=1e-82,
@@ -124,11 +124,19 @@ def test_tiny_temperature_matches_zero_for_gapped_reservoir():
     assert tiny == pytest.approx(cold, rel=1e-12)
 
 
-def test_theta_convention_ordering():
-    # theta = 2 doubles the coth argument scale, increasing the weight
-    r1 = coherence_ratio(SD_QUADRATIC, WARM, 5e-13, theta=1.0)
-    r2 = coherence_ratio(SD_QUADRATIC, WARM, 5e-13, theta=2.0)
-    assert r2 < r1
+def test_thermal_weight_is_coth_of_hbar_omega_over_k_B_T():
+    omega = np.array([CONST.k_B * WARM.T_K / CONST.hbar])
+    assert harmonic._thermal_weight(omega, WARM)[0] == pytest.approx(
+        1.0 / math.tanh(1.0), rel=1e-15)
+
+
+@pytest.mark.parametrize("T", [4.0, 77.0, 300.0])
+def test_half_argument_convention_is_the_weight_at_twice_the_temperature(T):
+    # coth(hbar w/(2 k_B T)) is the weight at 2T bit for bit: doubling is exact
+    omega = np.geomspace(1e10, 1e14, 41)
+    half = 1.0 / np.tanh(CONST.hbar * omega / (2.0 * CONST.k_B * T))
+    doubled = harmonic._thermal_weight(omega, ThermalEnv(T_K=2.0 * T))
+    assert [x.hex() for x in doubled] == [x.hex() for x in half]
 
 
 def test_ratio_input_validation():
@@ -136,10 +144,6 @@ def test_ratio_input_validation():
         coherence_ratio(SD_QUADRATIC, WARM, -1e-12)
     with pytest.raises(ValueError):
         coherence_ratio(SD_QUADRATIC, WARM, math.inf)
-    with pytest.raises(ValueError):
-        coherence_ratio(SD_QUADRATIC, WARM, 1e-12, theta=0.0)
-    with pytest.raises(ValueError):
-        asymptotic_coherence(SD_QUADRATIC, WARM, theta=-1.0)
 
 
 def test_curve_grid_and_plateau():
@@ -264,20 +268,15 @@ def test_curve_points_match_single_time_ratio(sd, env, t_max):
         assert r == pytest.approx(coherence_ratio(sd, env, float(t)), rel=1e-10)
 
 
-def test_curve_rejects_bad_theta():
-    with pytest.raises(ValueError, match="theta"):
-        decoherence_curve(SD_QUADRATIC, WARM, 1e-12, 3, theta=0.0)
-
-
 def test_long_curve_splits_times_into_bounded_passes(monkeypatch):
     # 237 seed panels per pass: a store of 900 values takes 3 times a pass
     whole = decoherence_curve(SD_QUADRATIC, WARM, 1e-11, 9)
     rows = []
     original = harmonic._exponent_integrand
 
-    def spy(sd, env, theta, times):
+    def spy(sd, env, times):
         rows.append(times.size)
-        return original(sd, env, theta, times)
+        return original(sd, env, times)
 
     monkeypatch.setattr(harmonic, "_exponent_integrand", spy)
     monkeypatch.setattr(harmonic, "_PASS_ELEMS", 900)

@@ -37,10 +37,38 @@ def _random_state(rng):
     return DensityMatrix2(p0, c)
 
 
+def _reference_rk4(rho0, p, t, steps):
+    """RK4 on the whole 2x2 density matrix: (final matrix, estimate).
+
+    The reference for evolve_numeric's integration of rho01 alone, as
+    tests/test_rates.py keeps _reference_mc_block for the Monte Carlo kernel.
+    """
+    rot = 1j * p.level_splitting_E_J / CONST.hbar
+    g = p.gamma_per_s
+    lam = np.array([[0.0, rot - g], [-rot - g, 0.0]], dtype=complex)
+    start = np.array([[rho0.rho00, rho0.rho01], [rho0.rho10, rho0.rho11]], dtype=complex)
+
+    def run(n):
+        rho = start
+        h = t / n
+        for _ in range(n):
+            k1 = lam * rho
+            k2 = lam * (rho + 0.5 * h * k1)
+            k3 = lam * (rho + 0.5 * h * k2)
+            k4 = lam * (rho + h * k3)
+            rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return rho
+
+    final = run(steps)
+    coarse = start if steps == 1 else run(steps // 2)
+    return final, float(np.max(np.abs(final - coarse))) / 15.0
+
+
 def test_zero_time_is_identity():
     p = LindbladParams(gamma_per_s=1e9)
     out = evolve_analytic(TILTED, p, 0.0)
-    assert out.as_array() == pytest.approx(TILTED.as_array())
+    assert out.rho00 == TILTED.rho00
+    assert out.rho01 == pytest.approx(TILTED.rho01)
 
 
 def test_half_life_of_coherence():
@@ -72,7 +100,36 @@ def test_numeric_matches_analytic_for_random_states():
         t = rng.uniform(0.0, 5.0) / 1e9
         numeric = evolve_numeric(rho0, p, t, steps=1500)
         exact = evolve_analytic(rho0, p, t)
-        assert np.max(np.abs(numeric.as_array() - exact.as_array())) < 1e-8
+        assert numeric.rho00 == rho0.rho00
+        assert abs(numeric.rho01 - exact.rho01) < 1e-8
+
+
+def test_scalar_rk4_matches_the_2x2_reference():
+    rng = np.random.default_rng(STATE_SEED)
+    for _ in range(20):
+        rho0 = _random_state(rng)
+        gamma = 10.0 ** rng.uniform(7.0, 10.0)
+        omega = 10.0 ** rng.uniform(7.0, 11.0)
+        p = LindbladParams(gamma_per_s=gamma, level_splitting_E_J=omega * CONST.hbar)
+        steps = int(rng.integers(1, 200))
+        t = steps * rng.uniform(0.02, 0.2) / abs(complex(-gamma, omega))
+        state, est = evolve_numeric(rho0, p, t, steps=steps, return_error=True)
+        ref, ref_est = _reference_rk4(rho0, p, t, steps)
+        assert state.rho00 == ref[0, 0].real
+        assert abs(state.rho01 - ref[0, 1]) <= 1e-14 * abs(ref[0, 1])
+        assert est == pytest.approx(ref_est, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "gamma, omega, t, steps, per_step",
+    [(1e9, 0.0, 5e-9, 1, "5"),             # |rho01| grows 13.7-fold in one step
+     (1e9, 2.35e10, 2e-9, 10, "4.7")],     # gamma h = 0.2, omega h = 4.7
+)
+def test_unstable_step_says_the_steps_are_too_few(gamma, omega, t, steps, per_step):
+    p = LindbladParams(gamma_per_s=gamma, level_splitting_E_J=omega * CONST.hbar)
+    with pytest.raises(ValueError, match=rf"^too few steps \({steps}\): "
+                                         rf"\|L01\| t/steps = {per_step}"):
+        evolve_numeric(DensityMatrix2(0.5, 0.4), p, t, steps=steps)
 
 
 def test_numeric_conserves_trace_and_populations():
@@ -125,7 +182,7 @@ def test_richardson_estimate_brackets_actual_error(steps):
     t = 2e-9
     state, est = evolve_numeric(TILTED, p, t, steps=steps, return_error=True)
     exact = evolve_analytic(TILTED, p, t)
-    actual = float(np.max(np.abs(state.as_array() - exact.as_array())))
+    actual = abs(state.rho01 - exact.rho01)
     assert actual <= 1.5 * est
     assert est <= 3.0 * actual + 1e-15
 
@@ -189,7 +246,8 @@ def test_off_diagonal_partner_and_second_population_are_derived():
 
 def test_density_matrix_accepts_pure_boundary():
     state = DensityMatrix2(0.5, 0.5)
-    assert state.as_array().trace() == pytest.approx(1.0)
+    assert state.rho00 + state.rho11 == 1.0
+    assert abs(state.rho01) ** 2 == state.rho00 * state.rho11
 
 
 @given(

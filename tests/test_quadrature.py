@@ -34,6 +34,11 @@ OSC_ORACLE = 3.2010309981356917
 
 BATTERY_SEED = 915270
 
+# the nested tests' tolerances: the outer pass at the engine's defaults,
+# the inner table two orders below them
+OUTER_CFG = QuadratureConfig()
+INNER_CFG = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12)
+
 
 def test_polynomial_is_exact():
     res = integrate(lambda x: x * x, 0.0, 1.0)
@@ -248,22 +253,26 @@ def test_semi_infinite_rejects_bad_scale():
 
 
 def test_nested_triangle_area():
-    res = integrate_nested(lambda x: 1.0, lambda t: np.ones_like(t), 0.0, 1.0, lambda x: x)
+    res = integrate_nested(lambda x: 1.0, lambda t: np.ones_like(t), 0.0, 1.0, lambda x: x,
+                           OUTER_CFG, INNER_CFG)
     assert res.value == pytest.approx(0.5, rel=1e-10)
 
 
 def test_nested_separable_product():
     # int_0^1 int_0^1 x t dt dx = 1/4
-    res = integrate_nested(lambda x: x, lambda t: t, 0.0, 1.0, lambda x: 1.0)
+    res = integrate_nested(lambda x: x, lambda t: t, 0.0, 1.0, lambda x: 1.0,
+                           OUTER_CFG, INNER_CFG)
     assert res.value == pytest.approx(0.25, rel=1e-10)
 
 
 def test_nested_inner_limit_validation():
     with pytest.raises(ValueError, match="inner limit must be finite, non-negative"):
-        integrate_nested(lambda x: 1.0, lambda t: t, 0.0, 1.0, lambda x: -1.0)
+        integrate_nested(lambda x: 1.0, lambda t: t, 0.0, 1.0, lambda x: -1.0,
+                         OUTER_CFG, INNER_CFG)
     # the table reaches the larger of t_max(a) and t_max(b) only
     with pytest.raises(ValueError, match=r"at most its value at a or b, got 0\.50"):
-        integrate_nested(lambda x: 1.0, lambda t: t, 0.0, 1.0, lambda x: 0.5 + x * (1.0 - x))
+        integrate_nested(lambda x: 1.0, lambda t: t, 0.0, 1.0, lambda x: 0.5 + x * (1.0 - x),
+                         OUTER_CFG, INNER_CFG)
 
 
 @pytest.mark.parametrize("a", [50.0, 500.0])
@@ -291,7 +300,7 @@ class _Phased:
         self.weight, self.inner, self.t_max = weight, inner, t_max
         self.phase, self.inner_calls, self.outer_nodes = 0, [], []
 
-    def run(self, a, b, cfg=None, inner_cfg=None):
+    def run(self, a, b, cfg=OUTER_CFG, inner_cfg=INNER_CFG):
         def t_max(x):
             self.phase += 1
             if self.phase > 1:
@@ -327,7 +336,8 @@ def test_nested_evaluations_count_values_computed():
     # the table over [0, 2] keeps its 20 seed panels (x t is linear in t);
     # no outer node lands on a table edge, so each gets one partial panel
     run = _Phased(lambda x: x, lambda t: t, lambda x: x)
-    res = run.run(0.0, 2.0, QuadratureConfig(panel_hint=0.1))
+    res = run.run(0.0, 2.0, QuadratureConfig(panel_hint=0.1),
+                  QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, panel_hint=0.1))
     assert res.value == pytest.approx(2.0, rel=1e-10)
     nodes = sum(x.size for x in run.outer_nodes)
     assert run.values(table=True) == 15 * 20
@@ -367,7 +377,7 @@ def test_nested_inner_nonconvergence_names_the_table_range():
     inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-12, max_subdivisions=1)
     with pytest.raises(NonConvergence) as info:
         integrate_nested(lambda x: 1.0, lambda t: np.cos(200.0 * t), 0.0, 1.0,
-                         lambda x: 1.0 + x, inner_cfg=inner_cfg)
+                         lambda x: 1.0 + x, OUTER_CFG, inner_cfg)
     msg = str(info.value)
     assert msg.startswith("inner axis: error estimate")
     assert "above tolerance" in msg and "after 1 subdivisions of [0.0, 2.0]" in msg

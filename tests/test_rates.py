@@ -199,7 +199,7 @@ def test_rate_increases_with_temperature_and_separation():
 def _switch_separation(T, L):
     """The D at which the closed route switches to the log-law split."""
     p = derived_scales(GAAS, DotGeometry(L, 1.0), ThermalEnv(T))
-    scale = rates_module._split_scale(p, math.sqrt(2.0) * p.kd_l)
+    scale = rates_module._split_scale(p)
     return rates_module._SPLIT_SWITCH / scale * L / math.sqrt(2.0)
 
 
@@ -223,9 +223,8 @@ def test_log_kernel_matches_hypergeometric_oracle(a):
 )
 def test_adaptive_and_split_closed_forms_agree_from_10_to_100_um(T, L, D):
     p = derived_scales(GAAS, DotGeometry(L, D), ThermalEnv(T))
-    root2_kdl = math.sqrt(2.0) * p.kd_l
-    adaptive, _ = rates_module._closed_adaptive(p, root2_kdl)
-    split, err = rates_module._closed_split(p, root2_kdl)
+    adaptive, _ = rates_module._closed_adaptive(p)
+    split, err = rates_module._closed_split(p)
     assert split == pytest.approx(adaptive, rel=1e-8)
     assert err <= 1e-10 * split
 
@@ -237,9 +236,8 @@ def test_split_error_estimate_covers_the_switch_error():
     T, L = 300.0, 1e-10
     p = derived_scales(GAAS, DotGeometry(L, 1.001 * _switch_separation(T, L)),
                        ThermalEnv(T))
-    root2_kdl = math.sqrt(2.0) * p.kd_l
-    adaptive, _ = rates_module._closed_adaptive(p, root2_kdl)
-    split, err = rates_module._closed_split(p, root2_kdl)
+    adaptive, _ = rates_module._closed_adaptive(p)
+    split, err = rates_module._closed_split(p)
     assert abs(split - adaptive) <= err <= 1e-10 * split
 
 
@@ -249,9 +247,8 @@ def test_switch_uses_the_thermal_scale_not_a_alone():
     # stay adaptive
     geom, env = DotGeometry(4e-9, 3e-6), ThermalEnv(T_K=0.01)
     p = derived_scales(GAAS, geom, env)
-    root2_kdl = math.sqrt(2.0) * p.kd_l
-    adaptive, _ = rates_module._closed_adaptive(p, root2_kdl)
-    split, _ = rates_module._closed_split(p, root2_kdl)
+    adaptive, _ = rates_module._closed_adaptive(p)
+    split, _ = rates_module._closed_split(p)
     assert p.sep_ratio > rates_module._SPLIT_SWITCH
     assert abs(split / adaptive - 1.0) > 1e-4
     assert rate_closed_form(GAAS, geom, env).gamma_per_s == p.prefactor_per_s * adaptive
@@ -628,7 +625,7 @@ def test_validation_catches_inconsistent_routes(monkeypatch):
         return type(p)(
             prefactor_per_s=2.0 * p.prefactor_per_s,
             x_debye=p.x_debye,
-            kd_l=p.kd_l,
+            form_factor_limit=p.form_factor_limit,
             sep_ratio=p.sep_ratio,
         )
 
@@ -669,6 +666,15 @@ def test_rate_result_validation():
                                  error_estimate_per_s=0.0).t2_s)
     ok = RateResult(gamma_per_s=2.0, method=METHOD_CLOSED, error_estimate_per_s=0.0)
     assert ok.t2_s == 0.5
+
+
+def test_only_the_monte_carlo_route_reports_a_standard_error():
+    env = ThermalEnv(T_K=50.0)
+    assert rate_closed_form(GAAS, GEOM, env).mc_std_error_per_s is None
+    assert rate_double_integral(GAAS, GEOM, env).mc_std_error_per_s is None
+    mc = rate_monte_carlo(GAAS, GEOM, env, samples=10**4)
+    assert mc.mc_std_error_per_s == mc.error_estimate_per_s > 0.0
+    assert RateResult(1.0, METHOD_MC, 0.25).mc_std_error_per_s == 0.25
 
 
 def test_method_labels():

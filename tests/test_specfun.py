@@ -162,7 +162,7 @@ def test_moment_table_is_monotone():
 def test_moment_table_clamps_and_rejects():
     table = get_moment_table()
     assert table.eval(0.0) == 0.0
-    assert table.eval(10 * 60.0) == table.infinity
+    assert table.eval(10 * 60.0) == BOSE_FIFTH_MOMENT_INF
     with pytest.raises(ValueError):
         table.eval(-1e-9)
 
@@ -171,7 +171,7 @@ def test_moment_table_cached_instance():
     assert get_moment_table() is get_moment_table()
 
 
-def test_moment_table_build_small_grid():
-    # a coarse rebuild must still agree with the direct integral
-    table = BoseMomentTable.build(upper=10.0, step=0.05)
-    assert table.eval(3.7) == pytest.approx(bose_fifth_moment(3.7), abs=1e-6)
+def test_moment_table_grid_is_12000_panels_of_5e_3():
+    nodes = BoseMomentTable.build().nodes
+    np.testing.assert_array_equal(nodes, 60.0 * np.arange(12001) / 12000)
+    np.testing.assert_array_equal(nodes, get_moment_table().nodes)

@@ -53,6 +53,13 @@ def test_worker_count_defaults_to_cores(monkeypatch):
     assert worker_count() >= 1
 
 
+def test_worker_count_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("DEPHASER_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count() == 1
+
+
 def test_worker_count_explicit(monkeypatch):
     monkeypatch.setenv("DEPHASER_THREADS", "3")
     assert worker_count() == 3
