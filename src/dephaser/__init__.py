@@ -6,7 +6,6 @@ reservoir, by three independent numerical routes, together with the exact
 harmonic-reservoir (partial-dephasing) benchmark and the resulting
 two-level Lindblad dynamics.
 """
-from .constants import CONST, PhysicalConstants
 from .coupling import (
     SPECTRAL_FORMS,
     SpectralDensity,
@@ -30,10 +29,12 @@ from .lindblad import (
     trajectory,
 )
 from .model import (
+    CONST,
     GAAS,
     DotGeometry,
     MaterialFileError,
     MaterialParams,
+    PhysicalConstants,
     RateIntegralParams,
     ThermalEnv,
     coupling_scale,

@@ -1,27 +1,36 @@
 """Command-line surface: rate, sweep, validate, curve, evolve.
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure
-(non-convergent quadrature or failed cross-route validation), 3 parameter
-or table file parse error. All flags take SI units (kelvin, meters,
-joules, seconds). Flag values are checked by what they build: the
+(non-convergent quadrature, a non-finite integrand or failed cross-route
+validation), 3 parameter or table file parse error. All flags take SI
+units (kelvin, meters, joules, seconds). Flag values are checked by what they build: the
 dataclasses (ThermalEnv, DotGeometry, SweepSpec, SpectralDensity,
 LindbladParams) and rate_validate. The dataclasses are built before any
 file is read, so a flag they reject exits 1 even when a file is bad too.
 Only --samples and --seed are checked here, because the closed and
 double routes never read them. Every command is deterministic for a
 fixed flag set and independent of DEPHASER_THREADS.
+
+This module alone decides the output format: CSV cells are shortest
+round-trip floats with \n line ends, files are UTF-8 written with their
+line ends untranslated, and plots are SVG text with fixed 2-decimal
+coordinates, so identical data always yields identical bytes.
 """
 from __future__ import annotations
 
 import argparse
+import csv
+import io
+import math
 import sys
 from dataclasses import replace
+from typing import Sequence
 
 from .coupling import SPECTRAL_FORMS, SpectralDensity, load_spectral_table
-from .harmonic import curve_csv_text, decoherence_curve
-from .lindblad import DensityMatrix2, LindbladParams, trajectory, trajectory_csv_text
+from .harmonic import DecoherenceCurve, decoherence_curve
+from .lindblad import DensityMatrix2, LindbladParams, Trajectory2, trajectory
 from .model import GAAS, DotGeometry, MaterialFileError, ThermalEnv, load_material
-from .quadrature import NonConvergence
+from .quadrature import NonConvergence, NonFiniteSample
 from .rates import (
     _MIN_MC_SAMPLES,
     METHOD_CLOSED,
@@ -31,19 +40,136 @@ from .rates import (
     compute_rate,
     rate_validate,
 )
-from .runtime import fmt_float, write_text
-from .svgplot import loglog_svg_text
-from .sweep import (
-    AXIS_DISTANCE,
-    AXIS_TEMPERATURE,
-    SweepPoint,
-    SweepSpec,
-    run_sweep,
-    sweep_csv_text,
-)
+from .sweep import AXIS_DISTANCE, AXIS_TEMPERATURE, SweepPoint, SweepSpec, run_sweep
 
 _METHOD_BY_TOKEN = {"closed": METHOD_CLOSED, "double": METHOD_DOUBLE,
                     "mc": METHOD_MC}
+
+# SVG page size and plot margins, in px
+_WIDTH = 640
+_HEIGHT = 440
+_LEFT, _RIGHT, _TOP, _BOTTOM = 72, 16, 16, 48
+
+
+def fmt_float(x: float) -> str:
+    """Shortest round-trip decimal for CSV cells; infinities print as inf."""
+    x = float(x)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return repr(x)
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header row and data rows, with \\n line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as UTF-8 with its line ends untranslated."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def sweep_csv_text(points: Sequence[SweepPoint], axis: str) -> str:
+    """Render sweep rows as CSV text (header included, \\n line ends)."""
+    rows = []
+    for p in points:
+        if p.result is not None:
+            gamma, t2, err = (p.result.gamma_per_s, p.result.t2_s,
+                              p.result.error_estimate_per_s)
+        else:
+            gamma = t2 = err = math.nan
+        rows.append([axis, fmt_float(p.axis_value), fmt_float(gamma),
+                     fmt_float(t2), p.method, fmt_float(err)])
+    return csv_text(["axis", "axis_value", "gamma_per_s", "t2_s", "method",
+                     "error_estimate"], rows)
+
+
+def curve_csv_text(curve: DecoherenceCurve) -> str:
+    return csv_text(["t_s", "coherence_ratio"],
+                    ((fmt_float(t), fmt_float(r))
+                     for t, r in zip(curve.times_s, curve.ratio)))
+
+
+def trajectory_csv_text(traj: Trajectory2) -> str:
+    rows = []
+    for t, p0, p1, c in zip(traj.times_s, traj.rho00, traj.rho11, traj.rho01):
+        rows.append([fmt_float(t), fmt_float(p0), fmt_float(p1),
+                     fmt_float(c.real), fmt_float(c.imag), fmt_float(abs(c))])
+    return csv_text(["t_s", "rho00", "rho11", "re_rho01", "im_rho01",
+                     "abs_rho01"], rows)
+
+
+def _decade_span(values):
+    lo = math.floor(math.log10(min(values)))
+    hi = math.ceil(math.log10(max(values)))
+    if lo == hi:
+        hi += 1
+    return lo, hi
+
+
+def loglog_svg_text(x: Sequence[float], y: Sequence[float], *,
+                    x_label: str, y_label: str) -> str:
+    """Render a log-log polyline chart as an SVG document string.
+
+    Non-finite and non-positive points are dropped (a vanishing rate has
+    no place on a log axis). Raises ValueError when nothing is plottable.
+    """
+    pts = [(float(a), float(b)) for a, b in zip(x, y)
+           if math.isfinite(a) and math.isfinite(b) and a > 0.0 and b > 0.0]
+    if not pts:
+        raise ValueError("no positive finite points to plot")
+    xs = [p[0] for p in pts]
+    ys = [p[1] for p in pts]
+    x0, x1 = _decade_span(xs)
+    y0, y1 = _decade_span(ys)
+    pw = _WIDTH - _LEFT - _RIGHT
+    ph = _HEIGHT - _TOP - _BOTTOM
+
+    def px(v: float) -> float:
+        return _LEFT + (math.log10(v) - x0) / (x1 - x0) * pw
+
+    def py(v: float) -> float:
+        return _TOP + ph - (math.log10(v) - y0) / (y1 - y0) * ph
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<rect x="{_LEFT}" y="{_TOP}" width="{pw}" height="{ph}" '
+        'fill="none" stroke="#333333" stroke-width="1"/>',
+    ]
+    for e in range(x0, x1 + 1):
+        gx = px(10.0**e)
+        lines.append(f'<line x1="{gx:.2f}" y1="{_TOP}" x2="{gx:.2f}" '
+                     f'y2="{_TOP + ph}" stroke="#cccccc" stroke-width="1"/>')
+        lines.append(f'<text x="{gx:.2f}" y="{_TOP + ph + 16}" '
+                     'font-family="sans-serif" font-size="11" '
+                     f'text-anchor="middle" fill="#333333">1e{e}</text>')
+    for e in range(y0, y1 + 1):
+        gy = py(10.0**e)
+        lines.append(f'<line x1="{_LEFT}" y1="{gy:.2f}" x2="{_LEFT + pw}" '
+                     f'y2="{gy:.2f}" stroke="#cccccc" stroke-width="1"/>')
+        lines.append(f'<text x="{_LEFT - 6}" y="{gy:.2f}" '
+                     'font-family="sans-serif" font-size="11" '
+                     f'text-anchor="end" dominant-baseline="middle" '
+                     'fill="#333333">1e' + str(e) + "</text>")
+    coords = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in pts)
+    lines.append(f'<polyline points="{coords}" fill="none" '
+                 'stroke="#1f6fb2" stroke-width="1.5"/>')
+    lines.append(f'<text x="{_LEFT + pw / 2:.2f}" y="{_HEIGHT - 12}" '
+                 'font-family="sans-serif" font-size="12" '
+                 f'text-anchor="middle" fill="#333333">{x_label}</text>')
+    lines.append(f'<text x="14" y="{_TOP + ph / 2:.2f}" '
+                 'font-family="sans-serif" font-size="12" '
+                 'text-anchor="middle" fill="#333333" '
+                 f'transform="rotate(-90 14 {_TOP + ph / 2:.2f})">{y_label}</text>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,7 +380,7 @@ def main(argv=None) -> int:
     except (MaterialFileError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (NonConvergence, ValidationFailed) as exc:
+    except (NonConvergence, NonFiniteSample, ValidationFailed) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ValueError as exc:

@@ -22,11 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CONST
 from .coupling import SpectralDensity, spectral_density
-from .model import ThermalEnv
+from .model import CONST, ThermalEnv, uniform_times
 from .quadrature import _TRUNC_SIGMA, QuadratureConfig, integrate
-from .runtime import csv_text, fmt_float, uniform_times
 from .specfun import _sin_sq
 
 _EXP_CFG = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-10)
@@ -187,9 +185,3 @@ def decoherence_curve(sd: SpectralDensity, env: ThermalEnv, t_max: float,
     times = uniform_times(t_max, points)
     return DecoherenceCurve(times_s=times, ratio=_ratios(sd, env, times),
                             plateau=asymptotic_coherence(sd, env))
-
-
-def curve_csv_text(curve: DecoherenceCurve) -> str:
-    return csv_text(["t_s", "coherence_ratio"],
-                    ((fmt_float(t), fmt_float(r))
-                     for t, r in zip(curve.times_s, curve.ratio)))

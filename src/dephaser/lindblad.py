@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST
-from .runtime import csv_text, fmt_float, uniform_times
+from .model import CONST, uniform_times
 
 _PSD_TOL = 1e-12
 
@@ -116,17 +115,24 @@ def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
 
     Only rho_01 moves, d rho_01/dt = L01 rho_01, so it alone is integrated
     and rho00 is copied. With the default 10^4 steps the result matches
-    evolve_analytic to better than 1e-8 for gamma t <= 10. A step
-    |L01| t/steps outside RK4's stability region lets |rho_01| grow; when it
-    leaves no density matrix, ValueError says the steps are too few. With
-    return_error the integration is repeated at half resolution, and the
-    Richardson estimate |rho_01 - rho_01(half)|/15 comes too: (state, estimate).
+    evolve_analytic to better than 1e-8 for gamma t <= 10. A step z =
+    L01 t/steps outside RK4's stability region, where the amplification
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(z)| > 1, would let
+    |rho_01| grow; before any step is taken, such a step raises ValueError
+    saying the steps are too few. With return_error the integration is
+    repeated at half resolution, and the Richardson estimate
+    |rho_01 - rho_01(half)|/15 comes too: (state, estimate).
     """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise ValueError("steps must be an integer >= 1")
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("t must be finite and >= 0")
     lam = _coherence_rate(p)
+    z = lam * t / steps
+    if abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))) > 1.0:
+        raise ValueError(
+            f"too few steps ({steps}): |L01| t/steps = {abs(z):.3g} "
+            f"is outside RK4's stability region")
 
     def run(n: int) -> complex:
         c = rho0.rho01
@@ -140,13 +146,7 @@ def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
         return c
 
     final = run(steps)
-    try:
-        state = DensityMatrix2(rho00=rho0.rho00, rho01=final)
-    except ValueError as exc:
-        raise ValueError(
-            f"too few steps ({steps}): |L01| t/steps = {abs(lam) * t / steps:.3g} "
-            f"is outside RK4's stability region, and the result is no density "
-            f"matrix ({exc})") from exc
+    state = DensityMatrix2(rho00=rho0.rho00, rho01=final)
     if not return_error:
         return state
     coarse = rho0.rho01 if steps == 1 else run(steps // 2)
@@ -188,12 +188,3 @@ def trajectory(rho0: DensityMatrix2, p: LindbladParams, t_max: float,
         rho00=np.full(times.shape, rho0.rho00),
         rho01=rho0.rho01 * factor,
     )
-
-
-def trajectory_csv_text(traj: Trajectory2) -> str:
-    rows = []
-    for t, p0, p1, c in zip(traj.times_s, traj.rho00, traj.rho11, traj.rho01):
-        rows.append([fmt_float(t), fmt_float(p0), fmt_float(p1),
-                     fmt_float(c.real), fmt_float(c.imag), fmt_float(abs(c))])
-    return csv_text(["t_s", "rho00", "rho11", "re_rho01", "im_rho01",
-                     "abs_rho01"], rows)

@@ -1,4 +1,5 @@
-"""Model parameters: material constants, dot geometry, thermal environment.
+"""Model parameters: physical and material constants, dot geometry, thermal
+environment, and the uniform time grid of curves and trajectories.
 
 Everything downstream consumes the dimensionless bundle produced by
 ``derived_scales``, so unit handling is concentrated here. All inputs are SI.
@@ -8,7 +9,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .constants import CONST
+import numpy as np
+
+
+@dataclass(frozen=True)
+class PhysicalConstants:
+    """CODATA values (SI), compiled in so results are bit-reproducible.
+    Not user-configurable."""
+
+    hbar: float = 1.054571817e-34  # J s
+    k_B: float = 1.380649e-23  # J / K
+    e_charge: float = 1.602176634e-19  # C
+    eps0: float = 8.8541878128e-12  # F / m
+
+
+CONST = PhysicalConstants()
 
 
 class MaterialFileError(Exception):
@@ -166,3 +181,17 @@ def load_material(path) -> MaterialParams:
         return MaterialParams(**overrides)
     except ValueError as exc:
         raise MaterialFileError(f"{path}: {exc}") from None
+
+
+def uniform_times(t_max: float, points: int) -> np.ndarray:
+    """Uniform grid of points times over [0, t_max].
+
+    t_max = 0 or a single point gives the one sample t = 0.
+    """
+    if points < 1:
+        raise ValueError("points must be >= 1")
+    if not math.isfinite(t_max) or t_max < 0.0:
+        raise ValueError("t_max must be finite and >= 0")
+    if t_max == 0.0 or points == 1:
+        return np.array([0.0])
+    return t_max * np.arange(points) / (points - 1)

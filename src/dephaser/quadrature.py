@@ -41,14 +41,11 @@ class NonFiniteSample(Exception):
 class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
     panel_hint: Optional[float] = None  # initial panel width for oscillatory integrands
 
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
         if self.panel_hint is not None and not self.panel_hint > 0:
             raise ValueError("panel_hint must be positive")
 
@@ -81,6 +78,8 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[1:14:2] = np.concatenate([_WG[:3], [_WG[3]], _WG[2::-1]])
 
 _EPS50 = 50.0 * np.finfo(float).eps
+# bisections one pass may make before it gives up with NonConvergence
+_MAX_SUBDIVISIONS = 2000
 _MAX_SEED_PANELS = 200_000
 _BISECT_BATCH = 64
 # Panels go to the integrand in chunks whose (m, nodes) result holds at
@@ -117,7 +116,7 @@ def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
     bad = ~np.isfinite(y)
     if bad.any():
         where = flat[bad.reshape(rows, -1).any(axis=0)][0]
-        raise NonFiniteSample(f"integrand returned a non-finite value at x={where!r}")
+        raise NonFiniteSample(f"integrand returned a non-finite value at x={float(where)!r}")
     y = y.reshape((rows,) + nodes.shape)
     resk = half * (y * _WK_FULL).sum(axis=-1)
     resg = half * (y * _WG_FULL).sum(axis=-1)
@@ -210,7 +209,7 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig) -> tuple:
         if weight is None:
             weight = (tol.max() / tol)[:, None]
             priority = (errs * weight).max(axis=0)
-        pick = _worst_panels(priority[:n], min(_BISECT_BATCH, cfg.max_subdivisions - splits))
+        pick = _worst_panels(priority[:n], min(_BISECT_BATCH, _MAX_SUBDIVISIONS - splits))
         if not pick.size:
             worst = int(np.argmax(total_err / tol))
             where = f" in component {worst} of {total_err.size}" if shape else ""

@@ -19,12 +19,14 @@ fifth-moment weight holds less than 1e-19 of its total:
 
 Cross-agreement of the three is the package's main correctness argument;
 ``rate_validate`` runs it on demand. A RateResult stores gamma and derives
-T2 from it; a ValidationReport stores the relative differences and the
-Monte Carlo allowance and derives its verdicts from them.
+T2 from it; a ValidationReport stores the three RateResults and derives
+the relative differences, the Monte Carlo allowance and its verdicts
+from them.
 """
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,11 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CONST
-from .model import (DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv,
+from .model import (CONST, DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv,
                     coupling_scale, derived_scales)
 from .quadrature import NonConvergence, QuadratureConfig, integrate, integrate_nested
-from .runtime import worker_count
 from .specfun import (_MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand, _sin_sq,
                       sinc_deficit)
 
@@ -416,6 +416,27 @@ def _mc_block(seed: int, lo: int, hi: int, table: tuple, x_per_k: float,
     return _merge_moments(parts)
 
 
+def worker_count() -> int:
+    """Thread count from DEPHASER_THREADS; 0 or unset means all cores this
+    process may use (its CPU affinity where the platform reports one).
+
+    Results never depend on this value, only wall time does: work items
+    are mapped in deterministic order and reduced sequentially.
+    """
+    raw = os.environ.get("DEPHASER_THREADS", "0").strip()
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"DEPHASER_THREADS must be an integer, got {raw!r}") from None
+    if n < 0:
+        raise ValueError("DEPHASER_THREADS must be >= 0")
+    if n == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    return n
+
+
 def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
                      env: ThermalEnv, samples: int = 10**7,
                      seed: int = 12345) -> RateResult:
@@ -499,15 +520,29 @@ def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Cross-route agreement report for one parameter point. The verdicts
-    compare rel_diff_double with 1 % and rel_diff_mc with mc_allowance_rel."""
+    """Cross-route agreement report for one parameter point. It stores the
+    three results and derives the rest: the verdicts compare rel_diff_double
+    with 1 % and rel_diff_mc with mc_allowance_rel."""
 
     closed_form: RateResult
     double_integral: RateResult
     monte_carlo: RateResult
-    rel_diff_double: float
-    rel_diff_mc: float
-    mc_allowance_rel: float
+
+    @property
+    def rel_diff_double(self) -> float:
+        ref = self.closed_form.gamma_per_s
+        return abs(ref - self.double_integral.gamma_per_s) / ref
+
+    @property
+    def rel_diff_mc(self) -> float:
+        ref = self.closed_form.gamma_per_s
+        return abs(ref - self.monte_carlo.gamma_per_s) / ref
+
+    @property
+    def mc_allowance_rel(self) -> float:
+        """max(5 %, 3 Monte Carlo standard errors), relative to closed."""
+        return max(0.05, 3.0 * self.monte_carlo.mc_std_error_per_s
+                   / self.closed_form.gamma_per_s)
 
     @property
     def double_passed(self) -> bool:
@@ -553,18 +588,10 @@ def rate_validate(material: MaterialParams, geom: DotGeometry, env: ThermalEnv,
     """
     if env.T_K <= 0.0 or geom.separation_D_m <= 0.0:
         raise ValueError("rate_validate requires T_K > 0 and separation_D_m > 0")
-    r_closed = rate_closed_form(material, geom, env)
-    r_double = rate_double_integral(material, geom, env)
-    r_mc = rate_monte_carlo(material, geom, env, samples=samples, seed=seed)
-
-    ref = r_closed.gamma_per_s
     report = ValidationReport(
-        closed_form=r_closed,
-        double_integral=r_double,
-        monte_carlo=r_mc,
-        rel_diff_double=abs(ref - r_double.gamma_per_s) / ref,
-        rel_diff_mc=abs(ref - r_mc.gamma_per_s) / ref,
-        mc_allowance_rel=max(0.05, 3.0 * r_mc.mc_std_error_per_s / ref),
+        closed_form=rate_closed_form(material, geom, env),
+        double_integral=rate_double_integral(material, geom, env),
+        monte_carlo=rate_monte_carlo(material, geom, env, samples=samples, seed=seed),
     )
     if not report.passed:
         raise ValidationFailed(report)

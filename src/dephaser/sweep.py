@@ -20,13 +20,9 @@ from .rates import METHOD_CLOSED, METHODS, RateResult, compute_rate
 # Bound here only because perfbench/tests/test_perfbench.py checks that its
 # tracer restores sweep.rate_closed_form; points go through compute_rate.
 from .rates import rate_closed_form  # noqa: F401
-from .runtime import csv_text, fmt_float
 
 AXIS_TEMPERATURE = "temperature"
 AXIS_DISTANCE = "distance"
-
-SWEEP_CSV_HEADER = ("axis", "axis_value", "gamma_per_s", "t2_s", "method",
-                    "error_estimate")
 
 
 @dataclass(frozen=True)
@@ -126,20 +122,6 @@ def run_sweep(spec: SweepSpec) -> list:
                           result=result)
 
     return [one(value) for value in spec.grid()]
-
-
-def sweep_csv_text(points: Sequence[SweepPoint], axis: str) -> str:
-    """Render sweep rows as CSV text (header included, \\n line ends)."""
-    rows = []
-    for p in points:
-        if p.result is not None:
-            gamma, t2, err = (p.result.gamma_per_s, p.result.t2_s,
-                              p.result.error_estimate_per_s)
-        else:
-            gamma = t2 = err = math.nan
-        rows.append([axis, fmt_float(p.axis_value), fmt_float(gamma),
-                     fmt_float(t2), p.method, fmt_float(err)])
-    return csv_text(SWEEP_CSV_HEADER, rows)
 
 
 @dataclass(frozen=True)

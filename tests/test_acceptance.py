@@ -28,8 +28,7 @@ from dephaser.lindblad import (
     evolve_analytic,
     evolve_numeric,
 )
-from dephaser.constants import CONST
-from dephaser.model import GAAS, DotGeometry, ThermalEnv
+from dephaser.model import CONST, GAAS, DotGeometry, ThermalEnv
 from dephaser.rates import (
     rate_closed_form,
     rate_double_integral,

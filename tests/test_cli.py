@@ -12,8 +12,9 @@ import sys
 
 import pytest
 
+import dephaser
 import dephaser.rates as rates_module
-from dephaser.cli import _build_parser, main
+from dephaser.cli import _build_parser, fmt_float, loglog_svg_text, main, write_text
 from dephaser.harmonic import asymptotic_coherence
 from dephaser.coupling import SpectralDensity
 from dephaser.model import GAAS, DotGeometry, ThermalEnv
@@ -260,6 +261,18 @@ def test_curve_bad_table_exits_three(tmp_path, capsys):
     assert "two columns" in err
 
 
+# J = A w^400 overflows to inf inside the spectrum; numpy warns, then the
+# engine raises NonFiniteSample
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_curve_non_finite_integrand_exits_two(capsys):
+    code, _, err = _run(capsys, [
+        "curve", "--spectral", "power-law-gaussian-cutoff", "--A", "1", "--n", "400",
+        "--omega-c", "1e13", "--T", "1", "--tmax", "1e-12", "--points", "3",
+    ])
+    assert code == 2
+    assert err.endswith("error: integrand returned a non-finite value at x=13151276736.878418\n")
+
+
 def test_evolve_reaches_inverse_e(capsys):
     code, out, _ = _run(capsys, [
         "evolve", "--gamma", "1e9", "--rho01", "0.5,0",
@@ -374,3 +387,56 @@ def test_cli_flag_surface():
             seen[tuple(action.option_strings)] = (action.required,
                                                   action.default, choices)
         assert seen == expected, command
+
+
+X = [1e-9, 1e-8, 1e-7]
+Y = [1e9, 3e10, 2e11]
+
+
+def test_svg_structure():
+    text = loglog_svg_text(X, Y, x_label="D (m)", y_label="gamma (1/s)")
+    assert text.startswith("<svg ")
+    assert text.endswith("\n")
+    assert "<polyline" in text
+    assert "D (m)" in text and "gamma (1/s)" in text
+
+
+def test_svg_bytes_are_deterministic():
+    kwargs = dict(x_label="T (K)", y_label="gamma (1/s)")
+    assert loglog_svg_text(X, Y, **kwargs) == loglog_svg_text(X, Y, **kwargs)
+
+
+def test_svg_drops_unplottable_points():
+    text = loglog_svg_text([1e-9, 1e-8, 1e-7], [1e9, 0.0, 1e11],
+                           x_label="x", y_label="y")
+    # the zero-rate point cannot appear on a log axis
+    assert text.count(",") >= 1
+    with pytest.raises(ValueError, match="no positive finite points"):
+        loglog_svg_text([1.0], [0.0], x_label="x", y_label="y")
+    with pytest.raises(ValueError):
+        loglog_svg_text([math.nan], [1.0], x_label="x", y_label="y")
+
+
+def test_svg_file_matches_text(tmp_path):
+    path = tmp_path / "chart.svg"
+    text = loglog_svg_text(X, Y, x_label="x", y_label="y")
+    write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_fmt_float_round_trips():
+    for v in (0.0, 1.0, 1040671074013.2725, 9.609184159828452e-13):
+        assert float(fmt_float(v)) == v
+    assert fmt_float(math.inf) == "inf"
+    assert fmt_float(-math.inf) == "-inf"
+
+
+def test_package_imports_no_test_only_dependency():
+    # numpy is the one runtime dependency; scipy, mpmath and hypothesis are
+    # installed for the tests only, so a fresh interpreter must not load them
+    src = os.path.dirname(os.path.dirname(dephaser.__file__))
+    code = ("import sys, dephaser, dephaser.cli; "
+            "print(sorted({'scipy', 'mpmath', 'hypothesis'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

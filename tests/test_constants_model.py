@@ -5,8 +5,8 @@ import math
 import pytest
 from scipy import constants as sc
 
-from dephaser.constants import CONST
 from dephaser.model import (
+    CONST,
     GAAS,
     DotGeometry,
     MaterialFileError,

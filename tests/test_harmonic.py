@@ -13,17 +13,15 @@ import pytest
 from scipy.integrate import quad
 
 import dephaser.harmonic as harmonic
-from dephaser.constants import CONST
+from dephaser.cli import curve_csv_text, write_text
 from dephaser.coupling import SpectralDensity, spectral_density
 from dephaser.harmonic import (
     DecoherenceCurve,
     asymptotic_coherence,
     coherence_ratio,
-    curve_csv_text,
     decoherence_curve,
 )
-from dephaser.model import ThermalEnv
-from dephaser.runtime import write_text
+from dephaser.model import CONST, ThermalEnv
 
 # quad oracle: amplitude 1e-82, exponent 2, Gaussian cutoff 1e13 rad/s,
 # T = 77 K (thermal weight coth(hbar w/(k_B T))), t = 0.5 ps

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dephaser.constants import CONST
+from dephaser.cli import trajectory_csv_text, write_text
 from dephaser.lindblad import (
     MARKOV_RATE_LIMIT_PER_S,
     DensityMatrix2,
@@ -19,9 +19,8 @@ from dephaser.lindblad import (
     evolve_analytic,
     evolve_numeric,
     trajectory,
-    trajectory_csv_text,
 )
-from dephaser.runtime import write_text
+from dephaser.model import CONST
 
 BALANCED = DensityMatrix2(0.5, 0.5)
 TILTED = DensityMatrix2(0.6, 0.3 + 0.2j)
@@ -121,15 +120,32 @@ def test_scalar_rk4_matches_the_2x2_reference():
 
 
 @pytest.mark.parametrize(
-    "gamma, omega, t, steps, per_step",
-    [(1e9, 0.0, 5e-9, 1, "5"),             # |rho01| grows 13.7-fold in one step
-     (1e9, 2.35e10, 2e-9, 10, "4.7")],     # gamma h = 0.2, omega h = 4.7
+    "gamma, omega, t, steps, per_step, rho01",
+    [(1e9, 0.0, 5e-9, 1, "5", 0.4),            # |rho01| grows 13.7-fold in one step
+     (1e9, 2.35e10, 2e-9, 10, "4.7", 0.4),     # gamma h = 0.2, omega h = 4.7
+     # the grown |rho01| = 0.137 is still a density matrix; exact is 6.7e-5
+     (1e9, 0.0, 5e-9, 1, "5", 0.01)],
+    ids=["1000000000.0-0.0-5e-09-1-5", "1000000000.0-23500000000.0-2e-09-10-4.7",
+         "1000000000.0-0.0-5e-09-1-5-small-rho01"],
 )
-def test_unstable_step_says_the_steps_are_too_few(gamma, omega, t, steps, per_step):
+def test_unstable_step_says_the_steps_are_too_few(gamma, omega, t, steps, per_step, rho01):
     p = LindbladParams(gamma_per_s=gamma, level_splitting_E_J=omega * CONST.hbar)
     with pytest.raises(ValueError, match=rf"^too few steps \({steps}\): "
                                          rf"\|L01\| t/steps = {per_step}"):
-        evolve_numeric(DensityMatrix2(0.5, 0.4), p, t, steps=steps)
+        evolve_numeric(DensityMatrix2(0.5, rho01), p, t, steps=steps)
+
+
+def test_step_limit_is_rk4_stability_region_not_step_size():
+    # |z| = 2.7 is inside RK4's region on the negative real axis (|R| = 0.88)
+    # and outside it at 120 degrees (|R| = 1.10)
+    z = 2.7 * cmath.exp(2j * math.pi / 3)
+    inside = LindbladParams(gamma_per_s=2.7e9)
+    outside = LindbladParams(gamma_per_s=-z.real * 1e9,
+                             level_splitting_E_J=z.imag * 1e9 * CONST.hbar)
+    small = DensityMatrix2(0.5, 0.01)
+    evolve_numeric(small, inside, 1e-9, steps=1)
+    with pytest.raises(ValueError, match="too few steps"):
+        evolve_numeric(small, outside, 1e-9, steps=1)
 
 
 def test_numeric_conserves_trace_and_populations():

@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import sici
 
+import dephaser.quadrature as quadrature_module
 from dephaser.quadrature import (
     _BLOCK_ELEMS,
     _EPS50,
@@ -55,10 +56,11 @@ def test_gaussian_against_erf():
     assert res.value == pytest.approx(math.sqrt(math.pi) * math.erf(6.0), rel=1e-13)
 
 
-def test_inverse_sqrt_edge_singularity():
+def test_inverse_sqrt_edge_singularity(monkeypatch):
     # open rule: the x = 0 endpoint is never sampled; the algebraic
     # singularity converges but needs a large bisection budget
-    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=20000)
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 20000)
+    cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
     res = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, cfg)
     assert res.value == pytest.approx(2.0, rel=1e-8)
 
@@ -201,17 +203,18 @@ def test_non_finite_sample_reports_location():
         integrate(f, 0.0, 1.0)
 
 
-def test_non_convergence_reports_budget():
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=2)
+def test_non_convergence_reports_budget(monkeypatch):
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 2)
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-15)
     with pytest.raises(NonConvergence, match="subdivisions") as info:
         integrate(lambda x: np.sin(700.0 * x) / (1e-3 + x), 0.0, 1.0, cfg)
     assert "seed panels" not in str(info.value)
 
 
-def test_non_convergence_reports_the_seed_panel_cap():
+def test_non_convergence_reports_the_seed_panel_cap(monkeypatch):
     # panel_hint asks for 10^6 seed panels; the engine uses _MAX_SEED_PANELS
-    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=1,
-                           panel_hint=1e-6)
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 1)
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-15, panel_hint=1e-6)
     with pytest.raises(NonConvergence) as info:
         integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, cfg)
     assert str(info.value).endswith(
@@ -230,8 +233,6 @@ def test_limits_validation():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=0)
     with pytest.raises(ValueError):
         QuadratureConfig(panel_hint=-1.0)
 
@@ -373,8 +374,10 @@ def test_nested_error_estimate_covers_the_true_error(weight, inner, exact):
     assert abs(res.value - exact) <= res.abs_error_estimate <= 1e-3 * abs(exact)
 
 
-def test_nested_inner_nonconvergence_names_the_table_range():
-    inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-12, max_subdivisions=1)
+def test_nested_inner_nonconvergence_names_the_table_range(monkeypatch):
+    # a budget of one subdivision stops the table pass; the outer pass never starts
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 1)
+    inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-12)
     with pytest.raises(NonConvergence) as info:
         integrate_nested(lambda x: 1.0, lambda t: np.cos(200.0 * t), 0.0, 1.0,
                          lambda x: 1.0 + x, OUTER_CFG, inner_cfg)
@@ -424,7 +427,7 @@ def _reference_panels(f, lefts, rights):
     return resk, np.maximum(scaled, _EPS50 * resabs)
 
 
-def _reference_integrate(f, a, b, cfg):
+def _reference_integrate(f, a, b, cfg, budget):
     """Scalar adaptive loop with a dict of panels and a heap of errors."""
     n0 = 1
     if cfg.panel_hint is not None and b > a:
@@ -438,7 +441,7 @@ def _reference_integrate(f, a, b, cfg):
     evaluations, splits, next_id = 15 * n0, 0, n0
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total_val)):
         batch = []
-        while heap and len(batch) < 64 and splits + len(batch) < cfg.max_subdivisions:
+        while heap and len(batch) < 64 and splits + len(batch) < budget:
             negerr, pid = heapq.heappop(heap)
             if -negerr <= 0.0:
                 break
@@ -474,12 +477,12 @@ def _reference_integrate(f, a, b, cfg):
      lambda x: np.exp(-x * x) * sinc_deficit(50.0 * x) / x],
     ids=["kink", "peak", "sqrt", "sinc"],
 )
-def test_scalar_results_match_reference_loop(f, rel_tol, budget, hint):
+def test_scalar_results_match_reference_loop(f, rel_tol, budget, hint, monkeypatch):
     # the batched engine must reproduce the scalar loop bit for bit: same
     # panels, same order of additions, same stopping point
-    cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=rel_tol, max_subdivisions=budget,
-                           panel_hint=hint)
-    expected = _reference_integrate(f, 0.0, 2.0, cfg)
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", budget)
+    cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=rel_tol, panel_hint=hint)
+    expected = _reference_integrate(f, 0.0, 2.0, cfg, budget)
     if expected[0] == "no convergence":
         with pytest.raises(NonConvergence, match=f"after {expected[2]} subdivisions"):
             integrate(f, 0.0, 2.0, cfg)

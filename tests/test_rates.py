@@ -16,6 +16,7 @@ about 1e-6 relative.
 """
 
 import math
+import os
 import warnings
 
 import mpmath
@@ -26,8 +27,7 @@ from hypothesis import strategies as st
 
 import dephaser.quadrature as quadrature_module
 import dephaser.rates as rates_module
-from dephaser.constants import CONST
-from dephaser.model import GAAS, DotGeometry, MaterialParams, ThermalEnv, derived_scales
+from dephaser.model import CONST, GAAS, DotGeometry, MaterialParams, ThermalEnv, derived_scales
 from dephaser.quadrature import NonConvergence
 from dephaser.rates import (
     METHOD_CLOSED,
@@ -43,6 +43,7 @@ from dephaser.rates import (
     rate_double_integral,
     rate_monte_carlo,
     rate_validate,
+    worker_count,
 )
 from dephaser.specfun import (_MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand,
                               bose_fifth_moment)
@@ -639,16 +640,21 @@ def test_validation_catches_inconsistent_routes(monkeypatch):
 
 
 def test_validation_verdicts_follow_the_differences():
-    r = RateResult(gamma_per_s=1.0, method=METHOD_CLOSED, error_estimate_per_s=0.0)
+    def report(double, mc, mc_se=0.0):
+        return ValidationReport(RateResult(100.0, METHOD_CLOSED, 0.0),
+                                RateResult(double, METHOD_DOUBLE, 0.0),
+                                RateResult(mc, METHOD_MC, mc_se))
 
-    def report(diff_double, diff_mc):
-        return ValidationReport(r, r, r, rel_diff_double=diff_double,
-                                rel_diff_mc=diff_mc, mc_allowance_rel=0.05)
-
-    assert report(0.01, 0.05).passed
-    assert not report(0.0101, 0.0).double_passed
-    assert not report(0.0, 0.0501).mc_passed
-    assert not report(0.0, 0.0501).passed
+    edge = report(101.0, 105.0)
+    assert (edge.rel_diff_double, edge.rel_diff_mc, edge.mc_allowance_rel) == (0.01, 0.05, 0.05)
+    assert edge.passed
+    assert not report(101.01, 100.0).double_passed
+    assert not report(100.0, 105.01).mc_passed
+    assert not report(100.0, 105.01).passed
+    # three standard errors above 5 % widen the allowance
+    wide = report(100.0, 105.01, mc_se=2.0)
+    assert wide.mc_allowance_rel == 0.06
+    assert wide.passed
 
 
 def test_validation_rejects_degenerate_points():
@@ -710,3 +716,29 @@ def test_compute_rate_calls_the_module_binding(monkeypatch):
     stub = RateResult(gamma_per_s=2.0, method=METHOD_CLOSED, error_estimate_per_s=0.0)
     monkeypatch.setattr(rates_module, "rate_closed_form", lambda m, g, e: stub)
     assert compute_rate(METHOD_CLOSED, GAAS, GEOM, ThermalEnv(T_K=50.0)) is stub
+
+
+def test_worker_count_defaults_to_cores(monkeypatch):
+    monkeypatch.delenv("DEPHASER_THREADS", raising=False)
+    assert worker_count() >= 1
+    monkeypatch.setenv("DEPHASER_THREADS", "0")
+    assert worker_count() >= 1
+
+
+def test_worker_count_default_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("DEPHASER_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count() == 1
+
+
+def test_worker_count_explicit(monkeypatch):
+    monkeypatch.setenv("DEPHASER_THREADS", "3")
+    assert worker_count() == 3
+
+
+@pytest.mark.parametrize("bad", ["-1", "two", "1.5"])
+def test_worker_count_rejects_bad_values(monkeypatch, bad):
+    monkeypatch.setenv("DEPHASER_THREADS", bad)
+    with pytest.raises(ValueError):
+        worker_count()

@@ -1,5 +1,7 @@
-"""The README's fenced python blocks run as written, so they cannot go stale."""
+"""The README's fenced python blocks run as written, and every module it
+names imports, so they cannot go stale."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -13,3 +15,11 @@ def test_every_python_block_of_the_readme_runs(capsys):
     for code in blocks:
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     assert capsys.readouterr().out
+
+
+def test_every_module_the_readme_names_imports():
+    text = README.read_text(encoding="utf-8")
+    names = sorted(set(re.findall(r"\bdephaser\.([a-z_]+)\b", text)))
+    assert names
+    for name in names:
+        importlib.import_module(f"dephaser.{name}")

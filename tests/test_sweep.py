@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dephaser.rates as rates_module
+from dephaser.cli import sweep_csv_text
 from dephaser.quadrature import NonConvergence
 from dephaser.rates import METHOD_CLOSED, METHOD_MC
 from dephaser.sweep import (
@@ -18,7 +19,6 @@ from dephaser.sweep import (
     fit_log_law,
     fit_power_law,
     run_sweep,
-    sweep_csv_text,
 )
 
 NOISE_SEED = 330217
