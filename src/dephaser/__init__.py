@@ -13,17 +13,15 @@ from .coupling import (
     spectral_density,
 )
 from .harmonic import (
-    DecoherenceCurve,
-    asymptotic_coherence,
-    coherence_ratio,
-    decoherence_curve,
-)
-from .lindblad import (
     MARKOV_RATE_LIMIT_PER_S,
+    DecoherenceCurve,
     DensityMatrix2,
     LindbladParams,
     MarkovValidityWarning,
     Trajectory2,
+    asymptotic_coherence,
+    coherence_ratio,
+    decoherence_curve,
     evolve_analytic,
     evolve_numeric,
     trajectory,

@@ -7,9 +7,9 @@ units (kelvin, meters, joules, seconds). Flag values are checked by what they bu
 dataclasses (ThermalEnv, DotGeometry, SweepSpec, SpectralDensity,
 LindbladParams) and rate_validate. The dataclasses are built before any
 file is read, so a flag they reject exits 1 even when a file is bad too.
-Only --samples and --seed are checked here, because the closed and
-double routes never read them. Every command is deterministic for a
-fixed flag set and independent of DEPHASER_THREADS.
+--samples and --seed meet rates._check_sampling for every method, though
+the closed and double routes never read them. Every command is
+deterministic for a fixed flag set and independent of DEPHASER_THREADS.
 
 This module alone decides the output format: CSV cells are shortest
 round-trip floats with \n line ends, files are UTF-8 written with their
@@ -27,16 +27,18 @@ from dataclasses import replace
 from typing import Sequence
 
 from .coupling import SPECTRAL_FORMS, SpectralDensity, load_spectral_table
-from .harmonic import DecoherenceCurve, decoherence_curve
-from .lindblad import DensityMatrix2, LindbladParams, Trajectory2, trajectory
+from .harmonic import (DecoherenceCurve, DensityMatrix2, LindbladParams, Trajectory2,
+                       decoherence_curve, trajectory)
 from .model import GAAS, DotGeometry, MaterialFileError, ThermalEnv, load_material
 from .quadrature import NonConvergence, NonFiniteSample
 from .rates import (
-    _MIN_MC_SAMPLES,
+    _MC_SAMPLES,
+    _MC_SEED,
     METHOD_CLOSED,
     METHOD_DOUBLE,
     METHOD_MC,
     ValidationFailed,
+    _check_sampling,
     compute_rate,
     rate_validate,
 )
@@ -193,17 +195,10 @@ def _load_material_arg(args):
     return load_material(args.material)
 
 
-def _check_sampling(parser, args) -> None:
-    if args.samples < _MIN_MC_SAMPLES:
-        parser.error(f"--samples must be >= {_MIN_MC_SAMPLES}")
-    if args.seed < 0:
-        parser.error("--seed must be >= 0")
-
-
 def _cmd_rate(parser, args) -> int:
     env = ThermalEnv(T_K=args.T)
     geom = DotGeometry(width_L_m=args.L, separation_D_m=args.D)
-    _check_sampling(parser, args)
+    _check_sampling(args.samples, args.seed)
     material = _load_material_arg(args)
     result = compute_rate(_METHOD_BY_TOKEN[args.method], material, geom, env,
                           samples=args.samples, seed=args.seed)
@@ -227,7 +222,6 @@ def _cmd_sweep(parser, args) -> int:
         samples=args.samples,
         seed=args.seed,
     )
-    _check_sampling(parser, args)
     points = run_sweep(replace(spec, material=_load_material_arg(args)))
     _emit(sweep_csv_text(points, axis), args.out)
     for p in points:
@@ -245,7 +239,7 @@ def _cmd_sweep(parser, args) -> int:
 def _cmd_validate(parser, args) -> int:
     env = ThermalEnv(T_K=args.T)
     geom = DotGeometry(width_L_m=args.L, separation_D_m=args.D)
-    _check_sampling(parser, args)
+    _check_sampling(args.samples, args.seed)
     material = _load_material_arg(args)
     report = rate_validate(material, geom, env, samples=args.samples,
                            seed=args.seed)
@@ -307,8 +301,8 @@ def _build_parser() -> _Parser:
     point.add_argument("--D", type=float, required=True, metavar="METERS")
     sampling = argparse.ArgumentParser(add_help=False)
     sampling.add_argument("--material", metavar="FILE")
-    sampling.add_argument("--seed", type=int, default=12345)
-    sampling.add_argument("--samples", type=int, default=10**7)
+    sampling.add_argument("--seed", type=int, default=_MC_SEED)
+    sampling.add_argument("--samples", type=int, default=_MC_SAMPLES)
     routed = argparse.ArgumentParser(add_help=False)
     routed.add_argument("--method", choices=sorted(_METHOD_BY_TOKEN),
                         default="closed")

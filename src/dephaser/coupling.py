@@ -72,12 +72,14 @@ def spectral_density(sd: SpectralDensity, omega):
         out = np.interp(omega, sd.table_omega_rad_per_s, sd.table_J,
                         left=0.0, right=0.0)
     else:
-        scaled = omega / sd.cutoff_rad_per_s
-        if sd.form == "power-law-gaussian-cutoff":
-            cut = np.exp(-scaled * scaled)
-        else:
-            cut = np.exp(-scaled)
-        out = sd.amplitude * omega**sd.exponent * cut
+        # an overflow's inf or nan reaches the engine, which raises NonFiniteSample
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = omega / sd.cutoff_rad_per_s
+            if sd.form == "power-law-gaussian-cutoff":
+                cut = np.exp(-scaled * scaled)
+            else:
+                cut = np.exp(-scaled)
+            out = sd.amplitude * omega**sd.exponent * cut
     return float(out) if out.ndim == 0 else out
 
 

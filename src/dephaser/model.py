@@ -1,5 +1,5 @@
-"""Model parameters: physical and material constants, dot geometry, thermal
-environment, and the uniform time grid of curves and trajectories.
+"""Model parameters: physical and material constants, dot geometry and
+thermal environment.
 
 Everything downstream consumes the dimensionless bundle produced by
 ``derived_scales``, so unit handling is concentrated here. All inputs are SI.
@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -181,17 +179,3 @@ def load_material(path) -> MaterialParams:
         return MaterialParams(**overrides)
     except ValueError as exc:
         raise MaterialFileError(f"{path}: {exc}") from None
-
-
-def uniform_times(t_max: float, points: int) -> np.ndarray:
-    """Uniform grid of points times over [0, t_max].
-
-    t_max = 0 or a single point gives the one sample t = 0.
-    """
-    if points < 1:
-        raise ValueError("points must be >= 1")
-    if not math.isfinite(t_max) or t_max < 0.0:
-        raise ValueError("t_max must be finite and >= 0")
-    if t_max == 0.0 or points == 1:
-        return np.array([0.0])
-    return t_max * np.arange(points) / (points - 1)

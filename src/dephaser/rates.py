@@ -52,6 +52,9 @@ _FORM_FACTOR_CUT = 8.5
 _SPLIT_SWITCH = 1000.0
 
 _MIN_MC_SAMPLES = 10**4
+# the samples and seed wherever a Monte Carlo caller gives none
+_MC_SAMPLES = 10**7
+_MC_SEED = 12345
 _MC_BLOCK = 1 << 20
 # a block is drawn and evaluated this many samples at a time, in buffers
 # of 256 kB reused from chunk to chunk, so its working set stays near the
@@ -437,9 +440,19 @@ def worker_count() -> int:
     return n
 
 
+def _check_sampling(samples: int, seed: int) -> None:
+    """The Monte Carlo input rule of rate_monte_carlo, SweepSpec and the CLI."""
+    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
+        raise ValueError("samples must be an integer")
+    if samples < _MIN_MC_SAMPLES:
+        raise ValueError(f"samples must be >= {_MIN_MC_SAMPLES}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+
+
 def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
-                     env: ThermalEnv, samples: int = 10**7,
-                     seed: int = 12345) -> RateResult:
+                     env: ThermalEnv, samples: int = _MC_SAMPLES,
+                     seed: int = _MC_SEED) -> RateResult:
     """Dephasing rate by importance-sampled momentum-space integration.
 
     Samples the on-shell two-mode integral directly: the radial magnitude
@@ -457,12 +470,7 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     run to run and for any DEPHASER_THREADS on one numpy build and CPU.
     Across builds or CPUs, values agree to about 1e-14 relative.
     """
-    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool):
-        raise ValueError("samples must be an integer")
-    if samples < _MIN_MC_SAMPLES:
-        raise ValueError(f"samples must be >= {_MIN_MC_SAMPLES}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    _check_sampling(samples, seed)
     samples = int(samples)
     seed = int(seed)
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
@@ -500,8 +508,8 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
 
 
 def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,
-                 env: ThermalEnv, *, samples: int = 10**7,
-                 seed: int = 12345) -> RateResult:
+                 env: ThermalEnv, *, samples: int = _MC_SAMPLES,
+                 seed: int = _MC_SEED) -> RateResult:
     """Dephasing rate by the route named method, one of METHODS.
 
     samples and seed apply to the Monte Carlo route only. The routes are
@@ -579,7 +587,7 @@ class ValidationReport:
 
 
 def rate_validate(material: MaterialParams, geom: DotGeometry, env: ThermalEnv,
-                  *, samples: int = 10**7, seed: int = 12345) -> ValidationReport:
+                  *, samples: int = _MC_SAMPLES, seed: int = _MC_SEED) -> ValidationReport:
     """Run all three routes and assert pairwise agreement.
 
     Closed form against the double integral must agree to 1% relative;

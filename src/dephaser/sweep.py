@@ -16,7 +16,8 @@ import numpy as np
 
 from .model import GAAS, DotGeometry, MaterialParams, ThermalEnv
 from .quadrature import NonConvergence
-from .rates import METHOD_CLOSED, METHODS, RateResult, compute_rate
+from .rates import (_MC_SAMPLES, _MC_SEED, METHOD_CLOSED, METHODS, RateResult,
+                    _check_sampling, compute_rate)
 # Bound here only because perfbench/tests/test_perfbench.py checks that its
 # tracer restores sweep.rate_closed_form; points go through compute_rate.
 from .rates import rate_closed_form  # noqa: F401
@@ -44,8 +45,8 @@ class SweepSpec:
     width_L_m: float = 4e-9
     fixed_D_m: Optional[float] = None
     fixed_T_K: Optional[float] = None
-    samples: int = 10**7
-    seed: int = 12345
+    samples: int = _MC_SAMPLES
+    seed: int = _MC_SEED
 
     def __post_init__(self):
         if self.axis not in (AXIS_TEMPERATURE, AXIS_DISTANCE):
@@ -72,6 +73,7 @@ class SweepSpec:
             raise ValueError("distance axis requires fixed_T_K >= 0")
         # the width and the fixed value, checked by what run_sweep builds
         self._inputs(self.min_value)
+        _check_sampling(self.samples, self.seed)
 
     def _inputs(self, value: float) -> Tuple[DotGeometry, ThermalEnv]:
         """The geometry and environment of the grid point at value."""

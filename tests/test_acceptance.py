@@ -20,11 +20,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dephaser.harmonic import asymptotic_coherence, coherence_ratio
 from dephaser.coupling import SpectralDensity
-from dephaser.lindblad import (
+from dephaser.harmonic import (
     DensityMatrix2,
     LindbladParams,
+    asymptotic_coherence,
+    coherence_ratio,
     evolve_analytic,
     evolve_numeric,
 )

@@ -261,9 +261,6 @@ def test_curve_bad_table_exits_three(tmp_path, capsys):
     assert "two columns" in err
 
 
-# J = A w^400 overflows to inf inside the spectrum; numpy warns, then the
-# engine raises NonFiniteSample
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
 def test_curve_non_finite_integrand_exits_two(capsys):
     code, _, err = _run(capsys, [
         "curve", "--spectral", "power-law-gaussian-cutoff", "--A", "1", "--n", "400",

@@ -20,6 +20,7 @@ from dephaser.harmonic import (
     asymptotic_coherence,
     coherence_ratio,
     decoherence_curve,
+    uniform_times,
 )
 from dephaser.model import CONST, ThermalEnv
 
@@ -159,6 +160,25 @@ def test_curve_degenerate_grids():
         decoherence_curve(SD_QUADRATIC, COLD, 1e-12, 0)
     with pytest.raises(ValueError):
         decoherence_curve(SD_QUADRATIC, COLD, -1.0, 5)
+    with pytest.raises(ValueError, match="integer"):
+        decoherence_curve(SD_QUADRATIC, COLD, 1e-12, 2.5)
+
+
+@pytest.mark.parametrize(
+    "t_max, points, match",
+    [
+        (1e-12, 2.5, "integer"),
+        (1e-12, 3.0, "integer"),
+        (1e-12, True, "integer"),
+        (1e-12, 0, ">= 1"),
+        (-1e-12, 3, "t_max"),
+        (math.nan, 3, "t_max"),
+        (math.inf, 3, "t_max"),
+    ],
+)
+def test_uniform_times_rejects_bad_grids(t_max, points, match):
+    with pytest.raises(ValueError, match=match):
+        uniform_times(t_max, points)
 
 
 def test_curve_is_deterministic(monkeypatch):

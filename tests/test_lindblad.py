@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dephaser.cli import trajectory_csv_text, write_text
-from dephaser.lindblad import (
+from dephaser.harmonic import (
     MARKOV_RATE_LIMIT_PER_S,
     DensityMatrix2,
     LindbladParams,

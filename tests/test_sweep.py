@@ -138,6 +138,11 @@ def test_sweep_evaluates_every_point_on_the_calling_thread(monkeypatch):
         (dict(fixed_D_m=math.nan), "separation_D_m"),
         (dict(fixed_D_m=math.inf), "separation_D_m"),
         (dict(axis=AXIS_DISTANCE, fixed_T_K=math.nan), "T_K"),
+        (dict(method=METHOD_MC, fixed_D_m=1e-8, samples=5), "samples must be >= 10000"),
+        (dict(fixed_D_m=1e-8, samples=2.5e7), "samples must be an integer"),
+        (dict(fixed_D_m=1e-8, samples=True), "samples must be an integer"),
+        (dict(fixed_D_m=1e-8, seed=-1), "seed"),
+        (dict(fixed_D_m=1e-8, seed=1.5), "seed"),
     ],
 )
 def test_sweep_spec_validation(kwargs, match):
