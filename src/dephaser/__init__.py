@@ -54,7 +54,6 @@ from .rates import (
     METHOD_MC,
     CutoffValidityWarning,
     RateResult,
-    ValidationFailed,
     ValidationReport,
     rate_closed_form,
     rate_double_integral,

@@ -2,19 +2,21 @@
 
 Exit codes: 0 success, 1 usage or validation error, 2 numerical failure
 (non-convergent quadrature, a non-finite integrand or failed cross-route
-validation), 3 parameter or table file parse error. All flags take SI
-units (kelvin, meters, joules, seconds). Flag values are checked by what they build: the
-dataclasses (ThermalEnv, DotGeometry, SweepSpec, SpectralDensity,
-LindbladParams) and rate_validate. The dataclasses are built before any
-file is read, so a flag they reject exits 1 even when a file is bad too.
---samples and --seed meet rates._check_sampling for every method, though
-the closed and double routes never read them. Every command is
-deterministic for a fixed flag set and independent of DEPHASER_THREADS.
+validation), 3 parameter or table file parse error, or an output file
+that cannot be written. All flags take SI units (kelvin, meters, joules,
+seconds). Flag values are checked by what they build: the dataclasses
+(ThermalEnv, DotGeometry, SweepSpec, SpectralDensity, LindbladParams) and
+rate_validate. The dataclasses are built before any file is read, so a
+flag they reject exits 1 even when a file is bad too. --samples and
+--seed meet rates._check_sampling for every method, though the closed
+and double routes never read them. Every command is deterministic for a
+fixed flag set and independent of DEPHASER_THREADS.
 
 This module alone decides the output format: CSV cells are shortest
-round-trip floats with \n line ends, files are UTF-8 written with their
-line ends untranslated, and plots are SVG text with fixed 2-decimal
-coordinates, so identical data always yields identical bytes.
+round-trip floats with \n line ends, the validate report is text built
+here, files are UTF-8 written with their line ends untranslated, and
+plots are SVG text with fixed 2-decimal coordinates, so identical data
+always yields identical bytes.
 """
 from __future__ import annotations
 
@@ -32,12 +34,13 @@ from .harmonic import (DecoherenceCurve, DensityMatrix2, LindbladParams, Traject
 from .model import GAAS, DotGeometry, MaterialFileError, ThermalEnv, load_material
 from .quadrature import NonConvergence, NonFiniteSample
 from .rates import (
+    _DOUBLE_REL_LIMIT,
     _MC_SAMPLES,
     _MC_SEED,
     METHOD_CLOSED,
     METHOD_DOUBLE,
     METHOD_MC,
-    ValidationFailed,
+    ValidationReport,
     _check_sampling,
     compute_rate,
     rate_validate,
@@ -104,6 +107,24 @@ def trajectory_csv_text(traj: Trajectory2) -> str:
                      fmt_float(c.real), fmt_float(c.imag), fmt_float(abs(c))])
     return csv_text(["t_s", "rho00", "rho11", "re_rho01", "im_rho01",
                      "abs_rho01"], rows)
+
+
+def validation_text(report: ValidationReport) -> str:
+    """The three results, the two verdicts and the overall verdict, one a line."""
+    lines = []
+    for r in (report.closed_form, report.double_integral, report.monte_carlo):
+        extra = ""
+        if r.mc_std_error_per_s is not None:
+            extra = f" (std error {r.mc_std_error_per_s:.3e})"
+        lines.append(f"{r.method}: gamma = {r.gamma_per_s:.9e} 1/s, "
+                     f"t2 = {r.t2_s:.9e} s{extra}")
+    verdict = {True: "PASS", False: "FAIL"}
+    lines.append(f"closed-form vs double-integral: {report.rel_diff_double:.3e} rel "
+                 f"(limit {_DOUBLE_REL_LIMIT:.1e}) {verdict[report.double_passed]}")
+    lines.append(f"closed-form vs monte-carlo: {report.rel_diff_mc:.3e} rel "
+                 f"(limit {report.mc_allowance_rel:.3e}) {verdict[report.mc_passed]}")
+    lines.append("validation " + ("PASSED" if report.passed else "FAILED"))
+    return "\n".join(lines) + "\n"
 
 
 def _decade_span(values):
@@ -243,8 +264,12 @@ def _cmd_validate(parser, args) -> int:
     material = _load_material_arg(args)
     report = rate_validate(material, geom, env, samples=args.samples,
                            seed=args.seed)
-    sys.stdout.write("\n".join(report.lines()) + "\n")
-    return 0
+    text = validation_text(report)
+    if report.passed:
+        sys.stdout.write(text)
+        return 0
+    sys.stderr.write("error: " + text)
+    return 2
 
 
 def _cmd_curve(parser, args) -> int:
@@ -374,7 +399,7 @@ def main(argv=None) -> int:
     except (MaterialFileError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (NonConvergence, NonFiniteSample, ValidationFailed) as exc:
+    except (NonConvergence, NonFiniteSample) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ValueError as exc:

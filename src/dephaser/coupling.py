@@ -86,20 +86,22 @@ def spectral_density(sd: SpectralDensity, omega):
 def load_spectral_table(path) -> SpectralDensity:
     """Read a tabulated spectral density from two-column CSV.
 
-    Columns are omega_rad_per_s, J_value; a non-numeric first row is
-    treated as a header and skipped.
+    Columns are omega_rad_per_s, J_value. Blank rows are skipped, and so
+    is a non-numeric first row (a header); a later one raises ValueError.
     """
     omegas, values = [], []
+    rows = 0
     with open(path, "r", encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < 2:
                 raise ValueError(f"{path}: expected two columns, got {row!r}")
+            rows += 1
             try:
                 om, jv = float(row[0]), float(row[1])
             except ValueError:
-                if not omegas:
+                if rows == 1:
                     continue  # header row
                 raise ValueError(f"{path}: unparsable row {row!r}") from None
             omegas.append(om)

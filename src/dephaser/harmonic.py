@@ -275,7 +275,7 @@ class LindbladParams:
                 "comparable to the reservoir memory time; the Markovian "
                 "description is marginal",
                 MarkovValidityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -304,7 +304,7 @@ def evolve_analytic(rho0: DensityMatrix2, p: LindbladParams,
 
 
 def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
-                   steps: int = 10**4, *, return_error: bool = False):
+                   steps: int = 10**4) -> DensityMatrix2:
     """Classical fixed-step fourth-order integration of the master equation.
 
     Only rho_01 moves, d rho_01/dt = L01 rho_01, so it alone is integrated
@@ -313,9 +313,7 @@ def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
     L01 t/steps outside RK4's stability region, where the amplification
     R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(z)| > 1, would let
     |rho_01| grow; before any step is taken, such a step raises ValueError
-    saying the steps are too few. With return_error the integration is
-    repeated at half resolution, and the Richardson estimate
-    |rho_01 - rho_01(half)|/15 comes too: (state, estimate).
+    saying the steps are too few.
     """
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
         raise ValueError("steps must be an integer >= 1")
@@ -327,24 +325,15 @@ def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
         raise ValueError(
             f"too few steps ({steps}): |L01| t/steps = {abs(z):.3g} "
             f"is outside RK4's stability region")
-
-    def run(n: int) -> complex:
-        c = rho0.rho01
-        h = t / n
-        for _ in range(n):
-            k1 = lam * c
-            k2 = lam * (c + 0.5 * h * k1)
-            k3 = lam * (c + 0.5 * h * k2)
-            k4 = lam * (c + h * k3)
-            c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return c
-
-    final = run(steps)
-    state = DensityMatrix2(rho00=rho0.rho00, rho01=final)
-    if not return_error:
-        return state
-    coarse = rho0.rho01 if steps == 1 else run(steps // 2)
-    return state, abs(final - coarse) / 15.0
+    c = rho0.rho01
+    h = t / steps
+    for _ in range(steps):
+        k1 = lam * c
+        k2 = lam * (c + 0.5 * h * k1)
+        k3 = lam * (c + 0.5 * h * k2)
+        k4 = lam * (c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return DensityMatrix2(rho00=rho0.rho00, rho01=c)
 
 
 @dataclass(frozen=True)

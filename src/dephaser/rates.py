@@ -75,14 +75,6 @@ class CutoffValidityWarning(UserWarning):
     """The form-factor limits were extended to infinity outside their regime."""
 
 
-class ValidationFailed(Exception):
-    """Cross-route agreement check failed; carries the full report."""
-
-    def __init__(self, report: "ValidationReport"):
-        super().__init__(report.summary())
-        self.report = report
-
-
 @dataclass(frozen=True)
 class RateResult:
     """A dephasing rate with an accuracy statement.
@@ -564,43 +556,19 @@ class ValidationReport:
     def passed(self) -> bool:
         return self.double_passed and self.mc_passed
 
-    def lines(self) -> list:
-        out = []
-        for r in (self.closed_form, self.double_integral, self.monte_carlo):
-            extra = ""
-            if r.mc_std_error_per_s is not None:
-                extra = f" (std error {r.mc_std_error_per_s:.3e})"
-            out.append(f"{r.method}: gamma = {r.gamma_per_s:.9e} 1/s, "
-                       f"t2 = {r.t2_s:.9e} s{extra}")
-        out.append(
-            f"closed-form vs double-integral: {self.rel_diff_double:.3e} rel "
-            f"(limit {_DOUBLE_REL_LIMIT:.1e}) {'PASS' if self.double_passed else 'FAIL'}")
-        out.append(
-            f"closed-form vs monte-carlo: {self.rel_diff_mc:.3e} rel "
-            f"(limit {self.mc_allowance_rel:.3e}) "
-            f"{'PASS' if self.mc_passed else 'FAIL'}")
-        out.append("validation " + ("PASSED" if self.passed else "FAILED"))
-        return out
-
-    def summary(self) -> str:
-        return "\n".join(self.lines())
-
 
 def rate_validate(material: MaterialParams, geom: DotGeometry, env: ThermalEnv,
                   *, samples: int = _MC_SAMPLES, seed: int = _MC_SEED) -> ValidationReport:
-    """Run all three routes and assert pairwise agreement.
+    """Run all three routes and report their pairwise agreement.
 
     Closed form against the double integral must agree to 1% relative;
-    closed form against Monte Carlo to max(5%, 3 standard errors).
-    Raises ValidationFailed (report attached) on any miss.
+    closed form against Monte Carlo to max(5%, 3 standard errors). The
+    report's passed says whether both did.
     """
     if env.T_K <= 0.0 or geom.separation_D_m <= 0.0:
         raise ValueError("rate_validate requires T_K > 0 and separation_D_m > 0")
-    report = ValidationReport(
+    return ValidationReport(
         closed_form=rate_closed_form(material, geom, env),
         double_integral=rate_double_integral(material, geom, env),
         monte_carlo=rate_monte_carlo(material, geom, env, samples=samples, seed=seed),
     )
-    if not report.passed:
-        raise ValidationFailed(report)
-    return report

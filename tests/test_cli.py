@@ -136,6 +136,15 @@ def test_missing_material_file_exits_three(capsys):
     assert "error" in err
 
 
+def test_unwritable_output_file_exits_three(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "rate.csv"
+    code, out, err = _run(capsys, RATE_ARGS + ["--out", str(target)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ")
+    assert not target.exists()
+
+
 def test_material_override_scales_rate(tmp_path, capsys):
     # halving the anharmonic lifetime must exactly double the rate
     halved = tmp_path / "mat.txt"
@@ -200,6 +209,37 @@ def test_validate_command_reports_pass(capsys):
     assert "closed-form vs double-integral" in out
     assert "validation PASSED" in out
     assert "FAIL" not in out
+
+
+def test_validate_command_failure_goes_to_stderr(capsys, monkeypatch):
+    # doubling the deterministic prefactor leaves the sampler untouched,
+    # so the closed-form vs monte-carlo comparison must fail
+    true_scales = rates_module.derived_scales
+
+    def doubled(material, geom, env):
+        p = true_scales(material, geom, env)
+        return type(p)(
+            prefactor_per_s=2.0 * p.prefactor_per_s,
+            x_debye=p.x_debye,
+            form_factor_limit=p.form_factor_limit,
+            sep_ratio=p.sep_ratio,
+        )
+
+    monkeypatch.setattr(rates_module, "derived_scales", doubled)
+    code, out, err = _run(capsys, [
+        "validate", "--T", "50", "--L", "4e-9", "--D", "10e-9",
+        "--samples", "100000",
+    ])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 6
+    assert lines[0].startswith("error: closed-form: gamma = ")
+    assert lines[3].startswith("closed-form vs double-integral: ")
+    assert lines[3].endswith("PASS")
+    assert lines[4].startswith("closed-form vs monte-carlo: ")
+    assert lines[4].endswith("FAIL")
+    assert lines[-1] == "validation FAILED"
 
 
 def test_curve_plateau_on_stderr(capsys):

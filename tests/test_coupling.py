@@ -126,3 +126,9 @@ def test_load_spectral_table_rejects_text_mid_file(tmp_path):
     path = _write_csv(tmp_path, "1.0,1.0\noops,3.0\n")
     with pytest.raises(ValueError, match="unparsable"):
         load_spectral_table(path)
+
+
+def test_load_spectral_table_skips_only_the_first_row(tmp_path):
+    path = _write_csv(tmp_path, "omega,J\nfoo,bar\n1e12,1\n2e12,2\n")
+    with pytest.raises(ValueError, match="unparsable row"):
+        load_spectral_table(path)

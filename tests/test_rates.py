@@ -36,7 +36,6 @@ from dephaser.rates import (
     METHODS,
     CutoffValidityWarning,
     RateResult,
-    ValidationFailed,
     ValidationReport,
     compute_rate,
     rate_closed_form,
@@ -611,9 +610,6 @@ def test_validation_passes_at_reference_point():
     report = rate_validate(GAAS, GEOM, ThermalEnv(T_K=50.0), samples=10**5)
     assert report.passed
     assert report.double_passed and report.mc_passed
-    text = report.summary()
-    assert "PASS" in text and "FAIL" not in text
-    assert "validation PASSED" in text
 
 
 def test_validation_catches_inconsistent_routes(monkeypatch):
@@ -631,12 +627,10 @@ def test_validation_catches_inconsistent_routes(monkeypatch):
         )
 
     monkeypatch.setattr(rates_module, "derived_scales", doubled)
-    with pytest.raises(ValidationFailed) as excinfo:
-        rate_validate(GAAS, GEOM, ThermalEnv(T_K=50.0), samples=10**5)
-    report = excinfo.value.report
+    report = rate_validate(GAAS, GEOM, ThermalEnv(T_K=50.0), samples=10**5)
     assert report.double_passed      # both deterministic routes doubled
     assert not report.mc_passed
-    assert "FAIL" in report.summary()
+    assert not report.passed
 
 
 def test_validation_verdicts_follow_the_differences():
