@@ -23,7 +23,6 @@ from .harmonic import (
     coherence_ratio,
     decoherence_curve,
     evolve_analytic,
-    evolve_numeric,
     trajectory,
 )
 from .model import (

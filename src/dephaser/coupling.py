@@ -91,7 +91,7 @@ def load_spectral_table(path) -> SpectralDensity:
     """
     omegas, values = [], []
     rows = 0
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for row in csv.reader(fh):
             if not row or all(not cell.strip() for cell in row):
                 continue

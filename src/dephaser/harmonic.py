@@ -47,7 +47,7 @@ _PASS_ELEMS = 1 << 20
 
 
 def uniform_times(t_max: float, points: int) -> np.ndarray:
-    """Uniform grid of points times over [0, t_max].
+    """Uniform grid of points times over [0, t_max], ending exactly at t_max.
 
     t_max = 0 or a single point gives the one sample t = 0.
     """
@@ -59,7 +59,9 @@ def uniform_times(t_max: float, points: int) -> np.ndarray:
         raise ValueError("t_max must be finite and >= 0")
     if t_max == 0.0 or points == 1:
         return np.array([0.0])
-    return t_max * np.arange(points) / (points - 1)
+    times = t_max * np.arange(points) / (points - 1)
+    times[-1] = t_max
+    return times
 
 
 def _thermal_weight(omega: np.ndarray, env: ThermalEnv) -> np.ndarray:
@@ -279,19 +281,15 @@ class LindbladParams:
             )
 
 
-def _coherence_rate(p: LindbladParams) -> complex:
-    """L01 = i E/hbar - gamma, with d rho_01/dt = L01 rho_01.
-
-    For diagonal H0 = diag(-E/2, +E/2) and the sigma_z channel the generator
-    acts entrywise, L_ij = -(i/hbar)(H_i - H_j) + (gamma/2)(sz_i sz_j - 1):
-    L00 = L11 = 0 and L10 = conj(L01), so rho_01 is the one entry that moves.
-    """
-    return 1j * p.level_splitting_E_J / CONST.hbar - p.gamma_per_s
-
-
 def _coherence_factor(p: LindbladParams, t):
-    """rho_01(t)/rho_01(0) = exp(L01 t), for scalar or array t."""
-    return np.exp(_coherence_rate(p) * t)
+    """rho_01(t)/rho_01(0) = exp(L01 t), for scalar or array t.
+
+    L01 = i E/hbar - gamma. For diagonal H0 = diag(-E/2, +E/2) and the
+    sigma_z channel the generator acts entrywise, L_ij = -(i/hbar)(H_i - H_j)
+    + (gamma/2)(sz_i sz_j - 1): L00 = L11 = 0 and L10 = conj(L01), so rho_01
+    is the one entry that moves.
+    """
+    return np.exp((1j * p.level_splitting_E_J / CONST.hbar - p.gamma_per_s) * t)
 
 
 def evolve_analytic(rho0: DensityMatrix2, p: LindbladParams,
@@ -301,39 +299,6 @@ def evolve_analytic(rho0: DensityMatrix2, p: LindbladParams,
         raise ValueError("t must be finite and >= 0")
     factor = complex(_coherence_factor(p, t))
     return DensityMatrix2(rho00=rho0.rho00, rho01=rho0.rho01 * factor)
-
-
-def evolve_numeric(rho0: DensityMatrix2, p: LindbladParams, t: float,
-                   steps: int = 10**4) -> DensityMatrix2:
-    """Classical fixed-step fourth-order integration of the master equation.
-
-    Only rho_01 moves, d rho_01/dt = L01 rho_01, so it alone is integrated
-    and rho00 is copied. With the default 10^4 steps the result matches
-    evolve_analytic to better than 1e-8 for gamma t <= 10. A step z =
-    L01 t/steps outside RK4's stability region, where the amplification
-    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 has |R(z)| > 1, would let
-    |rho_01| grow; before any step is taken, such a step raises ValueError
-    saying the steps are too few.
-    """
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool) or steps < 1:
-        raise ValueError("steps must be an integer >= 1")
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError("t must be finite and >= 0")
-    lam = _coherence_rate(p)
-    z = lam * t / steps
-    if abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))) > 1.0:
-        raise ValueError(
-            f"too few steps ({steps}): |L01| t/steps = {abs(z):.3g} "
-            f"is outside RK4's stability region")
-    c = rho0.rho01
-    h = t / steps
-    for _ in range(steps):
-        k1 = lam * c
-        k2 = lam * (c + 0.5 * h * k1)
-        k3 = lam * (c + 0.5 * h * k2)
-        k4 = lam * (c + h * k3)
-        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return DensityMatrix2(rho00=rho0.rho00, rho01=c)
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,7 @@ def load_material(path) -> MaterialParams:
     MaterialFileError naming the offending line.
     """
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

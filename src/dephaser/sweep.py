@@ -84,13 +84,14 @@ class SweepSpec:
         return DotGeometry(width_L_m=self.width_L_m, separation_D_m=D), ThermalEnv(T_K=T)
 
     def grid(self) -> np.ndarray:
-        """The exact axis grid; reproducible to the last bit."""
-        i = np.arange(self.points)
+        """The axis grid, ending exactly at max_value; same bits every run."""
+        frac = np.arange(self.points) / (self.points - 1)
         if self.spacing == "logarithmic":
-            return self.min_value * (self.max_value / self.min_value) ** (
-                i / (self.points - 1))
-        return self.min_value + (self.max_value - self.min_value) * (
-            i / (self.points - 1))
+            values = self.min_value * (self.max_value / self.min_value) ** frac
+        else:
+            values = self.min_value + (self.max_value - self.min_value) * frac
+        values[-1] = self.max_value
+        return values
 
 
 @dataclass(frozen=True)

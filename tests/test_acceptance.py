@@ -27,7 +27,7 @@ from dephaser.harmonic import (
     asymptotic_coherence,
     coherence_ratio,
     evolve_analytic,
-    evolve_numeric,
+    trajectory,
 )
 from dephaser.model import CONST, GAAS, DotGeometry, ThermalEnv
 from dephaser.rates import (
@@ -36,6 +36,7 @@ from dephaser.rates import (
     rate_monte_carlo,
 )
 from dephaser.specfun import bose_fifth_moment
+from lindblad_reference import master_equation_state
 from dephaser.sweep import (
     AXIS_TEMPERATURE,
     SweepSpec,
@@ -172,20 +173,28 @@ def test_criterion_08_thermal_integral_anchors():
 
 
 def test_criterion_09_master_equation_suite():
+    # the reference solves the master equation as written, with H0 and sigma_z
     gamma = 1e9
     p = LindbladParams(gamma_per_s=gamma, level_splitting_E_J=2e-25)
     rho0 = DensityMatrix2(0.6, 0.3 + 0.2j)
+    traj = trajectory(rho0, p, 10.0 / gamma, 21)  # gamma t = 0, 0.5, ..., 10
     for gamma_t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
-        t = gamma_t / gamma
-        numeric = evolve_numeric(rho0, p, t)
+        row = round(2.0 * gamma_t)
+        t = traj.times_s[row]
+        assert t == pytest.approx(gamma_t / gamma, rel=1e-15)
+        ref = master_equation_state(rho0, p, t)
         exact = evolve_analytic(rho0, p, t)
-        assert abs(numeric.rho01 - exact.rho01) < 1e-8
-        assert abs(numeric.rho00 - rho0.rho00) < 1e-12
-        assert abs(numeric.rho11 - rho0.rho11) < 1e-12
-    at_t2 = evolve_numeric(rho0, p, 1.0 / gamma)
-    assert abs(at_t2.rho01) / abs(rho0.rho01) == pytest.approx(
-        1.0 / math.e, rel=1e-9
-    )
+        for rho00, rho01 in ((exact.rho00, exact.rho01),
+                             (traj.rho00[row], traj.rho01[row])):
+            assert abs(rho01 - ref[0, 1]) < 1e-8
+            assert abs(rho00 - ref[0, 0]) < 1e-12
+            assert abs((1.0 - rho00) - ref[1, 1]) < 1e-12
+        assert abs(ref[0, 0] - rho0.rho00) < 1e-12
+        assert abs(ref[1, 1] - rho0.rho11) < 1e-12
+    t2 = 1.0 / gamma
+    for at_t2 in (master_equation_state(rho0, p, t2)[0, 1],
+                  evolve_analytic(rho0, p, t2).rho01):
+        assert abs(at_t2) / abs(rho0.rho01) == pytest.approx(1.0 / math.e, rel=1e-9)
 
 
 def test_criterion_10_harmonic_plateau_dichotomy():

@@ -136,6 +136,11 @@ def test_load_material_defaults_and_overrides(tmp_path):
     assert mat.eps_lattice == GAAS.eps_lattice
 
 
+def test_load_material_reads_past_a_byte_order_mark(tmp_path):
+    mat = load_material(_write(tmp_path, "\ufefftau0_s = 4.6e-12\n"))
+    assert mat.tau0_s == 4.6e-12
+
+
 def test_load_material_empty_file_gives_defaults(tmp_path):
     assert load_material(_write(tmp_path, "")) == GAAS
 

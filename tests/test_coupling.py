@@ -110,6 +110,13 @@ def test_load_spectral_table_without_header(tmp_path):
     assert sd.table_omega_rad_per_s.tolist() == [1.0, 3.0]
 
 
+def test_load_spectral_table_reads_past_a_byte_order_mark(tmp_path):
+    # the mark is not text: the first row is data, not a header
+    path = _write_csv(tmp_path, "\ufeff1e12,1\n2e12,2\n3e12,3\n")
+    sd = load_spectral_table(path)
+    assert sd.table_omega_rad_per_s.tolist() == [1e12, 2e12, 3e12]
+
+
 def test_load_spectral_table_rejects_short(tmp_path):
     path = _write_csv(tmp_path, "omega,J\n1.0,1.0\n")
     with pytest.raises(ValueError, match="two data rows"):

@@ -164,6 +164,14 @@ def test_curve_degenerate_grids():
         decoherence_curve(SD_QUADRATIC, COLD, 1e-12, 2.5)
 
 
+@pytest.mark.parametrize("t_max, points", [(1e-12, 118), (3e-9, 11), (1e-8, 7)])
+def test_uniform_times_end_exactly_at_t_max(t_max, points):
+    # t_max * (points - 1) / (points - 1) is one ulp off for these
+    times = uniform_times(t_max, points)
+    assert times[-1] == t_max
+    np.testing.assert_array_equal(times[:-1], t_max * np.arange(points - 1) / (points - 1))
+
+
 @pytest.mark.parametrize(
     "t_max, points, match",
     [

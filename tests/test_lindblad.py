@@ -1,4 +1,6 @@
-"""Tests for the two-level pure-dephasing master equation."""
+"""Tests for the two-level pure-dephasing master equation: its one evaluator
+(evolve_analytic at one time, trajectory on a grid) against the reference in
+lindblad_reference.py, which solves the equation as written."""
 
 import cmath
 import math
@@ -17,10 +19,10 @@ from dephaser.harmonic import (
     MarkovValidityWarning,
     Trajectory2,
     evolve_analytic,
-    evolve_numeric,
     trajectory,
 )
 from dephaser.model import CONST
+from lindblad_reference import master_equation_state
 
 BALANCED = DensityMatrix2(0.5, 0.5)
 TILTED = DensityMatrix2(0.6, 0.3 + 0.2j)
@@ -34,26 +36,6 @@ def _random_state(rng):
     phase = rng.uniform(0.0, 2.0 * math.pi)
     c = r * cmath.exp(1j * phase)
     return DensityMatrix2(p0, c)
-
-
-def _reference_rk4(rho0, p, t, steps):
-    """RK4 on the whole 2x2 density matrix: the final matrix.
-
-    The reference for evolve_numeric's integration of rho01 alone, as
-    tests/test_rates.py keeps _reference_mc_block for the Monte Carlo kernel.
-    """
-    rot = 1j * p.level_splitting_E_J / CONST.hbar
-    g = p.gamma_per_s
-    lam = np.array([[0.0, rot - g], [-rot - g, 0.0]], dtype=complex)
-    rho = np.array([[rho0.rho00, rho0.rho01], [rho0.rho10, rho0.rho11]], dtype=complex)
-    h = t / steps
-    for _ in range(steps):
-        k1 = lam * rho
-        k2 = lam * (rho + 0.5 * h * k1)
-        k3 = lam * (rho + 0.5 * h * k2)
-        k4 = lam * (rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
 
 
 def test_zero_time_is_identity():
@@ -84,67 +66,48 @@ def test_populations_are_conserved_exactly():
     assert out.rho11 == TILTED.rho11
 
 
+def _random_params(rng):
+    gamma = 10.0 ** rng.uniform(7.0, 10.0)
+    omega = 10.0 ** rng.uniform(7.0, 11.0)
+    return LindbladParams(gamma_per_s=gamma, level_splitting_E_J=omega * CONST.hbar)
+
+
 def test_numeric_matches_analytic_for_random_states():
+    # numeric: the master equation as written, solved on the whole matrix
     rng = np.random.default_rng(STATE_SEED)
-    p = LindbladParams(gamma_per_s=1e9, level_splitting_E_J=3e-25)
     for _ in range(50):
         rho0 = _random_state(rng)
-        t = rng.uniform(0.0, 5.0) / 1e9
-        numeric = evolve_numeric(rho0, p, t, steps=1500)
+        p = _random_params(rng)
+        t = rng.uniform(0.0, 5.0) / p.gamma_per_s
+        ref = master_equation_state(rho0, p, t)
         exact = evolve_analytic(rho0, p, t)
-        assert numeric.rho00 == rho0.rho00
-        assert abs(numeric.rho01 - exact.rho01) < 1e-8
+        assert abs(exact.rho00 - ref[0, 0]) < 1e-12
+        assert abs(exact.rho01 - ref[0, 1]) < 1e-12
 
 
-def test_scalar_rk4_matches_the_2x2_reference():
+def test_trajectory_matches_the_2x2_reference():
     rng = np.random.default_rng(STATE_SEED)
     for _ in range(20):
         rho0 = _random_state(rng)
-        gamma = 10.0 ** rng.uniform(7.0, 10.0)
-        omega = 10.0 ** rng.uniform(7.0, 11.0)
-        p = LindbladParams(gamma_per_s=gamma, level_splitting_E_J=omega * CONST.hbar)
-        steps = int(rng.integers(1, 200))
-        t = steps * rng.uniform(0.02, 0.2) / abs(complex(-gamma, omega))
-        state = evolve_numeric(rho0, p, t, steps=steps)
-        ref = _reference_rk4(rho0, p, t, steps)
-        assert state.rho00 == ref[0, 0].real
-        assert abs(state.rho01 - ref[0, 1]) <= 1e-14 * abs(ref[0, 1])
-
-
-@pytest.mark.parametrize(
-    "gamma, omega, t, steps, per_step, rho01",
-    [(1e9, 0.0, 5e-9, 1, "5", 0.4),            # |rho01| grows 13.7-fold in one step
-     (1e9, 2.35e10, 2e-9, 10, "4.7", 0.4),     # gamma h = 0.2, omega h = 4.7
-     # the grown |rho01| = 0.137 is still a density matrix; exact is 6.7e-5
-     (1e9, 0.0, 5e-9, 1, "5", 0.01)],
-    ids=["1000000000.0-0.0-5e-09-1-5", "1000000000.0-23500000000.0-2e-09-10-4.7",
-         "1000000000.0-0.0-5e-09-1-5-small-rho01"],
-)
-def test_unstable_step_says_the_steps_are_too_few(gamma, omega, t, steps, per_step, rho01):
-    p = LindbladParams(gamma_per_s=gamma, level_splitting_E_J=omega * CONST.hbar)
-    with pytest.raises(ValueError, match=rf"^too few steps \({steps}\): "
-                                         rf"\|L01\| t/steps = {per_step}"):
-        evolve_numeric(DensityMatrix2(0.5, rho01), p, t, steps=steps)
-
-
-def test_step_limit_is_rk4_stability_region_not_step_size():
-    # |z| = 2.7 is inside RK4's region on the negative real axis (|R| = 0.88)
-    # and outside it at 120 degrees (|R| = 1.10)
-    z = 2.7 * cmath.exp(2j * math.pi / 3)
-    inside = LindbladParams(gamma_per_s=2.7e9)
-    outside = LindbladParams(gamma_per_s=-z.real * 1e9,
-                             level_splitting_E_J=z.imag * 1e9 * CONST.hbar)
-    small = DensityMatrix2(0.5, 0.01)
-    evolve_numeric(small, inside, 1e-9, steps=1)
-    with pytest.raises(ValueError, match="too few steps"):
-        evolve_numeric(small, outside, 1e-9, steps=1)
+        p = _random_params(rng)
+        traj = trajectory(rho0, p, rng.uniform(0.5, 5.0) / p.gamma_per_s,
+                          int(rng.integers(2, 40)))
+        for t, rho00, rho01 in zip(traj.times_s, traj.rho00, traj.rho01):
+            ref = master_equation_state(rho0, p, t)
+            assert abs(rho00 - ref[0, 0]) < 1e-12
+            assert abs(rho01 - ref[0, 1]) < 1e-12
+            assert abs(np.conj(rho01) - ref[1, 0]) < 1e-12
 
 
 def test_numeric_conserves_trace_and_populations():
+    # the master equation as written leaves the populations alone, which is
+    # why DensityMatrix2 stores rho00 and the package evolves rho01 only
     p = LindbladParams(gamma_per_s=1e9, level_splitting_E_J=1e-24)
-    out = evolve_numeric(TILTED, p, 4e-9, steps=2000)
-    assert out.rho00 + out.rho11 == pytest.approx(1.0, abs=1e-12)
-    assert out.rho00.real == pytest.approx(0.6, abs=1e-12)
+    ref = master_equation_state(TILTED, p, 4e-9)
+    assert abs(np.trace(ref) - 1.0) < 1e-12
+    assert abs(ref[0, 0] - 0.6) < 1e-12
+    assert abs(ref[1, 0] - np.conj(ref[0, 1])) < 1e-15
+    assert abs(evolve_analytic(TILTED, p, 4e-9).rho00 - ref[0, 0]) < 1e-12
 
 
 def test_analytic_semigroup_property():
@@ -153,14 +116,6 @@ def test_analytic_semigroup_property():
     direct = evolve_analytic(TILTED, p, t1 + t2)
     stepped = evolve_analytic(evolve_analytic(TILTED, p, t1), p, t2)
     assert abs(direct.rho01 - stepped.rho01) < 1e-12
-
-
-def test_numeric_semigroup_property():
-    p = LindbladParams(gamma_per_s=8e8)
-    direct = evolve_numeric(TILTED, p, 3e-9, steps=3000)
-    stepped = evolve_numeric(evolve_numeric(TILTED, p, 1e-9, steps=1000),
-                             p, 2e-9, steps=2000)
-    assert abs(direct.rho01 - stepped.rho01) < 1e-8
 
 
 def test_pure_rotation_when_rate_vanishes():
@@ -189,11 +144,7 @@ def test_evolve_input_validation():
     with pytest.raises(ValueError):
         evolve_analytic(BALANCED, p, -1e-9)
     with pytest.raises(ValueError):
-        evolve_numeric(BALANCED, p, math.nan)
-    with pytest.raises(ValueError, match="steps"):
-        evolve_numeric(BALANCED, p, 1e-9, steps=0)
-    with pytest.raises(ValueError, match="steps"):
-        evolve_numeric(BALANCED, p, 1e-9, steps=1.5)
+        evolve_analytic(BALANCED, p, math.nan)
 
 
 def test_lindblad_params_validation():

@@ -46,6 +46,28 @@ def test_linear_grid_formula_is_exact():
     np.testing.assert_array_equal(spec.grid(), expected)
 
 
+@pytest.mark.parametrize("spacing, lo, hi, points", [
+    ("linear", 0.001, 0.01, 5),       # the formula gives 0.010000000000000002
+    ("logarithmic", 0.003, 3.3, 3),   # the formula gives 3.3000000000000003
+])
+def test_grid_ends_exactly_at_max_value(spacing, lo, hi, points):
+    grid = SweepSpec(axis=AXIS_TEMPERATURE, min_value=lo, max_value=hi,
+                     points=points, spacing=spacing, fixed_D_m=1e-8).grid()
+    assert grid[0] == lo and grid[-1] == hi
+    assert np.all(np.diff(grid) > 0.0)
+
+
+def test_fit_over_the_sweep_window_sees_every_point():
+    # three points are the least a fit takes: a last point past max_value
+    # would leave two inside (min_value, max_value)
+    spec = SweepSpec(axis=AXIS_TEMPERATURE, min_value=0.001, max_value=0.01,
+                     points=3, spacing="linear", fixed_D_m=1e-8)
+    points = [(p.axis_value, p.result.gamma_per_s) for p in run_sweep(spec)]
+    assert points[-1][0] == 0.01
+    fit = fit_power_law(points, (spec.min_value, spec.max_value))
+    assert fit.slope == pytest.approx(7.0, abs=1e-3)
+
+
 def test_temperature_sweep_monotone_rates():
     points = run_sweep(_temperature_spec())
     assert len(points) == 6
