@@ -63,7 +63,6 @@ from .specfun import (
     BOSE_FIFTH_MOMENT_INF,
     BoseMomentTable,
     bose_fifth_moment,
-    bose_fifth_moment_tail,
     get_moment_table,
     sinc_deficit,
 )

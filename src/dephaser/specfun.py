@@ -18,8 +18,6 @@ BOSE_FIFTH_MOMENT_INF = 120.0 * ZETA5
 _SINC_SERIES_CUT = 1e-2
 # Beyond this the fifth moment equals its limit to better than 1e-15 absolute.
 _MOMENT_TAIL_CUT = 60.0
-# Switch from the interpolation table to the exponential tail expansion.
-_MOMENT_TAIL_SWITCH = 30.0
 
 _MOMENT_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
 # The moment table's panels, of equal width 5e-3 over [0, _MOMENT_TAIL_CUT].
@@ -88,43 +86,10 @@ def bose_fifth_moment(x: float) -> float:
     return integrate(_moment_integrand, 0.0, x, _MOMENT_CFG).value
 
 
-def bose_fifth_moment_tail(y):
-    """Remainder BOSE_FIFTH_MOMENT_INF - bose_fifth_moment(y) for large y.
-
-    Four terms of the exponential expansion of the occupation derivative;
-    relative accuracy better than 1e-20 for y >= 30, which is the regime the
-    rate engine uses it in to avoid cancelling two near-limit moments.
-    """
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    for m in (1, 2, 3, 4):
-        out = out + np.exp(-m * y) * (
-            y**5
-            + 5.0 * y**4 / m
-            + 20.0 * y**3 / m**2
-            + 60.0 * y**2 / m**3
-            + 120.0 * y / m**4
-            + 120.0 / m**5
-        )
-    return float(out) if out.ndim == 0 else out
-
-
 def _moment_bracket(x_debye: float, z: np.ndarray) -> np.ndarray:
-    """Difference of cumulative fifth moments, moment(x_debye) - moment(z).
-
-    z <= x_debye throughout. Both arguments beyond the table switch are
-    evaluated through the tail expansion directly so the bracket never
-    cancels two near-limit values.
-    """
+    """moment(x_debye) - moment(z), z <= x_debye: two table reads, clamped at 0."""
     table = get_moment_table()
-    if x_debye <= _MOMENT_TAIL_SWITCH:
-        return np.maximum(table.eval(x_debye) - table.eval(z), 0.0)
-    tail_xd = bose_fifth_moment_tail(x_debye)
-    small = z <= _MOMENT_TAIL_SWITCH
-    low = (BOSE_FIFTH_MOMENT_INF - tail_xd) - table.eval(
-        np.minimum(z, _MOMENT_TAIL_SWITCH))
-    high = bose_fifth_moment_tail(np.maximum(z, _MOMENT_TAIL_SWITCH)) - tail_xd
-    return np.maximum(np.where(small, low, high), 0.0)
+    return np.maximum(table.eval(x_debye) - table.eval(z), 0.0)
 
 
 @dataclass(frozen=True)
@@ -134,9 +99,13 @@ class BoseMomentTable:
     One grid, _MOMENT_TABLE_PANELS panels over [0, 60]; past 60 eval returns
     BOSE_FIFTH_MOMENT_INF. Node values come from panel-wise Gauss-Kronrod
     integration accumulated left to right; slopes are the exact integrand,
-    clamped into the monotonicity region of the cubic. Interpolation error
-    stays below 1e-10 absolute, cross-checked against direct integration in
-    the test suite. Immutable, so safe for concurrent reads.
+    clamped into the monotonicity region of the cubic. Nodes are right to
+    1e-15 relative; between them the cubic is within 3e-11 absolute, up to
+    all of the value below x = 5e-3 (the moment is x^4/4 there), 4e-2 of it
+    below 0.05 (9e-6 at 0.043, the Debye edge at 10^4 K), 5e-6 up to x = 1
+    and 1e-14 past 10. Near the limit 120 zeta(5) - eval(z) keeps the
+    absolute error: 2e-7 relative at z = 30, 2e-6 at 33, 3e-5 at 36.
+    Immutable, so safe for concurrent reads.
     """
 
     nodes: np.ndarray

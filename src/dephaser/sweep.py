@@ -31,8 +31,9 @@ class SweepSpec:
     """One-axis sweep description.
 
     axis "temperature" varies T_K with fixed separation fixed_D_m; axis
-    "distance" varies the separation with fixed fixed_T_K. Values are SI
-    (kelvin and meters).
+    "distance" varies the separation with fixed fixed_T_K; the fixed value
+    of the swept axis itself must stay None. Values are SI (kelvin and
+    meters).
     """
 
     axis: str
@@ -71,6 +72,10 @@ class SweepSpec:
             raise ValueError("temperature axis requires fixed_D_m >= 0")
         if self.axis == AXIS_DISTANCE and self.fixed_T_K is None:
             raise ValueError("distance axis requires fixed_T_K >= 0")
+        if self.axis == AXIS_TEMPERATURE and self.fixed_T_K is not None:
+            raise ValueError("temperature axis sweeps T: fixed_T_K must be None")
+        if self.axis == AXIS_DISTANCE and self.fixed_D_m is not None:
+            raise ValueError("distance axis sweeps D: fixed_D_m must be None")
         # the width and the fixed value, checked by what run_sweep builds
         self._inputs(self.min_value)
         _check_sampling(self.samples, self.seed)
@@ -156,6 +161,8 @@ def _fit_line(points, window, log_y: bool) -> FitResult:
     y = np.asarray(ys)
     if np.any(x <= 0.0):
         raise ValueError("fit requires positive x values")
+    if np.unique(x).size < 2:
+        raise ValueError("need at least 2 distinct x values inside the fit window")
     if log_y and np.any(y <= 0.0):
         raise ValueError("a power-law fit requires positive y values")
     lx = np.log(x)

@@ -107,6 +107,14 @@ def test_rate_out_file_matches_stdout(tmp_path, capsys):
          "--tmax", "1e-9", "--points", "3"],                     # negative rate
         ["sweep", "--axis", "D", "--min", "1e-9", "--max", "1e-8",
          "--points", "3", "--log", "--L", "0", "--T", "50"],     # zero width
+        # a fixed value for the swept axis; the spec is checked before the
+        # material file is read, so the missing file does not make this 3
+        ["sweep", "--axis", "T", "--min", "1", "--max", "10", "--points", "3",
+         "--log", "--L", "4e-9", "--D", "1e-8", "--T", "500",
+         "--material", "/nonexistent.txt"],
+        ["sweep", "--axis", "D", "--min", "1e-9", "--max", "1e-8",
+         "--points", "3", "--log", "--L", "4e-9", "--T", "50", "--D", "1e-8",
+         "--material", "/nonexistent.txt"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):

@@ -117,6 +117,22 @@ def test_double_integral_agrees_with_closed_form_at_1_mK(L, D):
     assert double == pytest.approx(closed, rel=1e-6, abs=0.0)
 
 
+@pytest.mark.parametrize("L", [0.1e-9, 4e-9])
+@pytest.mark.parametrize("T", [0.3, 1.0, 3.0, 7.0, 12.0])
+def test_double_integral_agrees_with_closed_form_past_moment_argument_30(T, L):
+    # x_D > 30 at every T here, so the closed route's bracket is a difference
+    # of two moment-table reads close to their common limit; double forms no
+    # such difference. At L = 0.1 nm closed warns that its cut is marginal
+    for D in (1e-9, 10e-9, 100e-9):
+        geom, env = DotGeometry(width_L_m=L, separation_D_m=D), ThermalEnv(T_K=T)
+        assert derived_scales(GAAS, geom, env).x_debye > 30.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CutoffValidityWarning)
+            closed = rate_closed_form(GAAS, geom, env).gamma_per_s
+        double = rate_double_integral(GAAS, geom, env).gamma_per_s
+        assert closed == pytest.approx(double, rel=1e-10, abs=0.0)
+
+
 def test_small_separation_routes_agree():
     geom = DotGeometry(width_L_m=4e-9, separation_D_m=4e-15)
     env = ThermalEnv(T_K=100.0)

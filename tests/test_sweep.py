@@ -165,6 +165,9 @@ def test_sweep_evaluates_every_point_on_the_calling_thread(monkeypatch):
         (dict(fixed_D_m=1e-8, samples=True), "samples must be an integer"),
         (dict(fixed_D_m=1e-8, seed=-1), "seed"),
         (dict(fixed_D_m=1e-8, seed=1.5), "seed"),
+        (dict(fixed_D_m=1e-8, fixed_T_K=5.0), "fixed_T_K must be None"),
+        (dict(axis=AXIS_DISTANCE, min_value=1e-9, max_value=1e-8,
+              fixed_T_K=50.0, fixed_D_m=1e-8), "fixed_D_m must be None"),
     ],
 )
 def test_sweep_spec_validation(kwargs, match):
@@ -248,4 +251,9 @@ def test_fit_window_validation():
             fit(nan_y, (0.5, 5.0))
         with pytest.raises(ValueError, match="finite"):
             fit([(math.nan, 1.0)] + pts, (0.5, 5.0))
+        # one distinct x: any slope fits, and at x = 1 (ln x = 0) polyfit's
+        # SVD fails outright
+        for x in (3.0, 1.0):
+            with pytest.raises(ValueError, match="2 distinct x values"):
+                fit([(x, 1.0), (x, 2.0), (x, 4.0), (10.0, 8.0)], (0.5, 5.0))
     assert isinstance(fit_power_law(pts, (0.5, 5.0)), FitResult)
