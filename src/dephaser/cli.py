@@ -25,6 +25,7 @@ import csv
 import io
 import math
 import sys
+import warnings
 from dataclasses import replace
 from typing import Sequence
 
@@ -57,11 +58,8 @@ _LEFT, _RIGHT, _TOP, _BOTTOM = 72, 16, 16, 48
 
 
 def fmt_float(x: float) -> str:
-    """Shortest round-trip decimal for CSV cells; infinities print as inf."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+    """Shortest round-trip decimal for CSV cells (inf, -inf and nan as such)."""
+    return repr(float(x))
 
 
 def csv_text(header, rows) -> str:
@@ -282,6 +280,8 @@ def _cmd_curve(parser, args) -> int:
         except (OSError, ValueError) as exc:
             sys.stderr.write(f"error: {exc}\n")
             return 3
+    elif args.table is not None:
+        parser.error("--table applies only to --spectral tabulated")
     else:
         sd = SpectralDensity(form=args.spectral, amplitude=args.A,
                              exponent=args.n, cutoff_rad_per_s=args.omega_c)
@@ -387,14 +387,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a warning prints as one "warning: <message>" line."""
     parser = _build_parser()
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *where: f"warning: {message}\n"
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(parser, args)
-    except SystemExit as exc:  # parser.error inside a command
+    except SystemExit as exc:  # usage errors, and parser.error inside a command
         return int(exc.code or 0)
     except (MaterialFileError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -405,6 +405,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

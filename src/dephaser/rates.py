@@ -197,9 +197,10 @@ def _closed_split(p: RateIntegralParams) -> tuple:
     (B - B0)/x is smooth and vanishes like x^3 at 0, so it splits into
     R = Int_0^8.5 exp(-x^2)(B - B0)/x dx, which does not depend on a,
     and a dropped term -(1/a) Int sin(a x) G(x) dx with
-    G = exp(-x^2)(B - B0)/x^2. B is 0 beyond sqrt(2) k_D L, so when that
-    limit is below 8.5, R runs on past it with B = 0; that piece is the
-    tail correction of K, and G has a kink there.
+    G = exp(-x^2)(B - B0)/x^2. R is one integral over [0, 8.5]: B is 0
+    past sqrt(2) k_D L (_moment_bracket's contract), so when that limit is
+    below 8.5 the integrand there is -B0 exp(-x^2)/x, the tail correction
+    of K, and G has a kink at the limit.
 
     To leading order in 1/(a l) (l from _split_scale) the dropped term is
     at most B0 [2.12/(a l)^4 + 4 exp(-2 k_D^2 L^2)/(a l)^3]: the first is
@@ -221,15 +222,10 @@ def _closed_split(p: RateIntegralParams) -> tuple:
     # R is tiny against B0 K(a) at high T, so a relative tolerance on R
     # alone would chase the moment table's interpolation noise
     cfg = QuadratureConfig(abs_tol=1e-12 * b0, rel_tol=1e-12)
-    upper = min(_FORM_FACTOR_CUT, u)
-    parts = [integrate(remainder, 0.0, upper, cfg)]
-    if upper < _FORM_FACTOR_CUT:
-        parts.append(integrate(lambda x: -b0 * np.exp(-x * x) / x,
-                               upper, _FORM_FACTOR_CUT, cfg))
+    quad = integrate(remainder, 0.0, _FORM_FACTOR_CUT, cfg)
     s = a * _split_scale(p)
     dropped = b0 * (2.12 / s**4 + 4.0 * math.exp(-u * u) / s**3)
-    value = b0 * _log_kernel(a) + sum(q.value for q in parts)
-    return value, sum(q.abs_error_estimate for q in parts) + dropped
+    return b0 * _log_kernel(a) + quad.value, quad.abs_error_estimate + dropped
 
 
 def rate_double_integral(material: MaterialParams, geom: DotGeometry,
@@ -455,8 +451,8 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     relative azimuth are drawn, uniformly. Samples are laid out in fixed
     blocks of 2^20 along one PCG64 stream per seed, each block starting at
     its own offset (PCG64.advance) and evaluated in chunks of 2^15; the
-    sines come from numpy's vectorised tan. A call of one block, or with
-    one thread, runs in the calling thread, a larger one in a thread pool.
+    sines come from numpy's vectorised tan. Every call maps its blocks
+    through one thread pool of min(worker_count(), blocks) threads.
     The mean and variance of chunks, then of blocks, are merged in order by
     Chan, Golub and LeVeque's update, so a fixed seed gives identical bits
     run to run and for any DEPHASER_THREADS on one numpy build and CPU.
@@ -488,13 +484,8 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
         return _mc_block(seed, lo, hi, table, x_per_k,
                          geom.width_L_m, geom.separation_D_m)
 
-    threads = min(worker_count(), len(blocks))
-    if threads == 1:
-        # one block, or one thread: a pool would only add its start-up
-        count, mean, m2 = _merge_moments(map(work, blocks))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            count, mean, m2 = _merge_moments(pool.map(work, blocks))
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(blocks))) as pool:
+        count, mean, m2 = _merge_moments(pool.map(work, blocks))
     se_mean = math.sqrt(m2 / (count - 1) / count)
     return RateResult(scale * mean, METHOD_MC, scale * se_mean)
 
@@ -559,7 +550,7 @@ class ValidationReport:
 
 def rate_validate(material: MaterialParams, geom: DotGeometry, env: ThermalEnv,
                   *, samples: int = _MC_SAMPLES, seed: int = _MC_SEED) -> ValidationReport:
-    """Run all three routes and report their pairwise agreement.
+    """Check every input, then run the three routes and report their agreement.
 
     Closed form against the double integral must agree to 1% relative;
     closed form against Monte Carlo to max(5%, 3 standard errors). The
@@ -567,6 +558,7 @@ def rate_validate(material: MaterialParams, geom: DotGeometry, env: ThermalEnv,
     """
     if env.T_K <= 0.0 or geom.separation_D_m <= 0.0:
         raise ValueError("rate_validate requires T_K > 0 and separation_D_m > 0")
+    _check_sampling(samples, seed)
     return ValidationReport(
         closed_form=rate_closed_form(material, geom, env),
         double_integral=rate_double_integral(material, geom, env),

@@ -9,13 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import dephaser
 import dephaser.rates as rates_module
 from dephaser.cli import _build_parser, fmt_float, loglog_svg_text, main, write_text
-from dephaser.harmonic import asymptotic_coherence
+from dephaser.harmonic import MarkovValidityWarning, asymptotic_coherence
 from dephaser.coupling import SpectralDensity
 from dephaser.model import GAAS, DotGeometry, ThermalEnv
 from dephaser.quadrature import NonConvergence
@@ -115,6 +116,9 @@ def test_rate_out_file_matches_stdout(tmp_path, capsys):
         ["sweep", "--axis", "D", "--min", "1e-9", "--max", "1e-8",
          "--points", "3", "--log", "--L", "4e-9", "--T", "50", "--D", "1e-8",
          "--material", "/nonexistent.txt"],
+        # --table with a parametric form; the file is never read
+        ["curve", "--spectral", "power-law-gaussian-cutoff", "--table",
+         "/nonexistent.csv", "--T", "4", "--tmax", "1e-12", "--points", "3"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -334,6 +338,31 @@ def _run_subprocess(argv, threads):
     env = dict(os.environ, DEPHASER_THREADS=threads)
     return subprocess.run([sys.executable, "-m", "dephaser.cli"] + argv,
                           capture_output=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["evolve", "--gamma", "1e12", "--E", "1.6e-22", "--rho01", "0.5,0",
+      "--tmax", "5e-12", "--points", "3"],
+     "gamma = 1.000e+12 1/s gives T2 < 10 ps"),
+    (["rate", "--T", "100", "--L", "1e-10", "--D", "1e-8"],
+     "sqrt(2) k_D L = 1.56 < 10"),
+])
+def test_warning_is_one_line_without_a_path(argv, message):
+    proc = _run_subprocess(argv, "1")
+    assert proc.returncode == 0
+    err = proc.stderr.decode()
+    assert err.startswith("warning: " + message)
+    assert len(err.splitlines()) == 1 and ".py" not in err
+
+
+def test_main_restores_the_warning_format():
+    before = warnings.formatwarning
+    with pytest.warns(MarkovValidityWarning):
+        assert main(["evolve", "--gamma", "1e12", "--rho01", "0.5,0",
+                     "--tmax", "5e-12", "--points", "3"]) == 0
+    assert warnings.formatwarning is before
+    assert main(["rate", "--T", "-1", "--L", "4e-9", "--D", "1e-8"]) == 1
+    assert warnings.formatwarning is before
 
 
 def test_cli_bytes_independent_of_thread_count():

@@ -232,8 +232,8 @@ def test_log_kernel_matches_hypergeometric_oracle(a):
 
 @pytest.mark.parametrize(
     "T, L, D",
-    # at L = 0.1 nm the form-factor limit is below 8.5, so R has its
-    # tail piece
+    # at L = 0.1 nm the form-factor limit is below 8.5, so R runs past
+    # it, where B = 0
     [(4.0, 4e-9, 10e-6), (4.0, 4e-9, 100e-6), (300.0, 4e-9, 10e-6),
      (300.0, 4e-9, 100e-6), (300.0, 1e-10, 10e-6)],
 )
@@ -272,7 +272,8 @@ def test_switch_uses_the_thermal_scale_not_a_alone():
 
 @pytest.mark.parametrize("T, L", [(50.0, 4e-9), (300.0, 1e-10)])
 def test_split_evaluation_count_does_not_depend_on_separation(monkeypatch, T, L):
-    # at L = 0.1 nm the form-factor limit is below 8.5, so R has two pieces
+    # at L = 0.1 nm the form-factor limit is below 8.5, so R runs past
+    # it, where B = 0
     true_integrate = rates_module.integrate
     counts = []
 
@@ -397,7 +398,7 @@ def test_monte_carlo_thread_count_invariance(monkeypatch):
     # the first two counts span several sampler blocks, so the reduction
     # order matters, and neither is a multiple of the chunk size; 2^20 + 3
     # ends in a block of 3 samples. The last two fit in one block, which
-    # runs in the calling thread whatever the thread count
+    # the pool runs on one thread whatever the thread count
     for samples in (2_500_000, 2**20 + 3, 2**20, 10**4):
         bits = set()
         for threads in ("1", "2", "7"):
@@ -673,6 +674,18 @@ def test_validation_rejects_degenerate_points():
     with pytest.raises(ValueError):
         rate_validate(GAAS, DotGeometry(width_L_m=4e-9, separation_D_m=0.0),
                       ThermalEnv(T_K=50.0))
+
+
+def test_validation_checks_sampling_before_any_route(monkeypatch):
+    # at 1 mm the double route would end in NonConvergence after 0.3 s;
+    # a bad samples value must be reported first, without running a route
+    def fail(*args, **kwargs):
+        raise AssertionError("a route ran before samples was checked")
+
+    for name in ("rate_closed_form", "rate_double_integral", "rate_monte_carlo"):
+        monkeypatch.setattr(rates_module, name, fail)
+    with pytest.raises(ValueError, match="samples must be >= 10000"):
+        rate_validate(GAAS, DotGeometry(4e-9, 1e-3), ThermalEnv(300.0), samples=5)
 
 
 def test_rate_result_validation():
