@@ -387,7 +387,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a warning prints as one "warning: <message>" line."""
+    """Run one command, printing a warning as one "warning: <message>" line
+    (through the process-wide warnings.formatwarning: not for two threads)."""
     parser = _build_parser()
     format_warning = warnings.formatwarning
     warnings.formatwarning = lambda message, *where: f"warning: {message}\n"

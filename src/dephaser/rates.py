@@ -197,10 +197,9 @@ def _closed_split(p: RateIntegralParams) -> tuple:
     (B - B0)/x is smooth and vanishes like x^3 at 0, so it splits into
     R = Int_0^8.5 exp(-x^2)(B - B0)/x dx, which does not depend on a,
     and a dropped term -(1/a) Int sin(a x) G(x) dx with
-    G = exp(-x^2)(B - B0)/x^2. R is one integral over [0, 8.5]: B is 0
-    past sqrt(2) k_D L (_moment_bracket's contract), so when that limit is
-    below 8.5 the integrand there is -B0 exp(-x^2)/x, the tail correction
-    of K, and G has a kink at the limit.
+    G = exp(-x^2)(B - B0)/x^2. B is 0 beyond sqrt(2) k_D L, so when that
+    limit is below 8.5, R runs on past it with B = 0; that piece is the
+    tail correction of K, and G has a kink there.
 
     To leading order in 1/(a l) (l from _split_scale) the dropped term is
     at most B0 [2.12/(a l)^4 + 4 exp(-2 k_D^2 L^2)/(a l)^3]: the first is
@@ -222,10 +221,15 @@ def _closed_split(p: RateIntegralParams) -> tuple:
     # R is tiny against B0 K(a) at high T, so a relative tolerance on R
     # alone would chase the moment table's interpolation noise
     cfg = QuadratureConfig(abs_tol=1e-12 * b0, rel_tol=1e-12)
-    quad = integrate(remainder, 0.0, _FORM_FACTOR_CUT, cfg)
+    upper = min(_FORM_FACTOR_CUT, u)
+    parts = [integrate(remainder, 0.0, upper, cfg)]
+    if upper < _FORM_FACTOR_CUT:
+        parts.append(integrate(lambda x: -b0 * np.exp(-x * x) / x,
+                               upper, _FORM_FACTOR_CUT, cfg))
     s = a * _split_scale(p)
     dropped = b0 * (2.12 / s**4 + 4.0 * math.exp(-u * u) / s**3)
-    return b0 * _log_kernel(a) + quad.value, quad.abs_error_estimate + dropped
+    value = b0 * _log_kernel(a) + sum(q.value for q in parts)
+    return value, sum(q.abs_error_estimate for q in parts) + dropped
 
 
 def rate_double_integral(material: MaterialParams, geom: DotGeometry,

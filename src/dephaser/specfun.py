@@ -87,9 +87,7 @@ def bose_fifth_moment(x: float) -> float:
 
 
 def _moment_bracket(x_debye: float, z: np.ndarray) -> np.ndarray:
-    """moment(x_debye) - moment(z), two table reads clamped at 0: 0 for z >=
-    x_debye (the closed route's split relies on it), save at most 9e-14 past
-    x = 35, where the table's last bits are not monotone."""
+    """moment(x_debye) - moment(z), z <= x_debye: two table reads, clamped at 0."""
     table = get_moment_table()
     return np.maximum(table.eval(x_debye) - table.eval(z), 0.0)
 

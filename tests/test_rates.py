@@ -232,8 +232,8 @@ def test_log_kernel_matches_hypergeometric_oracle(a):
 
 @pytest.mark.parametrize(
     "T, L, D",
-    # at L = 0.1 nm the form-factor limit is below 8.5, so R runs past
-    # it, where B = 0
+    # at L = 0.1 nm the form-factor limit is below 8.5, so R has its
+    # tail piece
     [(4.0, 4e-9, 10e-6), (4.0, 4e-9, 100e-6), (300.0, 4e-9, 10e-6),
      (300.0, 4e-9, 100e-6), (300.0, 1e-10, 10e-6)],
 )
@@ -272,8 +272,7 @@ def test_switch_uses_the_thermal_scale_not_a_alone():
 
 @pytest.mark.parametrize("T, L", [(50.0, 4e-9), (300.0, 1e-10)])
 def test_split_evaluation_count_does_not_depend_on_separation(monkeypatch, T, L):
-    # at L = 0.1 nm the form-factor limit is below 8.5, so R runs past
-    # it, where B = 0
+    # at L = 0.1 nm the form-factor limit is below 8.5, so R has two pieces
     true_integrate = rates_module.integrate
     counts = []
 
