@@ -4,6 +4,8 @@ and nested 2-D domains.
 Panels use an embedded 7-point Gauss / 15-point Kronrod pair. The rule is
 open (no endpoint evaluations), so integrands with a removable singularity
 at an interval edge are handled as long as every sampled node is finite.
+The private engine loop can take a sin-weighted Clenshaw-Curtis rule
+instead, for integrals with a fast sin(omega x) factor.
 Integrands are vectorized: they take a 1-D ndarray of n nodes and return
 shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,15 +96,10 @@ _SMALL_CALL = 64
 _TRUNC_SIGMA = math.sqrt(math.log(1e30))
 
 
-def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
-    """Apply the Gauss-Kronrod pair to a batch of panels in one call to f.
-
-    Returns the panel values and error estimates, each (rows, panels), and
-    the shape of one integral's value: () for an integrand returning (n,),
-    (m,) for one returning (m, n). `shape` is that of an earlier call, or None.
-    """
-    mid, half = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
-    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
+def _sample(f, nodes: np.ndarray, shape) -> tuple:
+    """f at the (panels, k) nodes as (rows, panels, k), and its component
+    shape: () for an integrand returning (n,), (m,) for one returning (m, n).
+    `shape` is that of an earlier call, or None."""
     flat = nodes.ravel()
     y = np.asarray(f(flat), dtype=float)
     if y.ndim > 2:
@@ -117,7 +115,15 @@ def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
     if bad.any():
         where = flat[bad.reshape(rows, -1).any(axis=0)][0]
         raise NonFiniteSample(f"integrand returned a non-finite value at x={float(where)!r}")
-    y = y.reshape((rows,) + nodes.shape)
+    return y.reshape((rows,) + nodes.shape), got
+
+
+def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
+    """Apply the Gauss-Kronrod pair to a batch of panels in one call to f:
+    the panel values and error estimates, each (rows, panels), and the
+    shape of one integral's value (see _sample)."""
+    mid, half = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+    y, got = _sample(f, mid[:, None] + half[:, None] * _NODES[None, :], shape)
     resk = half * (y * _WK_FULL).sum(axis=-1)
     resg = half * (y * _WG_FULL).sum(axis=-1)
     # in place, so that at most one temporary of y's size is alive
@@ -138,24 +144,80 @@ def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
     return resk, err, got
 
 
+def _dct1(n: int) -> np.ndarray:
+    """Values at cos(j pi/n), j = 0..n, to Chebyshev coefficients (DCT-I)."""
+    m = (2.0 / n) * np.cos(np.outer(np.arange(n + 1), np.arange(n + 1)) * np.pi / n)
+    m[:, [0, n]] *= 0.5
+    m[[0, n], :] *= 0.5
+    return m
+
+
+# The modified Clenshaw-Curtis rule (Piessens & Branders 1975; QUADPACK's
+# QAWO): 25 nodes cos(j pi/24), the 13 even ones giving the coarser series.
+_CC_NODES = np.cos(np.arange(25) * np.pi / 24)
+_CC25, _CC13 = _dct1(24), _dct1(12)
+_T_INTEGRALS = np.zeros(97)  # Int_-1^1 T_k(t) dt
+_T_INTEGRALS[::2] = 2.0 / (1.0 - np.arange(0.0, 97.0, 2.0) ** 2)
+# Clenshaw-Curtis on 97 nodes: exp(i lam _FINE_X) @ _FINE_TW is I_k(lam) to rounding, lam <= 24
+_FINE_X = np.cos(np.arange(97) * np.pi / 96)
+_FINE_TW = (_dct1(96).T @ _T_INTEGRALS)[:, None] * np.cos(np.outer(np.arccos(_FINE_X), np.arange(25)))
+
+
+def _fourier_moments(lam: np.ndarray) -> np.ndarray:
+    """I_k(lam) = Int_-1^1 T_k(t) e^{i lam t} dt, k = 0..24, as (panels, 25).
+
+    A 97-node Clenshaw-Curtis sum up to lam = 24; above, the forward
+    recurrence from integration by parts, which is stable there."""
+    big = np.maximum(lam, 24.0)
+    sin, cos, inv = np.sin(big), np.cos(big), 1.0 / (1j * big)
+    # E_m/(i lam), E_m = e^{i lam} - (-1)^m e^{-i lam}, for m even and odd
+    e_m = (2j * sin * inv, 2.0 * cos * inv)
+    m = np.empty((25, lam.size), dtype=complex)
+    m[0] = 2.0 * sin / big
+    m[1] = 2j * (sin - big * cos) / big**2
+    m[2] = e_m[0] - 4.0 * inv * m[1]
+    for k in range(2, 24):
+        m[k + 1] = ((k + 1) / (k - 1) * m[k - 1] - 2 * (k + 1) * inv * m[k]
+                    - 2.0 / (k - 1) * e_m[(k - 1) % 2])
+    low = lam <= 24.0
+    m[:, low] = (np.exp(1j * lam[low, None] * _FINE_X) @ _FINE_TW).T
+    return m.T
+
+
+def _sin_clenshaw_curtis(f, lefts: np.ndarray, rights: np.ndarray, shape, omega: float):
+    """_gauss_kronrod's contract for Int f0(x) + f1(x) sin(omega x) dx, with
+    (f0, f1) returned as (2, n): f0 by Clenshaw-Curtis, f1 exactly against
+    sin(omega x) through the moments I_k. The error is the change from the
+    13-node series to the 25-node one."""
+    mid, half = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
+    y, _ = _sample(f, mid[:, None] + half[:, None] * _CC_NODES[None, :], (2,))
+    moments = _fourier_moments(omega * half)
+    phase = np.exp(1j * omega * mid)
+    q = []
+    for dct, ys in ((_CC25, y), (_CC13, y[:, :, ::2])):
+        c, n = ys @ dct.T, dct.shape[0]
+        q.append(half * (c[0] @ _T_INTEGRALS[:n] + (phase * (c[1] * moments[:, :n]).sum(1)).imag))
+    return q[0][None], np.abs(q[0] - q[1])[None], ()
+
+
 def _chunk(shape) -> int:
     """Panels per integrand call for integrals of the given value shape."""
     return max(1, _BLOCK_ELEMS // (15 * (shape[0] if shape else 1)))
 
 
-def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray, shape=None):
-    """_gauss_kronrod over the panels in chunks (see _BLOCK_ELEMS)."""
+def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray, shape=None, rule=_gauss_kronrod):
+    """The panel rule over the panels in chunks (see _BLOCK_ELEMS)."""
     n = lefts.size
     if n <= (_SMALL_CALL if shape is None else _chunk(shape)):
-        return _gauss_kronrod(f, lefts, rights, shape)
+        return rule(f, lefts, rights, shape)
     step = 1 if shape is None else _chunk(shape)
-    v, e, shape = _gauss_kronrod(f, lefts[:step], rights[:step], shape)
+    v, e, shape = rule(f, lefts[:step], rights[:step], shape)
     vals, errs = np.empty((v.shape[0], n)), np.empty((v.shape[0], n))
     vals[:, :step], errs[:, :step] = v, e
     start, step = step, _chunk(shape)
     while start < n:
         stop = min(start + step, n)
-        vals[:, start:stop], errs[:, start:stop], _ = _gauss_kronrod(
+        vals[:, start:stop], errs[:, start:stop], _ = rule(
             f, lefts[start:stop], rights[start:stop], shape)
         start = stop
     return vals, errs, shape
@@ -187,18 +249,25 @@ def _grown(x: np.ndarray, need: int) -> np.ndarray:
     return out
 
 
-def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig) -> tuple:
+def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
+              omega: Optional[float] = None, edges: Optional[np.ndarray] = None) -> tuple:
     """The engine loop of integrate: (vals, errs, lefts, order, shape, evaluations).
     vals and errs, (rows, panels), are the surviving panels sorted by left
-    edge, lefts[order] their left edges; the last panel ends at b."""
-    n0 = asked = 1
-    if cfg.panel_hint is not None and b > a:
-        asked = int(np.ceil((b - a) / cfg.panel_hint))
-        n0 = max(1, min(asked, _MAX_SEED_PANELS))
-    edges = a + (b - a) * np.arange(n0 + 1) / n0
+    edge, lefts[order] their left edges; the last panel ends at b. With
+    omega, panels use _sin_clenshaw_curtis at that frequency; edges, from
+    a to b, replace the seed panels of panel_hint."""
+    rule = _gauss_kronrod if omega is None else partial(_sin_clenshaw_curtis, omega=omega)
+    per_panel = 15 if omega is None else _CC_NODES.size
+    asked = 1
+    if edges is None:
+        if cfg.panel_hint is not None and b > a:
+            asked = int(np.ceil((b - a) / cfg.panel_hint))
+        n0 = min(asked, _MAX_SEED_PANELS)
+        edges = a + (b - a) * np.arange(n0 + 1) / n0
+    n0 = edges.size - 1
     lefts, rights = edges[:-1], edges[1:]
-    vals, errs, shape = _eval_panels(f, lefts, rights)
-    evaluations = 15 * n0
+    vals, errs, shape = _eval_panels(f, lefts, rights, rule=rule)
+    evaluations = per_panel * n0
     total_val, total_err = vals.sum(axis=1), errs.sum(axis=1)
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
     # Panels live in columns 0..n-1 in creation order; a split panel is
@@ -227,8 +296,8 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig) -> tuple:
         mid = 0.5 * (left + right)
         la = np.column_stack([left, mid]).ravel()
         ra = np.column_stack([mid, right]).ravel()
-        new_vals, new_errs, _ = _eval_panels(f, la, ra, shape)
-        evaluations += 15 * la.size
+        new_vals, new_errs, _ = _eval_panels(f, la, ra, shape, rule)
+        evaluations += per_panel * la.size
         total_val = total_val + new_vals.sum(axis=1)
         total_err = total_err + new_errs.sum(axis=1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (CONST, DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv,
-                    coupling_scale, derived_scales)
-from .quadrature import NonConvergence, QuadratureConfig, integrate, integrate_nested
+from .model import DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv, derived_scales
+from .quadrature import (NonConvergence, QuadratureConfig, _adaptive, _ordered_sum, integrate,
+                         integrate_nested)
 from .specfun import (_MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand, _sin_sq,
                       sinc_deficit)
 
@@ -47,9 +48,10 @@ METHODS = (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC)
 
 # Beyond this the Gaussian form factor exp(-x^2) is below 1e-31.
 _FORM_FACTOR_CUT = 8.5
-# a*: the closed route switches from adaptive quadrature to the log-law
-# split where a l reaches this (see _closed_split for the bound)
-_SPLIT_SWITCH = 1000.0
+# a X past which the closed route's far pass replaces Gauss-Kronrod panels:
+# the pass takes 2-3 ms for any a, the panels 3 ms at a X = 3000 and
+# 3.4-4 ms here, where they are up to 19,110 evaluations
+_FAR_CROSSOVER = 4000.0
 
 _MIN_MC_SAMPLES = 10**4
 # the samples and seed wherever a Monte Carlo caller gives none
@@ -104,12 +106,13 @@ class RateResult:
 
 def _check_narrow_cutoff(p: RateIntegralParams) -> None:
     if p.form_factor_limit < 10.0:
-        warnings.warn(
-            f"sqrt(2) k_D L = {p.form_factor_limit:.3g} < 10: extending the form-factor "
-            "limit to infinity is marginal here",
-            CutoffValidityWarning,
-            stacklevel=3,
-        )
+        # the warning names the first caller outside the package
+        frame, level = sys._getframe(1), 2
+        while frame.f_back and frame.f_globals.get("__name__", "").partition(".")[0] == "dephaser":
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"sqrt(2) k_D L = {p.form_factor_limit:.3g} < 10: extending the "
+                      "form-factor limit to infinity is marginal here",
+                      CutoffValidityWarning, stacklevel=level)
 
 
 def rate_closed_form(material: MaterialParams, geom: DotGeometry,
@@ -120,116 +123,49 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     B(x) = moment(x_D) - moment(x x_D / (sqrt(2) k_D L)),
 
     with a = sqrt(2) D/L and x_D the Debye cutoff in thermal units. The
-    infinite limit is truncated at the smallest of 8.5 (the Gaussian is
-    below 1e-31), the form-factor limit sqrt(2) k_D L and, below the
-    switch, x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17.
-
-    Below the switch a l = _SPLIT_SWITCH (a* = 1000), where l is the
-    narrowest scale of exp(-x^2) B(x) (_split_scale), the integral is
-    integrated adaptively on panels about pi/a wide, so the cost grows
-    with D. Above it, gamma = prefactor * [B0 K(a) + R], with B0 = B(0),
-    K(a) the log-law kernel and R a non-oscillating remainder that does
-    not depend on D (_closed_split). The cost is then the same for every
-    D, and the rate grows by prefactor * B0 per unit of ln D. T = 0 and
-    D = 0 short-circuit to a vanishing rate.
+    infinite limit is truncated at X, the smallest of 8.5 (the Gaussian is
+    below 1e-31), the form-factor limit sqrt(2) k_D L and
+    x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17. Up to
+    a X = _FAR_CROSSOVER, Gauss-Kronrod panels about pi/a wide cover [0, X].
+    Beyond, they cover [0, 1/a], and one pass of the sin-weighted rule
+    covers [1/a, X] from the decades 10^j/a: exp(-x^2) B/x directly and
+    -exp(-x^2) B/(a x^2) against sin(a x), at a cost that grows as ln a.
+    Its absolute tolerance, 1e-12 B(0), keeps a far piece tiny against the
+    rate from chasing the moment table's noise. The error is the engine's
+    estimate; T = 0 and D = 0 short-circuit to a vanishing rate.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_CLOSED, 0.0)
     p = derived_scales(material, geom, env)
     _check_narrow_cutoff(p)
-    split = p.sep_ratio * _split_scale(p) >= _SPLIT_SWITCH
-    try:
-        value, err = (_closed_split if split else _closed_adaptive)(p)
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
-            f"separation_D_m={geom.separation_D_m}: {exc}"
-        ) from exc
-    return RateResult(p.prefactor_per_s * value, METHOD_CLOSED,
-                      p.prefactor_per_s * err)
-
-
-def _closed_adaptive(p: RateIntegralParams) -> tuple:
-    """(value, error) of the closed-route integral by adaptive quadrature,
-    seeded with panels about pi/a wide."""
-    alpha = p.sep_ratio
+    a = p.sep_ratio
     ratio = p.x_debye / p.form_factor_limit
+    upper = min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / ratio)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        return np.exp(-x * x) / x * sinc_deficit(alpha * x) * _moment_bracket(
+        return np.exp(-x * x) / x * sinc_deficit(a * x) * _moment_bracket(
             p.x_debye, x * ratio)
 
-    cfg = QuadratureConfig(
-        abs_tol=1e-250,
-        rel_tol=1e-8,
-        panel_hint=min(0.5, math.pi / alpha),
-    )
-    upper = min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / ratio)
-    quad = integrate(integrand, 0.0, upper, cfg)
-    return quad.value, quad.abs_error_estimate
+    def far_pair(x: np.ndarray) -> np.ndarray:
+        g = np.exp(-x * x) / x * _moment_bracket(p.x_debye, x * ratio)
+        return np.stack([g, -g / (a * x)])
 
-
-def _log_kernel(a: float) -> float:
-    """K(a) = Int_0^inf exp(-x^2) (1 - sin(a x)/(a x))/x dx for large a.
-
-    K(a) = ln a - 1 + gamma_E/2 + sum_n c_n/a^(2n) with
-    c_n = (2n-1)!! 2^(n-1)/(n (2n-1)) = 1, 1, 4, 30, ...: K is the mean of
-    Int exp(-x^2)(1 - cos(a t x))/x dx over t in [0, 1], whose derivative
-    in a t is Dawson's function. The series is cut after 4/a^6; what is
-    left is about 30/a^8, below 1e-22 for a >= _SPLIT_SWITCH.
-    """
-    y = 1.0 / (a * a)
-    return math.log(a) - 1.0 + 0.5 * np.euler_gamma + y * (1.0 + y * (1.0 + 4.0 * y))
-
-
-def _split_scale(p: RateIntegralParams) -> float:
-    """l = min(1, U, U/x_D), U = sqrt(2) k_D L: the narrowest scale of
-    exp(-x^2) B(x), set by the Gaussian, the form-factor edge and the
-    thermal edge of B."""
-    return min(1.0, p.form_factor_limit, p.form_factor_limit / p.x_debye)
-
-
-def _closed_split(p: RateIntegralParams) -> tuple:
-    """(value, error) of the closed-route integral as B0 K(a) + R.
-
-    With B0 = B(0), the integral is B0 Int exp(-x^2)(1 - sinc(a x))/x dx
-    plus the same with B - B0. The first is B0 K(a). In the second,
-    (B - B0)/x is smooth and vanishes like x^3 at 0, so it splits into
-    R = Int_0^8.5 exp(-x^2)(B - B0)/x dx, which does not depend on a,
-    and a dropped term -(1/a) Int sin(a x) G(x) dx with
-    G = exp(-x^2)(B - B0)/x^2. B is 0 beyond sqrt(2) k_D L, so when that
-    limit is below 8.5, R runs on past it with B = 0; that piece is the
-    tail correction of K, and G has a kink there.
-
-    To leading order in 1/(a l) (l from _split_scale) the dropped term is
-    at most B0 [2.12/(a l)^4 + 4 exp(-2 k_D^2 L^2)/(a l)^3]: the first is
-    G''(0)/a^4 = x_D^4/(2 (sqrt(2) k_D L)^4 a^4), over B0 >= 0.236
-    min(x_D, 1)^4; the second is the kink, whose slope jump is at most
-    4 exp(-2 k_D^2 L^2)/(sqrt(2) k_D L)^3 of B0. It is added to the
-    quadrature error. At a l = _SPLIT_SWITCH it is below 4e-9 B0; over
-    T 1 mK - 10^4 K and L 0.1 - 100 nm the integral is above 6 B0 there,
-    so the switch costs less than 7e-10 relative.
-    """
-    a = p.sep_ratio
-    u = p.form_factor_limit
-    ratio = p.x_debye / u
-    b0 = float(_moment_bracket(p.x_debye, 0.0))
-
-    def remainder(x: np.ndarray) -> np.ndarray:
-        return np.exp(-x * x) / x * (_moment_bracket(p.x_debye, x * ratio) - b0)
-
-    # R is tiny against B0 K(a) at high T, so a relative tolerance on R
-    # alone would chase the moment table's interpolation noise
-    cfg = QuadratureConfig(abs_tol=1e-12 * b0, rel_tol=1e-12)
-    upper = min(_FORM_FACTOR_CUT, u)
-    parts = [integrate(remainder, 0.0, upper, cfg)]
-    if upper < _FORM_FACTOR_CUT:
-        parts.append(integrate(lambda x: -b0 * np.exp(-x * x) / x,
-                               upper, _FORM_FACTOR_CUT, cfg))
-    s = a * _split_scale(p)
-    dropped = b0 * (2.12 / s**4 + 4.0 * math.exp(-u * u) / s**3)
-    value = b0 * _log_kernel(a) + sum(q.value for q in parts)
-    return value, sum(q.abs_error_estimate for q in parts) + dropped
+    far = a * upper > _FAR_CROSSOVER
+    cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8, panel_hint=min(0.5, math.pi / a))
+    try:
+        quad = integrate(integrand, 0.0, 1.0 / a if far else upper, cfg)
+        value, err = quad.value, quad.abs_error_estimate
+        if far:
+            b0 = float(_moment_bracket(p.x_debye, 0.0))
+            decades = 10.0 ** np.arange(math.ceil(math.log10(a * upper))) / a
+            vals, errs, *_ = _adaptive(
+                far_pair, 1.0 / a, upper, QuadratureConfig(abs_tol=1e-12 * b0, rel_tol=1e-9),
+                omega=a, edges=np.append(decades[decades < upper], upper))
+            value, err = value + _ordered_sum(vals)[0], err + _ordered_sum(errs)[0]
+    except NonConvergence as exc:
+        raise NonConvergence(f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
+                             f"separation_D_m={geom.separation_D_m}: {exc}") from exc
+    return RateResult(p.prefactor_per_s * value, METHOD_CLOSED, p.prefactor_per_s * err)
 
 
 def rate_double_integral(material: MaterialParams, geom: DotGeometry,
@@ -468,17 +404,12 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_MC, 0.0)
 
-    x_per_k = CONST.hbar * material.c_sound_m_per_s / (CONST.k_B * env.T_K)
+    p = derived_scales(material, geom, env)
+    x_per_k = p.x_debye / material.k_D_per_m
     table = _radial_table(x_per_k, min(material.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
     if table is None:
         return RateResult(0.0, METHOD_MC, 0.0)
-
-    scale = (
-        (8.0 / math.pi**4)
-        / material.tau0_s
-        * coupling_scale(material)
-        * (material.c_sound_m_per_s / material.Omega_rad_per_s) ** 5
-    )
+    scale = p.prefactor_per_s * x_per_k**5 / (8.0 * math.pi**2)
 
     blocks = [(b * _MC_BLOCK, min(samples, (b + 1) * _MC_BLOCK))
               for b in range((samples + _MC_BLOCK - 1) // _MC_BLOCK)]

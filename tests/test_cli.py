@@ -224,20 +224,12 @@ def test_validate_command_reports_pass(capsys):
 
 
 def test_validate_command_failure_goes_to_stderr(capsys, monkeypatch):
-    # doubling the deterministic prefactor leaves the sampler untouched,
-    # so the closed-form vs monte-carlo comparison must fail
-    true_scales = rates_module.derived_scales
-
-    def doubled(material, geom, env):
-        p = true_scales(material, geom, env)
-        return type(p)(
-            prefactor_per_s=2.0 * p.prefactor_per_s,
-            x_debye=p.x_debye,
-            form_factor_limit=p.form_factor_limit,
-            sep_ratio=p.sep_ratio,
-        )
-
-    monkeypatch.setattr(rates_module, "derived_scales", doubled)
+    # doubling the form-factor deficit doubles both deterministic routes
+    # and leaves the sampler untouched (the three routes share their scale
+    # through derived_scales), so the closed-form vs monte-carlo comparison
+    # must fail
+    true_deficit = rates_module.sinc_deficit
+    monkeypatch.setattr(rates_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
     code, out, err = _run(capsys, [
         "validate", "--T", "50", "--L", "4e-9", "--D", "10e-9",
         "--samples", "100000",

@@ -1,12 +1,14 @@
-"""Tests for the adaptive Gauss-Kronrod quadrature engine.
+"""Tests for the adaptive quadrature engine: its Gauss-Kronrod panels and
+its sin-weighted Clenshaw-Curtis rule.
 
-scipy.integrate.quad supplies the cross-check values; it is a test-only
-dependency.
+scipy.integrate.quad supplies the cross-check values (with weight="sin",
+QUADPACK's QAWO, for the sin-weighted rule); it is a test-only dependency.
 """
 
 import heapq
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,11 +17,15 @@ from scipy.special import sici
 import dephaser.quadrature as quadrature_module
 from dephaser.quadrature import (
     _BLOCK_ELEMS,
+    _CC_NODES,
     _EPS50,
     _NODES,
     _SMALL_CALL,
     _WG_FULL,
     _WK_FULL,
+    _adaptive,
+    _fourier_moments,
+    _ordered_sum,
     NonConvergence,
     NonFiniteSample,
     QuadratureConfig,
@@ -156,6 +162,88 @@ def test_first_block_holds_the_seed_panels_and_later_blocks_stay_bounded():
     assert blocks[0] <= _SMALL_CALL * 15 * k.size
     assert len(blocks) > 1 and max(blocks[1:]) <= _BLOCK_ELEMS
     np.testing.assert_allclose(res.value, np.sin(3.25 * k) / k, rtol=1e-8, atol=1e-10)
+
+
+def _sin_weighted(omega, lo, hi, rel_tol=1e-12):
+    """Int_lo^hi exp(-x^2)/x^2 sin(omega x) dx by the engine's sin-weighted
+    rule: (value, evaluations)."""
+    def pair(x):
+        return np.stack([np.zeros_like(x), np.exp(-x * x) / (x * x)])
+
+    vals, _, _, _, shape, evaluations = _adaptive(
+        pair, lo, hi, QuadratureConfig(abs_tol=1e-300, rel_tol=rel_tol), omega=omega)
+    assert shape == ()
+    return float(_ordered_sum(vals)[0]), evaluations
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6, 1e8])
+def test_sin_rule_matches_qawo_over_one_decade(omega):
+    value, _ = _sin_weighted(omega, 1.0 / omega, 10.0 / omega)
+    ref = quad(lambda x: math.exp(-x * x) / (x * x), 1.0 / omega, 10.0 / omega,
+               weight="sin", wvar=omega, epsabs=1e-300, epsrel=1e-13, limit=500)[0]
+    assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 10.0, 1e2, 1e3, 1e4, 1e6])
+def test_sin_rule_matches_qawo_where_the_integral_is_small(omega):
+    # on [0.3, 8.5] the integral is down to 3e-4 of the integrand's scale
+    value, _ = _sin_weighted(omega, 0.3, 8.5)
+    ref = quad(lambda x: math.exp(-x * x) / (x * x), 0.3, 8.5, weight="sin", wvar=omega,
+               epsabs=1e-300, epsrel=1e-13, limit=500)[0]
+    assert value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_sin_rule_at_1e8_matches_the_asymptotic_series():
+    # QAWO is 4.4e-7 off here. By parts, the integral of g sin(w x) is
+    # -g cos/w + g' sin/w^2 + g'' cos/w^3 - g''' sin/w^4 taken from a to b,
+    # the next term below 1e-35 of it. w x near 8.5e8 rad is rounded to
+    # 1.2e-7 rad, which bounds what any rule can do in double precision
+    value, _ = _sin_weighted(1e8, 0.3, 8.5)
+    with mpmath.workdps(40):
+        w = mpmath.mpf(1e8)
+
+        def primitive(x):
+            x = mpmath.mpf(x)
+            c, s = mpmath.cos(w * x), mpmath.sin(w * x)
+            terms = (-c / w, s / w**2, c / w**3, -s / w**4)
+            return sum(mpmath.diff(lambda u: mpmath.exp(-u * u) / (u * u), x, k) * t
+                       for k, t in enumerate(terms))
+
+        ref = float(primitive(8.5) - primitive(0.3))
+    assert value == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 23.9, 24.1, 30.0, 100.0, 1e3, 1e7])
+def test_fourier_moments_match_a_direct_sum(lam):
+    # I_k(lam) = Int_-1^1 T_k(t) e^{i lam t} dt: a Clenshaw-Curtis sum up
+    # to lam = 24, the forward recurrence above; against a 300-point sum
+    # (exact to rounding up to lam = 100) and the closed forms of I_0, I_1
+    got = _fourier_moments(np.array([lam]))[0]
+    assert got[0] == pytest.approx(2.0 * math.sin(lam) / lam, rel=1e-13, abs=1e-15 / lam)
+    assert got[1] == pytest.approx(2j * (math.sin(lam) - lam * math.cos(lam)) / lam**2,
+                                   rel=1e-13, abs=1e-15 / lam)
+    if lam <= 100.0:
+        t, w = np.polynomial.legendre.leggauss(300)
+        ref = (w * np.exp(1j * lam * t)) @ np.cos(np.outer(np.arccos(t), np.arange(25)))
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=5e-14)
+
+
+def test_sin_rule_counts_25_nodes_per_panel():
+    seen = []
+
+    def pair(x):
+        seen.append(x.size)
+        return np.stack([np.exp(-x), np.exp(-x)])
+
+    edges = np.array([1.0, 2.0, 5.0])
+    *_, evaluations = _adaptive(pair, 1.0, 5.0, QuadratureConfig(), omega=40.0, edges=edges)
+    assert seen[0] == 2 * _CC_NODES.size
+    assert evaluations == sum(seen) and evaluations % 25 == 0
+
+
+def test_sin_rule_needs_an_integrand_pair():
+    with pytest.raises(ValueError, match="components"):
+        _adaptive(lambda x: np.exp(-x), 1.0, 2.0, QuadratureConfig(), omega=40.0)
 
 
 def test_integrand_shape_errors():

@@ -15,15 +15,18 @@ or dropping a single sample moves the estimate and its standard error by
 about 1e-6 relative.
 """
 
+import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 import dephaser.quadrature as quadrature_module
 import dephaser.rates as rates_module
@@ -46,9 +49,10 @@ from dephaser.rates import (
 )
 from dephaser.specfun import (_MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand,
                               bose_fifth_moment)
-from dephaser.sweep import fit_log_law
+from dephaser.sweep import SweepSpec, fit_log_law, run_sweep
 
 GEOM = DotGeometry(width_L_m=4e-9, separation_D_m=10e-9)
+REFERENCE_BOX = Path(__file__).with_name("closed_box_reference.json")
 
 # scipy quad oracles at L = 4 nm, D = 10 nm
 ORACLE_GAMMA_100K = 1040671074013.1287
@@ -212,105 +216,182 @@ def test_rate_increases_with_temperature_and_separation():
     assert np.all(np.diff(grid, axis=1) > 0.0)
 
 
-def _switch_separation(T, L):
-    """The D at which the closed route switches to the log-law split."""
+def _upper(p):
+    """X, where the closed route truncates its integral."""
+    return min(rates_module._FORM_FACTOR_CUT, p.form_factor_limit,
+               _MOMENT_TAIL_CUT * p.form_factor_limit / p.x_debye)
+
+
+def _crossover_separation(T, L):
+    """The D at which a X reaches the crossover, past which the closed route
+    splits its integral at x = 1/a and runs the far pass beyond."""
     p = derived_scales(GAAS, DotGeometry(L, 1.0), ThermalEnv(T))
-    scale = rates_module._split_scale(p)
-    return rates_module._SPLIT_SWITCH / scale * L / math.sqrt(2.0)
+    return rates_module._FAR_CROSSOVER / _upper(p) * L / math.sqrt(2.0)
+
+
+def _closed(T, L, D, crossover=None):
+    """rate_closed_form, with the crossover moved to force one path if given."""
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        if crossover is not None:
+            mp.setattr(rates_module, "_FAR_CROSSOVER", crossover)
+        warnings.simplefilter("ignore", CutoffValidityWarning)
+        return rate_closed_form(GAAS, DotGeometry(L, D), ThermalEnv(T))
+
+
+def _counting_engine(monkeypatch):
+    """Patch the engine loop, whoever calls it, to add every pass's
+    evaluations to the returned list's last entry."""
+    adaptive, counts = quadrature_module._adaptive, [0]
+
+    def counting(*args, **kwargs):
+        res = adaptive(*args, **kwargs)
+        counts[-1] += res[-1]
+        return res
+
+    monkeypatch.setattr(quadrature_module, "_adaptive", counting)
+    monkeypatch.setattr(rates_module, "_adaptive", counting)
+    return counts
+
+
+def _log_kernel(a):
+    """K(a) = Int_0^inf exp(-x^2) (1 - sin(a x)/(a x))/x dx for large a.
+
+    K(a) = ln a - 1 + gamma_E/2 + sum_n c_n/a^(2n) with
+    c_n = (2n-1)!! 2^(n-1)/(n (2n-1)) = 1, 1, 4, 30, ...: K is the mean of
+    Int exp(-x^2)(1 - cos(a t x))/x dx over t in [0, 1], whose derivative
+    in a t is Dawson's function. The series is cut after 4/a^6.
+    """
+    y = 1.0 / (a * a)
+    return math.log(a) - 1.0 + 0.5 * np.euler_gamma + y * (1.0 + y * (1.0 + 4.0 * y))
+
+
+def _log_law_split(T, L, D):
+    """(value, allowance) of the closed integral as B0 K(a) + R, B0 = B(0).
+
+    R = Int_0^8.5 exp(-x^2) (B - B0)/x dx (with B = 0 past sqrt(2) k_D L)
+    comes from scipy. The allowance adds scipy's error estimates to the
+    leading-order bound on the dropped term -(1/a) Int sin(a x) G(x) dx,
+    G = exp(-x^2) (B - B0)/x^2: B0 [2.12/(a l)^4 + 4 exp(-U^2)/(a l)^3],
+    with U = sqrt(2) k_D L and l = min(1, U, U/x_D) the narrowest scale
+    of exp(-x^2) B.
+    """
+    p = derived_scales(GAAS, DotGeometry(L, D), ThermalEnv(T))
+    a, u = p.sep_ratio, p.form_factor_limit
+    ratio = p.x_debye / u
+    b0 = float(_moment_bracket(p.x_debye, 0.0))
+    upper = min(rates_module._FORM_FACTOR_CUT, u)
+    opts = dict(epsabs=1e-14 * b0, epsrel=1e-13, limit=500)
+    r, r_err = quad(lambda x: math.exp(-x * x) / x
+                    * (float(_moment_bracket(p.x_debye, x * ratio)) - b0), 0.0, upper, **opts)
+    if upper < rates_module._FORM_FACTOR_CUT:
+        tail, tail_err = quad(lambda x: -b0 * math.exp(-x * x) / x, upper,
+                              rates_module._FORM_FACTOR_CUT, **opts)
+        r, r_err = r + tail, r_err + tail_err
+    s = a * min(1.0, u, u / p.x_debye)
+    return b0 * _log_kernel(a) + r, b0 * (2.12 / s**4 + 4.0 * math.exp(-u * u) / s**3) + r_err
 
 
 @pytest.mark.parametrize("a", [30.0, 100.0, 1e3, 1e4, 1e5, 1e6])
 def test_log_kernel_matches_hypergeometric_oracle(a):
     # K(a) = (a^2/12) 2F2(1, 1; 2, 5/2; -a^2/4), its small-a series summed
     # exactly; the asymptotic series is cut after 4/a^6 and the next term
-    # is 30/a^8
+    # is 30/a^8. The series is the test oracle of the log law below
     with mpmath.workdps(40):
         oracle = float(a * a / 12 * mpmath.hyp2f2(1, 1, 2, 2.5, -a * a / 4))
-    k = rates_module._log_kernel(a)
+    k = _log_kernel(a)
     assert abs(k - oracle) <= 31.0 / a**8 + 1e-15 * oracle
 
 
 @pytest.mark.parametrize(
+    "T, L", [(50.0, 4e-9), (4.0, 4e-9), (300.0, 1e-10), (1e4, 4e-9)],
+)
+def test_closed_form_follows_the_log_law_split_from_100_um_to_1_m(T, L):
+    # the closed route shares no code with K(a), and is within the dropped
+    # term's bound of B0 K(a) + R at every D
+    for D in (100e-6, 1e-3, 1.0):
+        res = _closed(T, L, D)
+        p = derived_scales(GAAS, DotGeometry(L, D), ThermalEnv(T))
+        split, allowance = _log_law_split(T, L, D)
+        closed = res.gamma_per_s / p.prefactor_per_s
+        assert abs(closed - split) <= allowance + res.error_estimate_per_s / p.prefactor_per_s
+
+
+@pytest.mark.parametrize(
     "T, L, D",
-    # at L = 0.1 nm the form-factor limit is below 8.5, so R has its
-    # tail piece
+    # at L = 0.1 nm the form-factor limit is below 8.5, so B ends at
+    # X < 8.5 with a kink
     [(4.0, 4e-9, 10e-6), (4.0, 4e-9, 100e-6), (300.0, 4e-9, 10e-6),
      (300.0, 4e-9, 100e-6), (300.0, 1e-10, 10e-6)],
 )
 def test_adaptive_and_split_closed_forms_agree_from_10_to_100_um(T, L, D):
-    p = derived_scales(GAAS, DotGeometry(L, D), ThermalEnv(T))
-    adaptive, _ = rates_module._closed_adaptive(p)
-    split, err = rates_module._closed_split(p)
-    assert split == pytest.approx(adaptive, rel=1e-8)
-    assert err <= 1e-10 * split
+    # the route splits the integral at 1/a and runs the far pass beyond;
+    # Gauss-Kronrod panels pi/a wide over all of [0, X] give the same value
+    assert D > _crossover_separation(T, L)
+    split = _closed(T, L, D)
+    adaptive = _closed(T, L, D, math.inf)
+    assert split.gamma_per_s == pytest.approx(adaptive.gamma_per_s, rel=1e-8)
+    assert split.error_estimate_per_s <= 1e-10 * split.gamma_per_s
 
 
 def test_split_error_estimate_covers_the_switch_error():
-    # at L = 0.1 nm the kink of G at the form-factor limit gives the
-    # largest dropped term, 4 exp(-U^2)/(a l)^3 of B0; just above the
-    # switch it is 6e-11 relative, and the adaptive value is far closer
+    # just past the crossover, the far path and Gauss-Kronrod over all of
+    # [0, X] agree within the sum of their stated errors, each below 1e-10
     T, L = 300.0, 1e-10
-    p = derived_scales(GAAS, DotGeometry(L, 1.001 * _switch_separation(T, L)),
-                       ThermalEnv(T))
-    adaptive, _ = rates_module._closed_adaptive(p)
-    split, err = rates_module._closed_split(p)
-    assert abs(split - adaptive) <= err <= 1e-10 * split
+    D = 1.001 * _crossover_separation(T, L)
+    split = _closed(T, L, D)
+    adaptive = _closed(T, L, D, math.inf)
+    assert split.gamma_per_s != adaptive.gamma_per_s
+    assert (abs(split.gamma_per_s - adaptive.gamma_per_s)
+            <= split.error_estimate_per_s + adaptive.error_estimate_per_s
+            <= 1e-10 * split.gamma_per_s)
 
 
-def test_switch_uses_the_thermal_scale_not_a_alone():
-    # at 10 mK and L = 4 nm, B falls to 0 within x ~ 0.1, so a = 1061 is
-    # only a l = 1.5: the split is off by 7e-4 there and the route must
-    # stay adaptive
-    geom, env = DotGeometry(4e-9, 3e-6), ThermalEnv(T_K=0.01)
+def test_switch_uses_the_thermal_scale_not_a_alone(monkeypatch):
+    # at 10 mK and L = 4 nm, B falls to 0 within x ~ 0.09 = X, so a = 10,607
+    # is only a X = 950: the route stays on Gauss-Kronrod panels, bit for bit
+    geom, env = DotGeometry(4e-9, 30e-6), ThermalEnv(T_K=0.01)
     p = derived_scales(GAAS, geom, env)
-    adaptive, _ = rates_module._closed_adaptive(p)
-    split, _ = rates_module._closed_split(p)
-    assert p.sep_ratio > rates_module._SPLIT_SWITCH
-    assert abs(split / adaptive - 1.0) > 1e-4
-    assert rate_closed_form(GAAS, geom, env).gamma_per_s == p.prefactor_per_s * adaptive
+    assert p.sep_ratio > rates_module._FAR_CROSSOVER
+    assert p.sep_ratio * _upper(p) < rates_module._FAR_CROSSOVER
+    passes = []
+    adaptive = rates_module._adaptive
+    monkeypatch.setattr(rates_module, "_adaptive",
+                        lambda *args, **kwargs: passes.append(args) or adaptive(*args, **kwargs))
+    res = rate_closed_form(GAAS, geom, env)
+    assert passes == []
+    assert res.gamma_per_s == _closed(0.01, 4e-9, 30e-6, math.inf).gamma_per_s
 
 
-@pytest.mark.parametrize("T, L", [(50.0, 4e-9), (300.0, 1e-10)])
+@pytest.mark.parametrize("T, L", [(50.0, 4e-9), (100.0, 4e-9), (300.0, 1e-10)])
 def test_split_evaluation_count_does_not_depend_on_separation(monkeypatch, T, L):
-    # at L = 0.1 nm the form-factor limit is below 8.5, so R has two pieces
-    true_integrate = rates_module.integrate
-    counts = []
-
-    def counting(f, a, b, cfg=None):
-        res = true_integrate(f, a, b, cfg)
-        counts[-1] += res.evaluations
-        return res
-
-    monkeypatch.setattr(rates_module, "integrate", counting)
+    # every engine evaluation, in the Gauss-Kronrod pass on [0, 1/a] and in
+    # the far pass; the far pass's seed panels are the decades of a, so its
+    # count grows as ln a, at most 2x over four decades of D
+    counts = _counting_engine(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffValidityWarning)
         for D in (100e-6, 1e-3, 1.0):
             counts.append(0)
             res = rate_closed_form(GAAS, DotGeometry(L, D), ThermalEnv(T_K=T))
             assert math.isfinite(res.gamma_per_s) and res.gamma_per_s > 0.0
-    assert counts[0] > 0 and len(set(counts)) == 1
+    assert 0 < counts[1] and counts[3] <= 2 * counts[1]
 
 
 @pytest.mark.parametrize(
     "T, uncapped",
-    # the adaptive route's value with panels over all of [0, 8.5]
+    # the integral's value with panels over all of [0, 8.5]
     [(0.01, 4.57301083389036e-07), (0.1, 0.04570677220391435)],
 )
 def test_adaptive_closed_form_stops_where_the_bracket_vanishes(monkeypatch, T, uncapped):
-    # just below the switch, seed panels pi/a wide over all of [0, 8.5]
-    # cost about 3e6 evaluations; B is below 1e-17 beyond x = 60/r
-    true_integrate = rates_module.integrate
-    evaluations = []
-
-    def counting(f, a, b, cfg=None):
-        res = true_integrate(f, a, b, cfg)
-        evaluations.append(res.evaluations)
-        return res
-
-    monkeypatch.setattr(rates_module, "integrate", counting)
-    geom = DotGeometry(4e-9, 0.999 * _switch_separation(T, 4e-9))
-    res = rate_closed_form(GAAS, geom, ThermalEnv(T_K=T))
-    assert sum(evaluations) <= 3e5
+    # at a l = 999, l = min(1, U, U/x_D), panels pi/a wide over all of
+    # [0, 8.5] cost about 3e6 evaluations; B is below 1e-17 beyond
+    # X = 60 U/x_D, where the route stops
+    p = derived_scales(GAAS, DotGeometry(4e-9, 1.0), ThermalEnv(T))
+    scale = min(1.0, p.form_factor_limit, p.form_factor_limit / p.x_debye)
+    counts = _counting_engine(monkeypatch)
+    res = rate_closed_form(GAAS, DotGeometry(4e-9, 999.0 / scale * 4e-9 / math.sqrt(2.0)),
+                           ThermalEnv(T_K=T))
+    assert counts[-1] <= 3e5
     assert res.gamma_per_s == pytest.approx(uncapped, rel=1e-8, abs=0.0)
 
 
@@ -331,14 +412,11 @@ def test_large_separation_slope_is_prefactor_times_b0():
 @settings(max_examples=10, deadline=None, derandomize=True)
 def test_closed_form_is_finite_and_non_decreasing_in_separation(log_T, log_L, log_D):
     # the box T 1 mK - 10^4 K, L 0.1 - 100 nm, D 0 - 1 m; each grid
-    # straddles the switch to the log-law split
+    # straddles the crossover to the far pass
     T, L = 10.0**log_T, 10.0**log_L
-    switch = _switch_separation(T, L)
-    seps = sorted({0.0, 10.0**log_D, 0.999 * switch, 1.001 * switch, 1.0})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CutoffValidityWarning)
-        gammas = [rate_closed_form(GAAS, DotGeometry(L, D), ThermalEnv(T)).gamma_per_s
-                  for D in seps]
+    crossover = _crossover_separation(T, L)
+    seps = sorted({0.0, 10.0**log_D, 0.999 * crossover, 1.001 * crossover, 1.0})
+    gammas = [_closed(T, L, D).gamma_per_s for D in seps]
     assert all(math.isfinite(g) for g in gammas)
     assert gammas[0] == 0.0 and gammas[1] > 0.0
     for lo, hi in zip(gammas[1:], gammas[2:]):
@@ -347,16 +425,13 @@ def test_closed_form_is_finite_and_non_decreasing_in_separation(log_T, log_L, lo
 
 @pytest.mark.parametrize(
     "T, L, D",
-    # points above the switch where one double call takes well under 0.5 s
+    # points where one double call takes well under 0.5 s; a X is 6,600,
+    # 2,200 and 30,052, so the far path is forced at all three
     [(300.0, 4e-10, 3e-7), (1e4, 1e-10, 1e-7), (300.0, 4e-9, 1e-5)],
 )
 def test_split_closed_form_agrees_with_double_integral(T, L, D):
-    assert D > _switch_separation(T, L)
-    geom, env = DotGeometry(L, D), ThermalEnv(T)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CutoffValidityWarning)
-        closed = rate_closed_form(GAAS, geom, env).gamma_per_s
-    double = rate_double_integral(GAAS, geom, env).gamma_per_s
+    closed = _closed(T, L, D, 0.0).gamma_per_s
+    double = rate_double_integral(GAAS, DotGeometry(L, D), ThermalEnv(T)).gamma_per_s
     assert double == pytest.approx(closed, rel=1e-2)
 
 
@@ -364,11 +439,21 @@ def test_split_closed_form_agrees_with_double_integral(T, L, D):
     "T, L, D", [(4.0, 4e-9, 100e-6), (300.0, 4e-9, 100e-6), (50.0, 4e-9, 300e-6)],
 )
 def test_double_integral_matches_split_closed_form(T, L, D):
-    assert D > _switch_separation(T, L)
+    assert D > _crossover_separation(T, L)
     geom, env = DotGeometry(L, D), ThermalEnv(T)
     closed = rate_closed_form(GAAS, geom, env).gamma_per_s
     double = rate_double_integral(GAAS, geom, env).gamma_per_s
     assert double == pytest.approx(closed, rel=1e-6)
+
+
+def test_closed_form_matches_the_recorded_box_reference():
+    # tests/record_closed_box.py wrote these rates over the 560-point box
+    # before the far pass replaced the log-law split
+    rows = json.loads(REFERENCE_BOX.read_text(encoding="utf-8"))["rows"]
+    assert len(rows) == 560
+    for T, L, D, expected in rows:
+        assert _closed(T, L, D).gamma_per_s == pytest.approx(expected, rel=1e-10, abs=0.0), \
+            (T, L, D)
 
 
 def test_monte_carlo_pinned_output():
@@ -616,6 +701,27 @@ def test_narrow_cutoff_warning():
         rate_closed_form(narrow, geom, ThermalEnv(T_K=10.0))
 
 
+@pytest.mark.parametrize("path", ["rate_closed_form", "compute_rate", "run_sweep",
+                                  "rate_validate"])
+def test_narrow_cutoff_warning_names_the_callers_line(path):
+    # at L = 0.1 nm the form-factor limit is 1.56; whichever public call
+    # reaches the closed route, the warning names this file, not the package
+    geom, env = DotGeometry(1e-10, 1e-8), ThermalEnv(100.0)
+    calls = {
+        "rate_closed_form": lambda: rate_closed_form(GAAS, geom, env),
+        "compute_rate": lambda: compute_rate(METHOD_CLOSED, GAAS, geom, env),
+        "run_sweep": lambda: run_sweep(SweepSpec(axis="temperature", min_value=100.0,
+                                                 max_value=200.0, points=2,
+                                                 width_L_m=1e-10, fixed_D_m=1e-8)),
+        "rate_validate": lambda: rate_validate(GAAS, geom, env, samples=10**4),
+    }
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        calls[path]()
+    assert seen and all(w.category is CutoffValidityWarning for w in seen)
+    assert {w.filename for w in seen} == {__file__}
+
+
 def test_no_warning_for_wide_cutoff():
     with warnings.catch_warnings():
         warnings.simplefilter("error", CutoffValidityWarning)
@@ -629,20 +735,12 @@ def test_validation_passes_at_reference_point():
 
 
 def test_validation_catches_inconsistent_routes(monkeypatch):
-    # doubling the deterministic prefactor leaves the sampler untouched,
-    # so the closed-form vs monte-carlo comparison must fail
-    true_scales = rates_module.derived_scales
-
-    def doubled(material, geom, env):
-        p = true_scales(material, geom, env)
-        return type(p)(
-            prefactor_per_s=2.0 * p.prefactor_per_s,
-            x_debye=p.x_debye,
-            form_factor_limit=p.form_factor_limit,
-            sep_ratio=p.sep_ratio,
-        )
-
-    monkeypatch.setattr(rates_module, "derived_scales", doubled)
+    # doubling the form-factor deficit 1 - sin(a x)/(a x) doubles both
+    # deterministic routes and leaves the sampler untouched (the three
+    # routes share their scale through derived_scales), so the
+    # closed-form vs monte-carlo comparison must fail
+    true_deficit = rates_module.sinc_deficit
+    monkeypatch.setattr(rates_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
     report = rate_validate(GAAS, GEOM, ThermalEnv(T_K=50.0), samples=10**5)
     assert report.double_passed      # both deterministic routes doubled
     assert not report.mc_passed
