@@ -16,7 +16,7 @@ except the first call of a pass, which is made before m is known and holds
 up to _SMALL_CALL panels of m rows. Chunking changes how often the
 integrand is called, never which nodes it sees or how their values are
 summed. A nested domain with a separable integrand tabulates its inner
-integral in one pass and reads it at every outer node.
+integral once and reads it at every outer node.
 
 Kinks and breakpoints are left to the caller: an integrand that is smooth
 only between known points (an interpolated table) is integrated interval by
@@ -319,6 +319,12 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
     return vals, errs, lefts, order, shape, evaluations
 
 
+def _decade_edges(omega: float, b: float) -> np.ndarray:
+    """Seed edges of a far pass over [1/omega, b]: the decades 10^j/omega, then b."""
+    decades = 10.0 ** np.arange(math.ceil(math.log10(omega * b))) / omega
+    return np.append(decades[decades < b], b)
+
+
 def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
     """Adaptive integration of f over [a, b].
 
@@ -362,19 +368,23 @@ def integrate_semi_infinite(f: Callable, a: float, decay_scale: float,
 
 
 def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_max: Callable,
-                     cfg: QuadratureConfig, inner_cfg: QuadratureConfig) -> QuadratureResult:
+                     cfg: QuadratureConfig, inner_cfg: QuadratureConfig,
+                     far: Optional[tuple] = None) -> QuadratureResult:
     """Integrate weight(x) inner(t) over x in [a, b], t in [0, t_max(x)].
 
     weight, inner and t_max take 1-D arrays (a scalar result broadcasts);
     t_max must be finite, non-negative and largest at a or b (t_top). One
     adaptive pass of inner over [0, t_top] at inner_cfg tabulates
-    H(tau) = Int_0^tau inner; a node x reads H(t_max(x)) as the prefix sum
-    of the panels left of tau plus one 15-node Kronrod panel from the edge
-    below tau, so a tau of 0 or on an edge samples nothing. The outer pass
-    is integrate(..., cfg). abs_error_estimate adds (b - a) max|weight|
-    (table estimate + largest partial-panel estimate); evaluations counts
-    table nodes, outer nodes and 15 per partial panel. NonConvergence names
-    the axis; the inner text names [0, t_top]."""
+    H(tau) = Int_0^tau inner; with far = (pair, omega), inner being
+    f0 + f1 sin(omega t) beyond 1/omega and pair returning (f0, f1) as
+    (2, n), the pass stops at 1/omega and a far pass of pair takes the rest.
+    A node x reads H(t_max(x)) as the prefix sum of the panels left of tau
+    plus one panel of the cut panel's rule (15 Kronrod or 25 sin-weighted
+    nodes) from its left edge to tau, so a tau of 0 or on an edge samples
+    nothing. The outer pass is integrate(..., cfg). abs_error_estimate adds
+    (b - a) max|weight| (table estimate + largest partial-panel estimate);
+    evaluations counts table, outer and partial-panel nodes. NonConvergence
+    names the axis; the inner text names the table pass's range."""
 
     def limits(xs: np.ndarray, top: float) -> np.ndarray:
         tops = np.broadcast_to(np.asarray(t_max(xs), dtype=float), xs.shape)
@@ -386,15 +396,24 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
         return tops
 
     t_top = float(limits(np.array([a, b], dtype=float), math.inf).max())
-    edges, prefix, table_err, table_evals = np.zeros(1), np.zeros(1), 0.0, 0
+    split = t_top if far is None else min(t_top, 1.0 / far[1])
+    passes, reads = [(inner, 0.0, split, {})], [(inner, _gauss_kronrod, 15)]
+    if split < t_top:
+        pair, omega = far
+        passes.append((pair, split, t_top, dict(omega=omega, edges=_decade_edges(omega, t_top))))
+        reads.append((pair, partial(_sin_clenshaw_curtis, omega=omega), _CC_NODES.size))
+    edges, prefix, near, table_err, table_evals = np.zeros(1), np.zeros(1), 1, 0.0, 0
     if t_top > 0.0:
         try:
-            vals, errs, lefts, order, _, table_evals = _adaptive(inner, 0.0, t_top, inner_cfg)
+            runs = [_adaptive(f, lo, hi, inner_cfg, **kw) for f, lo, hi, kw in passes]
         except NonConvergence as exc:
             raise NonConvergence(f"inner axis: {exc}") from exc
-        edges = np.append(lefts[order], t_top)
-        prefix = np.concatenate([[0.0], np.cumsum(vals[0])])
-        table_err = float(_ordered_sum(errs)[0])
+        # panels below `near` are Gauss-Kronrod, the rest the sin-weighted rule
+        near = runs[0][0].shape[1]
+        edges = np.append(np.concatenate([lefts[order] for _, _, lefts, order, *_ in runs]), t_top)
+        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([v[0] for v, *_ in runs]))])
+        table_err = sum(float(_ordered_sum(e)[0]) for _, e, *_ in runs)
+        table_evals = sum(run[-1] for run in runs)
     partial_evals, partial_err, weight_max = 0, 0.0, 0.0
 
     def outer_integrand(xs: np.ndarray) -> np.ndarray:
@@ -402,12 +421,14 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
         taus = limits(xs, t_top)
         j = np.searchsorted(edges, taus, side="right") - 1
         h = prefix[j]
-        cut = np.flatnonzero(taus > edges[j])
-        if cut.size:
-            v, e, _ = _eval_panels(inner, edges[j[cut]], taus[cut])
-            h[cut] += v[0]
-            partial_evals += 15 * cut.size
-            partial_err = max(partial_err, float(e.max()))
+        cut, far_side = taus > edges[j], j >= near
+        for k, (f, rule, nodes) in enumerate(reads):
+            sel = np.flatnonzero(cut & (far_side == k))
+            if sel.size:
+                v, e, _ = _eval_panels(f, edges[j[sel]], taus[sel], rule=rule)
+                h[sel] += v[0]
+                partial_evals += nodes * sel.size
+                partial_err = max(partial_err, float(e.max()))
         w = np.broadcast_to(np.asarray(weight(xs), dtype=float), xs.shape)
         weight_max = max(weight_max, float(np.abs(w).max()))
         return w * h

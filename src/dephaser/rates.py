@@ -7,9 +7,9 @@ fifth-moment weight holds less than 1e-19 of its total:
 * ``rate_closed_form``: the one-dimensional reduced integral over the
   Gaussian-damped wavefunction form factor times a difference of cumulative
   Bose fifth moments.
-* ``rate_double_integral``: the two-dimensional thermal-shell form the
-  closed form is obtained from by integration by parts plus extending the
-  form-factor limit to infinity.
+* ``rate_double_integral``: the two-dimensional thermal-shell form; the
+  closed form is the same integral with the order of integration swapped,
+  the thermal-shell integral done in closed form as the moment bracket.
 * ``rate_monte_carlo``: importance-sampled evaluation of the underlying
   six-dimensional two-mode scattering integral with the energy-conservation
   delta resolved analytically (one radial magnitude, two independent unit
@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .model import DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv, derived_scales
-from .quadrature import (NonConvergence, QuadratureConfig, _adaptive, _ordered_sum, integrate,
-                         integrate_nested)
+from .quadrature import (NonConvergence, QuadratureConfig, _adaptive, _decade_edges,
+                         _ordered_sum, integrate, integrate_nested)
 from .specfun import (_MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand, _sin_sq,
                       sinc_deficit)
 
@@ -48,9 +48,9 @@ METHODS = (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC)
 
 # Beyond this the Gaussian form factor exp(-x^2) is below 1e-31.
 _FORM_FACTOR_CUT = 8.5
-# a X past which the closed route's far pass replaces Gauss-Kronrod panels:
-# the pass takes 2-3 ms for any a, the panels 3 ms at a X = 3000 and
-# 3.4-4 ms here, where they are up to 19,110 evaluations
+# a X past which both deterministic routes' far pass replaces Gauss-Kronrod
+# panels pi/a wide: closed's pass takes 2-3 ms for any a, its panels 3 ms at
+# a X = 3000 and 3.4-4 ms here, where they are up to 19,110 evaluations
 _FAR_CROSSOVER = 4000.0
 
 _MIN_MC_SAMPLES = 10**4
@@ -157,10 +157,9 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
         value, err = quad.value, quad.abs_error_estimate
         if far:
             b0 = float(_moment_bracket(p.x_debye, 0.0))
-            decades = 10.0 ** np.arange(math.ceil(math.log10(a * upper))) / a
             vals, errs, *_ = _adaptive(
                 far_pair, 1.0 / a, upper, QuadratureConfig(abs_tol=1e-12 * b0, rel_tol=1e-9),
-                omega=a, edges=np.append(decades[decades < upper], upper))
+                omega=a, edges=_decade_edges(a, upper))
             value, err = value + _ordered_sum(vals)[0], err + _ordered_sum(errs)[0]
     except NonConvergence as exc:
         raise NonConvergence(f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
@@ -177,10 +176,11 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
 
     The outer limit is min(x_D, 60). The Bose weight is evaluated as
     x^5 e^(-x)/expm1(-x)^2, which does not overflow. quadrature.integrate_nested
-    tabulates the inner integral in one adaptive pass and reads it at every
-    outer node. That pass resolves sin(a t), so its cost still grows with D:
-    about 3 ms at (20 K, 500 nm), 17 ms at (1 K, 2 um), 0.2-0.3 s at 300 um,
-    and NonConvergence at 1 mm, where the engine caps its seed panels.
+    tabulates the inner integral and reads it at every outer node. Past
+    a t_top = _FAR_CROSSOVER, t_top = min(slope min(x_D, 60), 8.5), its pi/a
+    panels give way to the closed route's far pass beyond t = 1/a, so the
+    cost grows as ln a: at (100 K, 4 nm), 14,430 evaluations at 1 um, below
+    the crossover, then 1,905 at 10 um and 3,430 at 1 m.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_DOUBLE, 0.0)
@@ -195,13 +195,19 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     def inner(t: np.ndarray) -> np.ndarray:
         return np.exp(-t * t) / t * sinc_deficit(alpha * t)
 
+    def far_pair(t: np.ndarray) -> np.ndarray:
+        g = np.exp(-t * t) / t
+        return np.stack([g, -g / (alpha * t)])
+
+    upper = min(p.x_debye, _MOMENT_TAIL_CUT)
+    far = alpha * min(slope * upper, _FORM_FACTOR_CUT) > _FAR_CROSSOVER
     cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8)
     inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10,
                                  panel_hint=min(0.5, math.pi / alpha))
     try:
-        quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
+        quad = integrate_nested(weight, inner, 0.0, upper,
                                 lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
-                                cfg, inner_cfg=inner_cfg)
+                                cfg, inner_cfg, far=(far_pair, alpha) if far else None)
     except NonConvergence as exc:
         raise NonConvergence(
             f"{METHOD_DOUBLE} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "

@@ -56,6 +56,17 @@ def test_rate_monte_carlo_method(capsys):
     assert float(cells[2]) == expected.gamma_per_s
 
 
+def test_rate_double_at_1_mm_matches_closed(capsys):
+    # the double route's far table converges at 1 mm, in a few ms
+    argv = ["rate", "--T", "100", "--L", "4e-9", "--D", "1e-3", "--method"]
+    gammas = []
+    for method in ("double", "closed"):
+        code, out, err = _run(capsys, argv + [method])
+        assert code == 0 and err == ""
+        gammas.append(float(out.splitlines()[1].split(",")[2]))
+    assert gammas[0] == pytest.approx(gammas[1], rel=1e-8, abs=0.0)
+
+
 def test_rate_zero_separation(capsys):
     code, out, _ = _run(capsys, ["rate", "--T", "100", "--L", "4e-9",
                                  "--D", "0"])

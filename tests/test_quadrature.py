@@ -474,6 +474,55 @@ def test_nested_inner_nonconvergence_names_the_table_range(monkeypatch):
     assert "above tolerance" in msg and "after 1 subdivisions of [0.0, 2.0]" in msg
 
 
+@pytest.mark.parametrize("omega", [1e3, 1e4, 1e6])
+def test_nested_far_table_matches_qawo(omega):
+    # h(t) = exp(-t^2)/t (1 - sin(omega t)/(omega t)), the rate's inner
+    # integrand, is f0 + f1 sin(omega t) with f0 = exp(-t^2)/t and
+    # f1 = -f0/(omega t). Weight 1 and t_max(x) = x on [0, b] give
+    # Int_0^b (b - t) h(t) dt. scipy takes [0, 1/omega] plainly, then each
+    # decade above it as f0 plainly plus f1 by QAWO. An outer node below
+    # 1/omega cuts a Gauss-Kronrod panel (15 nodes), one above it a panel
+    # of the sin-weighted rule (25 nodes). b = 1.7 keeps the outer nodes off
+    # the table's edges, where a node samples nothing: with b = 2 the
+    # bisections of [0, 2] and of the decade [1, 2] share points
+    b = 1.7
+    outer_nodes, values = [], {"table": 0, "inner": 0, "pair": 0}
+
+    def t_max(x):
+        outer_nodes.append(x.copy())  # the first call, at (0, b), precedes the table
+        return x
+
+    def counted(name, f):
+        def g(t):
+            values["table" if len(outer_nodes) == 1 else name] += t.size
+            return f(t)
+        return g
+
+    inner = counted("inner", lambda t: np.exp(-t * t) / t * sinc_deficit(omega * t))
+    pair = counted("pair", lambda t: np.stack([np.exp(-t * t) / t,
+                                               -np.exp(-t * t) / (omega * t * t)]))
+    res = integrate_nested(lambda x: 1.0, inner, 0.0, b, t_max, OUTER_CFG, INNER_CFG,
+                           far=(pair, omega))
+
+    # the far pieces' absolute tolerance is 1e-15 of the integral, about 10
+    opts = dict(epsabs=1e-14, epsrel=1e-12, limit=500)
+    lo = 1.0 / omega
+    ref = quad(lambda t: (b - t) * math.exp(-t * t) / t
+               * (1.0 - math.sin(omega * t) / (omega * t)), 0.0, lo, **opts)[0]
+    cuts = [lo * 10.0**j for j in range(1 + int(math.log10(b * omega)))] + [b]
+    for u, v in zip(cuts, cuts[1:]):
+        ref += quad(lambda t: (b - t) * math.exp(-t * t) / t, u, v, **opts)[0]
+        ref += quad(lambda t: -(b - t) * math.exp(-t * t) / (omega * t * t), u, v,
+                    weight="sin", wvar=omega, **opts)[0]
+    assert res.value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    nodes = np.concatenate(outer_nodes[1:])
+    below, above = np.count_nonzero(nodes < lo), np.count_nonzero(nodes > lo)
+    assert below > 0 and above > 0 and below + above == nodes.size
+    assert values["inner"] == 15 * below and values["pair"] == 25 * above
+    assert res.evaluations == values["table"] + nodes.size + 15 * below + 25 * above
+
+
 def _sinc_kernel(x):
     return np.exp(-x * x) * sinc_deficit(50.0 * x) / x
 
