@@ -4,8 +4,8 @@ and nested 2-D domains.
 Panels use an embedded 7-point Gauss / 15-point Kronrod pair. The rule is
 open (no endpoint evaluations), so integrands with a removable singularity
 at an interval edge are handled as long as every sampled node is finite.
-The private engine loop can take a sin-weighted Clenshaw-Curtis rule
-instead, for integrals with a fast sin(omega x) factor.
+For a fast sin(omega x) factor, integrate_sin_tail and integrate_nested
+decide where a sin-weighted Clenshaw-Curtis rule takes over.
 Integrands are vectorized: they take a 1-D ndarray of n nodes and return
 shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
@@ -25,7 +25,7 @@ interval between them, so no panel straddles a kink or is bisected towards it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional
 
@@ -91,6 +91,9 @@ _BISECT_BATCH = 64
 # it holds up to _SMALL_CALL * 15 * m values; more start with one panel.
 _BLOCK_ELEMS = 1 << 16
 _SMALL_CALL = 64
+# omega b past which a sin(omega x) integral over [0, b] takes the far pass beyond
+# 1/omega: that pass costs 2-3 ms for any omega, pi/omega panels 3.4-4 ms here
+_FAR_CROSSOVER = 4000.0
 
 # Gaussian tail bound: exp(-s^2) < 1e-30 at s = sqrt(ln 1e30).
 _TRUNC_SIGMA = math.sqrt(math.log(1e30))
@@ -200,26 +203,30 @@ def _sin_clenshaw_curtis(f, lefts: np.ndarray, rights: np.ndarray, shape, omega:
     return q[0][None], np.abs(q[0] - q[1])[None], ()
 
 
-def _chunk(shape) -> int:
-    """Panels per integrand call for integrals of the given value shape."""
-    return max(1, _BLOCK_ELEMS // (15 * (shape[0] if shape else 1)))
+def _rule(omega: Optional[float]) -> tuple:
+    """(panel rule, nodes, values sampled per panel and component): Gauss-Kronrod,
+    or with omega the sin-weighted rule, which samples a pair (f0, f1)."""
+    if omega is None:
+        return _gauss_kronrod, 15, 15
+    return partial(_sin_clenshaw_curtis, omega=omega), _CC_NODES.size, 2 * _CC_NODES.size
 
 
-def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray, shape=None, rule=_gauss_kronrod):
-    """The panel rule over the panels in chunks (see _BLOCK_ELEMS)."""
-    n = lefts.size
-    if n <= (_SMALL_CALL if shape is None else _chunk(shape)):
-        return rule(f, lefts, rights, shape)
-    step = 1 if shape is None else _chunk(shape)
-    v, e, shape = rule(f, lefts[:step], rights[:step], shape)
-    vals, errs = np.empty((v.shape[0], n)), np.empty((v.shape[0], n))
-    vals[:, :step], errs[:, :step] = v, e
-    start, step = step, _chunk(shape)
+def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray, shape=None, rule=_rule(None)):
+    """The panel rule, a _rule triple, over the panels in chunks (see _BLOCK_ELEMS)."""
+    apply, _, samples = rule
+    n, start, vals, errs = lefts.size, 0, None, None
     while start < n:
-        stop = min(start + step, n)
-        vals[:, start:stop], errs[:, start:stop], _ = rule(
-            f, lefts[start:stop], rights[start:stop], shape)
-        start = stop
+        if shape is None:
+            step = n if n <= _SMALL_CALL else 1
+        else:
+            step = max(1, _BLOCK_ELEMS // (samples * (shape[0] if shape else 1)))
+        if start == 0 and step >= n:
+            return apply(f, lefts, rights, shape)
+        v, e, shape = apply(f, lefts[start:start + step], rights[start:start + step], shape)
+        if vals is None:
+            vals, errs = np.empty((v.shape[0], n)), np.empty((v.shape[0], n))
+        vals[:, start:start + step], errs[:, start:start + step] = v, e
+        start += step
     return vals, errs, shape
 
 
@@ -256,8 +263,7 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
     edge, lefts[order] their left edges; the last panel ends at b. With
     omega, panels use _sin_clenshaw_curtis at that frequency; edges, from
     a to b, replace the seed panels of panel_hint."""
-    rule = _gauss_kronrod if omega is None else partial(_sin_clenshaw_curtis, omega=omega)
-    per_panel = 15 if omega is None else _CC_NODES.size
+    rule = _rule(omega)
     asked = 1
     if edges is None:
         if cfg.panel_hint is not None and b > a:
@@ -267,7 +273,7 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
     n0 = edges.size - 1
     lefts, rights = edges[:-1], edges[1:]
     vals, errs, shape = _eval_panels(f, lefts, rights, rule=rule)
-    evaluations = per_panel * n0
+    evaluations = rule[1] * n0
     total_val, total_err = vals.sum(axis=1), errs.sum(axis=1)
     tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
     # Panels live in columns 0..n-1 in creation order; a split panel is
@@ -297,7 +303,7 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
         la = np.column_stack([left, mid]).ravel()
         ra = np.column_stack([mid, right]).ravel()
         new_vals, new_errs, _ = _eval_panels(f, la, ra, shape, rule)
-        evaluations += per_panel * la.size
+        evaluations += rule[1] * la.size
         total_val = total_val + new_vals.sum(axis=1)
         total_err = total_err + new_errs.sum(axis=1)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
@@ -319,10 +325,17 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
     return vals, errs, lefts, order, shape, evaluations
 
 
-def _decade_edges(omega: float, b: float) -> np.ndarray:
-    """Seed edges of a far pass over [1/omega, b]: the decades 10^j/omega, then b."""
+def _sin_passes(f, pair, omega: float, b: float, cfg, far_cfg) -> list:
+    """The passes, as _adaptive's arguments, of Int_0^b f with f = f0 +
+    f1 sin(omega x) and pair giving (f0, f1): f at cfg over [0, b], seed
+    panels at most pi/omega wide; past omega b = _FAR_CROSSOVER, f over
+    [0, 1/omega] and pair at far_cfg from the decades 10^j/omega to b."""
+    cfg = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / omega))
+    if omega * b <= _FAR_CROSSOVER:
+        return [(f, 0.0, b, cfg, None, None)]
     decades = 10.0 ** np.arange(math.ceil(math.log10(omega * b))) / omega
-    return np.append(decades[decades < b], b)
+    return [(f, 0.0, 1.0 / omega, cfg, None, None),
+            (pair, 1.0 / omega, b, far_cfg, omega, np.append(decades[decades < b], b))]
 
 
 def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
@@ -351,6 +364,23 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
     return QuadratureResult(value, error, evaluations)
 
 
+def integrate_sin_tail(f: Callable, pair: Callable, omega: float, b: float,
+                       cfg: QuadratureConfig, far_cfg: QuadratureConfig) -> QuadratureResult:
+    """Integrate f over [0, b], f being f0 + f1 sin(omega x) and pair
+    returning (f0, f1) as (2, n). The engine decides the passes: integrate
+    at cfg with seed panels at most pi/omega wide over [0, b], or, past
+    omega b = _FAR_CROSSOVER, over [0, 1/omega] plus a far pass of pair at
+    far_cfg, whose cost grows as ln omega. The result sums the passes'."""
+    first, *far = _sin_passes(f, pair, omega, b, cfg, far_cfg)
+    near = integrate(*first[:4])  # by name, so that a shim on integrate sees it
+    if not far:
+        return near
+    vals, errs, *_, evaluations = _adaptive(*far[0])
+    return QuadratureResult(near.value + float(_ordered_sum(vals)[0]),
+                            near.abs_error_estimate + float(_ordered_sum(errs)[0]),
+                            near.evaluations + evaluations)
+
+
 def integrate_semi_infinite(f: Callable, a: float, decay_scale: float,
                             cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
     """Integrate f over [a, inf) assuming at least Gaussian decay.
@@ -375,9 +405,9 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
     weight, inner and t_max take 1-D arrays (a scalar result broadcasts);
     t_max must be finite, non-negative and largest at a or b (t_top). One
     adaptive pass of inner over [0, t_top] at inner_cfg tabulates
-    H(tau) = Int_0^tau inner; with far = (pair, omega), inner being
-    f0 + f1 sin(omega t) beyond 1/omega and pair returning (f0, f1) as
-    (2, n), the pass stops at 1/omega and a far pass of pair takes the rest.
+    H(tau) = Int_0^tau inner. far = (pair, omega) says that inner is
+    f0 + f1 sin(omega t), pair returning (f0, f1) as (2, n); the engine
+    then splits the table as integrate_sin_tail does, both passes at inner_cfg.
     A node x reads H(t_max(x)) as the prefix sum of the panels left of tau
     plus one panel of the cut panel's rule (15 Kronrod or 25 sin-weighted
     nodes) from its left edge to tau, so a tau of 0 or on an edge samples
@@ -396,16 +426,13 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
         return tops
 
     t_top = float(limits(np.array([a, b], dtype=float), math.inf).max())
-    split = t_top if far is None else min(t_top, 1.0 / far[1])
-    passes, reads = [(inner, 0.0, split, {})], [(inner, _gauss_kronrod, 15)]
-    if split < t_top:
-        pair, omega = far
-        passes.append((pair, split, t_top, dict(omega=omega, edges=_decade_edges(omega, t_top))))
-        reads.append((pair, partial(_sin_clenshaw_curtis, omega=omega), _CC_NODES.size))
+    passes = ([(inner, 0.0, t_top, inner_cfg, None, None)] if far is None
+              else _sin_passes(inner, *far, t_top, inner_cfg, inner_cfg))
+    reads = [(f, _rule(omega)) for f, _, _, _, omega, _ in passes]
     edges, prefix, near, table_err, table_evals = np.zeros(1), np.zeros(1), 1, 0.0, 0
     if t_top > 0.0:
         try:
-            runs = [_adaptive(f, lo, hi, inner_cfg, **kw) for f, lo, hi, kw in passes]
+            runs = [_adaptive(*p) for p in passes]
         except NonConvergence as exc:
             raise NonConvergence(f"inner axis: {exc}") from exc
         # panels below `near` are Gauss-Kronrod, the rest the sin-weighted rule
@@ -422,12 +449,12 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
         j = np.searchsorted(edges, taus, side="right") - 1
         h = prefix[j]
         cut, far_side = taus > edges[j], j >= near
-        for k, (f, rule, nodes) in enumerate(reads):
+        for k, (f, rule) in enumerate(reads):
             sel = np.flatnonzero(cut & (far_side == k))
             if sel.size:
                 v, e, _ = _eval_panels(f, edges[j[sel]], taus[sel], rule=rule)
                 h[sel] += v[0]
-                partial_evals += nodes * sel.size
+                partial_evals += rule[1] * sel.size
                 partial_err = max(partial_err, float(e.max()))
         w = np.broadcast_to(np.asarray(weight(xs), dtype=float), xs.shape)
         weight_max = max(weight_max, float(np.abs(w).max()))

@@ -36,8 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .model import DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv, derived_scales
-from .quadrature import (NonConvergence, QuadratureConfig, _adaptive, _decade_edges,
-                         _ordered_sum, integrate, integrate_nested)
+from .quadrature import NonConvergence, QuadratureConfig, integrate_nested, integrate_sin_tail
+# only for perfbench/tests/test_perfbench.py, whose tracer test reads rates.integrate
+from .quadrature import integrate  # noqa: F401
 from .specfun import (_MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand, _sin_sq,
                       sinc_deficit)
 
@@ -48,10 +49,6 @@ METHODS = (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC)
 
 # Beyond this the Gaussian form factor exp(-x^2) is below 1e-31.
 _FORM_FACTOR_CUT = 8.5
-# a X past which both deterministic routes' far pass replaces Gauss-Kronrod
-# panels pi/a wide: closed's pass takes 2-3 ms for any a, its panels 3 ms at
-# a X = 3000 and 3.4-4 ms here, where they are up to 19,110 evaluations
-_FAR_CROSSOVER = 4000.0
 
 _MIN_MC_SAMPLES = 10**4
 # the samples and seed wherever a Monte Carlo caller gives none
@@ -125,14 +122,11 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     with a = sqrt(2) D/L and x_D the Debye cutoff in thermal units. The
     infinite limit is truncated at X, the smallest of 8.5 (the Gaussian is
     below 1e-31), the form-factor limit sqrt(2) k_D L and
-    x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17. Up to
-    a X = _FAR_CROSSOVER, Gauss-Kronrod panels about pi/a wide cover [0, X].
-    Beyond, they cover [0, 1/a], and one pass of the sin-weighted rule
-    covers [1/a, X] from the decades 10^j/a: exp(-x^2) B/x directly and
-    -exp(-x^2) B/(a x^2) against sin(a x), at a cost that grows as ln a.
-    Its absolute tolerance, 1e-12 B(0), keeps a far piece tiny against the
-    rate from chasing the moment table's noise. The error is the engine's
-    estimate; T = 0 and D = 0 short-circuit to a vanishing rate.
+    x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17. One call of
+    quadrature.integrate_sin_tail takes the integrand with its pair
+    (exp(-x^2) B/x, -exp(-x^2) B/(a x^2)) against sin(a x), and decides
+    where its far pass takes over. The error is the engine's estimate;
+    T = 0 and D = 0 short-circuit to a vanishing rate.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_CLOSED, 0.0)
@@ -150,21 +144,15 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
         g = np.exp(-x * x) / x * _moment_bracket(p.x_debye, x * ratio)
         return np.stack([g, -g / (a * x)])
 
-    far = a * upper > _FAR_CROSSOVER
-    cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8, panel_hint=min(0.5, math.pi / a))
     try:
-        quad = integrate(integrand, 0.0, 1.0 / a if far else upper, cfg)
-        value, err = quad.value, quad.abs_error_estimate
-        if far:
-            b0 = float(_moment_bracket(p.x_debye, 0.0))
-            vals, errs, *_ = _adaptive(
-                far_pair, 1.0 / a, upper, QuadratureConfig(abs_tol=1e-12 * b0, rel_tol=1e-9),
-                omega=a, edges=_decade_edges(a, upper))
-            value, err = value + _ordered_sum(vals)[0], err + _ordered_sum(errs)[0]
+        quad = integrate_sin_tail(integrand, far_pair, a, upper,
+                                  QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8, panel_hint=0.5),
+                                  QuadratureConfig(abs_tol=1e-250, rel_tol=1e-9))
     except NonConvergence as exc:
         raise NonConvergence(f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
                              f"separation_D_m={geom.separation_D_m}: {exc}") from exc
-    return RateResult(p.prefactor_per_s * value, METHOD_CLOSED, p.prefactor_per_s * err)
+    return RateResult(p.prefactor_per_s * quad.value, METHOD_CLOSED,
+                      p.prefactor_per_s * quad.abs_error_estimate)
 
 
 def rate_double_integral(material: MaterialParams, geom: DotGeometry,
@@ -176,11 +164,9 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
 
     The outer limit is min(x_D, 60). The Bose weight is evaluated as
     x^5 e^(-x)/expm1(-x)^2, which does not overflow. quadrature.integrate_nested
-    tabulates the inner integral and reads it at every outer node. Past
-    a t_top = _FAR_CROSSOVER, t_top = min(slope min(x_D, 60), 8.5), its pi/a
-    panels give way to the closed route's far pass beyond t = 1/a, so the
-    cost grows as ln a: at (100 K, 4 nm), 14,430 evaluations at 1 um, below
-    the crossover, then 1,905 at 10 um and 3,430 at 1 m.
+    tabulates the inner integral and reads it at every outer node; given the
+    inner's pair (exp(-t^2)/t, -exp(-t^2)/(a t^2)) against sin(a t), it
+    decides where the table's far pass takes over, as for the closed route.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_DOUBLE, 0.0)
@@ -199,15 +185,12 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
         g = np.exp(-t * t) / t
         return np.stack([g, -g / (alpha * t)])
 
-    upper = min(p.x_debye, _MOMENT_TAIL_CUT)
-    far = alpha * min(slope * upper, _FORM_FACTOR_CUT) > _FAR_CROSSOVER
     cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8)
-    inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10,
-                                 panel_hint=min(0.5, math.pi / alpha))
+    inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10, panel_hint=0.5)
     try:
-        quad = integrate_nested(weight, inner, 0.0, upper,
+        quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
                                 lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
-                                cfg, inner_cfg, far=(far_pair, alpha) if far else None)
+                                cfg, inner_cfg, far=(far_pair, alpha))
     except NonConvergence as exc:
         raise NonConvergence(
             f"{METHOD_DOUBLE} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "

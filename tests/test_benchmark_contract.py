@@ -2,11 +2,14 @@
 
 The benchmark binds package names by string: the tracer's shims, the
 workloads' task functions, the setup probe's code and the timed command
-lines. A rename or deletion in the package breaks the benchmark without
-failing any other test here, so each binding is checked against the
-current package. The contract itself is read from perfbench/, not copied.
+lines; its own tests read module attributes. A rename or deletion in the
+package breaks the benchmark without failing any other test here, so each
+binding is checked against the current package. The contract itself is
+read from perfbench/, not copied.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -66,3 +69,34 @@ def test_setup_code_runs():
 def test_cli_command_parses(metric):
     args = _build_parser().parse_args(harness.CLI_COMMANDS[metric])
     assert callable(args.func)
+
+
+def _package_attribute_loads(path: Path) -> set:
+    """(module, attribute chain) of every `<module>.<attr>` load in path
+    whose base name an import binds to a package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or "dephaser": alias.name if alias.asname else "dephaser"
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.partition(".")[0] == "dephaser"}
+    loads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                loads.add((modules[base.id], tuple(chain)))
+    return loads
+
+
+def test_every_package_attribute_the_benchmark_tests_read_exists():
+    loads = _package_attribute_loads(ROOT / "perfbench" / "tests" / "test_perfbench.py")
+    assert {("dephaser.quadrature", ("integrate",)), ("dephaser.rates", ("integrate",)),
+            ("dephaser.sweep", ("rate_closed_form",)),
+            ("dephaser", ("specfun", "BoseMomentTable", "eval"))} <= loads
+    for module, chain in sorted(loads):
+        obj = importlib.import_module(module)
+        for attr in chain:
+            assert hasattr(obj, attr), f"{module}.{'.'.join(chain)}"
+            obj = getattr(obj, attr)

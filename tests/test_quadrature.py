@@ -480,13 +480,17 @@ def test_nested_far_table_matches_qawo(omega):
     # integrand, is f0 + f1 sin(omega t) with f0 = exp(-t^2)/t and
     # f1 = -f0/(omega t). Weight 1 and t_max(x) = x on [0, b] give
     # Int_0^b (b - t) h(t) dt. scipy takes [0, 1/omega] plainly, then each
-    # decade above it as f0 plainly plus f1 by QAWO. An outer node below
-    # 1/omega cuts a Gauss-Kronrod panel (15 nodes), one above it a panel
-    # of the sin-weighted rule (25 nodes). b = 1.7 keeps the outer nodes off
-    # the table's edges, where a node samples nothing: with b = 2 the
-    # bisections of [0, 2] and of the decade [1, 2] share points
+    # decade above it as f0 plainly plus f1 by QAWO. Past the crossover an
+    # outer node below 1/omega cuts a Gauss-Kronrod panel (15 nodes), one
+    # above it a panel of the sin-weighted rule (25 nodes); at omega = 1e3,
+    # omega b = 1,700 is below it, so the table is one Gauss-Kronrod pass
+    # and every node reads 15. A node on a table edge samples nothing. b =
+    # 1.7 keeps the nodes off the far table's edges (with b = 2 the
+    # bisections of [0, 2] and of the decade [1, 2] share points); the one
+    # Gauss-Kronrod table has 542 seed panels, and its edge 271 is b/2
     b = 1.7
-    outer_nodes, values = [], {"table": 0, "inner": 0, "pair": 0}
+    outer_nodes, values = [], {(phase, name): 0 for phase in ("table", "read")
+                               for name in ("inner", "pair")}
 
     def t_max(x):
         outer_nodes.append(x.copy())  # the first call, at (0, b), precedes the table
@@ -494,7 +498,7 @@ def test_nested_far_table_matches_qawo(omega):
 
     def counted(name, f):
         def g(t):
-            values["table" if len(outer_nodes) == 1 else name] += t.size
+            values["table" if len(outer_nodes) == 1 else "read", name] += t.size
             return f(t)
         return g
 
@@ -517,10 +521,16 @@ def test_nested_far_table_matches_qawo(omega):
     assert res.value == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     nodes = np.concatenate(outer_nodes[1:])
-    below, above = np.count_nonzero(nodes < lo), np.count_nonzero(nodes > lo)
-    assert below > 0 and above > 0 and below + above == nodes.size
-    assert values["inner"] == 15 * below and values["pair"] == 25 * above
-    assert res.evaluations == values["table"] + nodes.size + 15 * below + 25 * above
+    if omega * b > quadrature_module._FAR_CROSSOVER:
+        below, above = np.count_nonzero(nodes < lo), np.count_nonzero(nodes > lo)
+        assert below > 0 and above > 0 and below + above == nodes.size
+        assert values["table", "pair"] > 0
+    else:
+        below, above = nodes.size - np.count_nonzero(nodes == b / 2), 0
+        assert values["table", "pair"] == 0
+    assert values["read", "inner"] == 15 * below and values["read", "pair"] == 25 * above
+    table = values["table", "inner"] + values["table", "pair"]
+    assert res.evaluations == table + nodes.size + 15 * below + 25 * above
 
 
 def _sinc_kernel(x):

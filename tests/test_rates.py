@@ -188,13 +188,71 @@ def test_double_integral_far_table_makes_two_passes_and_one_outer_pass(monkeypat
     res = rate_double_integral(GAAS, geom, env)
     p = derived_scales(GAAS, geom, env)
     alpha = p.sep_ratio
-    assert alpha * rates_module._FORM_FACTOR_CUT > rates_module._FAR_CROSSOVER
+    assert alpha * rates_module._FORM_FACTOR_CUT > quadrature_module._FAR_CROSSOVER
     assert passes == [(0.0, 1.0 / alpha, None),
                       (1.0 / alpha, rates_module._FORM_FACTOR_CUT, alpha),
                       (0.0, p.x_debye, None)]
     assert outer == [(0.0, p.x_debye)]
     assert res.gamma_per_s == pytest.approx(rate_closed_form(GAAS, geom, env).gamma_per_s,
                                             rel=1e-8)
+
+
+def _omega_of_each_pass(monkeypatch) -> list:
+    """Patch the engine loop to list the omega of every pass, None for a
+    Gauss-Kronrod pass, whichever route or engine function runs it."""
+    omegas, adaptive = [], quadrature_module._adaptive
+
+    def listing(f, a, b, cfg, omega=None, edges=None):
+        omegas.append(omega)
+        return adaptive(f, a, b, cfg, omega, edges)
+
+    monkeypatch.setattr(quadrature_module, "_adaptive", listing)
+    return omegas
+
+
+def test_one_crossover_switches_both_routes(monkeypatch):
+    # at (20 K, 4 nm, 10 um), a X = a t_top = 30,052: both routes make a far
+    # pass. quadrature._FAR_CROSSOVER alone moves both to Gauss-Kronrod
+    # panels pi/a wide, and each route agrees with its own far-pass rate
+    geom, env = DotGeometry(4e-9, 10e-6), ThermalEnv(20.0)
+    a = derived_scales(GAAS, geom, env).sep_ratio
+    routes = (rate_closed_form, rate_double_integral)
+    omegas = _omega_of_each_pass(monkeypatch)
+    far = [route(GAAS, geom, env) for route in routes]
+    # closed: [0, 1/a], the far pass; double: the two table passes, the outer pass
+    assert omegas == [None, a, None, a, None]
+    omegas.clear()
+    monkeypatch.setattr(quadrature_module, "_FAR_CROSSOVER", math.inf)
+    panels = [route(GAAS, geom, env) for route in routes]
+    assert omegas == [None, None, None]
+    for got, ref in zip(panels, far):
+        assert got.gamma_per_s == pytest.approx(ref.gamma_per_s, rel=1e-8, abs=0.0)
+
+
+def test_sin_rule_reads_stay_within_the_block_bound(monkeypatch):
+    # at (1 K, 4 nm, 2 um), just past the crossover, the outer pass reads
+    # about 1,900 partial panels of the sin-weighted rule at once, 50 values
+    # each (25 nodes of a pair): 95,850 values in one call unchunked. Every
+    # call holds at most _BLOCK_ELEMS, and chunking never changes the nodes
+    # or their sums, so the bits are those of one call
+    geom, env = DotGeometry(4e-9, 2e-6), ThermalEnv(1.0)
+    sizes, rule = [], quadrature_module._sin_clenshaw_curtis
+    per_panel = 2 * quadrature_module._CC_NODES.size
+
+    def sized(f, lefts, rights, shape, omega):
+        sizes.append(per_panel * lefts.size)
+        return rule(f, lefts, rights, shape, omega)
+
+    monkeypatch.setattr(quadrature_module, "_sin_clenshaw_curtis", sized)
+    chunked = rate_double_integral(GAAS, geom, env)
+    bound = quadrature_module._BLOCK_ELEMS
+    assert bound - per_panel < max(sizes) <= bound
+    sizes.clear()
+    monkeypatch.setattr(quadrature_module, "_BLOCK_ELEMS", 1 << 30)
+    whole = rate_double_integral(GAAS, geom, env)
+    assert max(sizes) > bound
+    assert chunked.gamma_per_s.hex() == whole.gamma_per_s.hex()
+    assert chunked.error_estimate_per_s.hex() == whole.error_estimate_per_s.hex()
 
 
 def test_double_integral_at_1_mm_agrees_with_closed_form():
@@ -246,14 +304,14 @@ def _crossover_separation(T, L):
     """The D at which a X reaches the crossover, past which the closed route
     splits its integral at x = 1/a and runs the far pass beyond."""
     p = derived_scales(GAAS, DotGeometry(L, 1.0), ThermalEnv(T))
-    return rates_module._FAR_CROSSOVER / _upper(p) * L / math.sqrt(2.0)
+    return quadrature_module._FAR_CROSSOVER / _upper(p) * L / math.sqrt(2.0)
 
 
 def _closed(T, L, D, crossover=None):
     """rate_closed_form, with the crossover moved to force one path if given."""
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         if crossover is not None:
-            mp.setattr(rates_module, "_FAR_CROSSOVER", crossover)
+            mp.setattr(quadrature_module, "_FAR_CROSSOVER", crossover)
         warnings.simplefilter("ignore", CutoffValidityWarning)
         return rate_closed_form(GAAS, DotGeometry(L, D), ThermalEnv(T))
 
@@ -269,7 +327,6 @@ def _counting_engine(monkeypatch):
         return res
 
     monkeypatch.setattr(quadrature_module, "_adaptive", counting)
-    monkeypatch.setattr(rates_module, "_adaptive", counting)
     return counts
 
 
@@ -368,17 +425,15 @@ def test_split_error_estimate_covers_the_switch_error():
 
 def test_switch_uses_the_thermal_scale_not_a_alone(monkeypatch):
     # at 10 mK and L = 4 nm, B falls to 0 within x ~ 0.09 = X, so a = 10,607
-    # is only a X = 950: the route stays on Gauss-Kronrod panels, bit for bit
+    # is only a X = 950: the route makes no pass of the sin-weighted rule and
+    # stays on Gauss-Kronrod panels, bit for bit
     geom, env = DotGeometry(4e-9, 30e-6), ThermalEnv(T_K=0.01)
     p = derived_scales(GAAS, geom, env)
-    assert p.sep_ratio > rates_module._FAR_CROSSOVER
-    assert p.sep_ratio * _upper(p) < rates_module._FAR_CROSSOVER
-    passes = []
-    adaptive = rates_module._adaptive
-    monkeypatch.setattr(rates_module, "_adaptive",
-                        lambda *args, **kwargs: passes.append(args) or adaptive(*args, **kwargs))
+    assert p.sep_ratio > quadrature_module._FAR_CROSSOVER
+    assert p.sep_ratio * _upper(p) < quadrature_module._FAR_CROSSOVER
+    omegas = _omega_of_each_pass(monkeypatch)
     res = rate_closed_form(GAAS, geom, env)
-    assert passes == []
+    assert omegas == [None]
     assert res.gamma_per_s == _closed(0.01, 4e-9, 30e-6, math.inf).gamma_per_s
 
 
