@@ -4,8 +4,9 @@ and nested 2-D domains.
 Panels use an embedded 7-point Gauss / 15-point Kronrod pair. The rule is
 open (no endpoint evaluations), so integrands with a removable singularity
 at an interval edge are handled as long as every sampled node is finite.
-For a fast sin(omega x) factor, integrate_sin_tail and integrate_nested
-decide where a sin-weighted Clenshaw-Curtis rule takes over.
+An empty range samples nothing. For g(x) (1 - sin(omega x)/(omega x)),
+integrate_sin_tail and integrate_nested take g and omega and decide where
+a sin-weighted Clenshaw-Curtis rule takes over.
 Integrands are vectorized: they take a 1-D ndarray of n nodes and return
 shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
@@ -215,7 +216,7 @@ def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray, shape=None, rule=_rul
     """The panel rule, a _rule triple, over the panels in chunks (see _BLOCK_ELEMS)."""
     apply, _, samples = rule
     n, start, vals, errs = lefts.size, 0, None, None
-    while start < n:
+    while start < n or start == 0:  # no panels still make one call, on no nodes
         if shape is None:
             step = n if n <= _SMALL_CALL else 1
         else:
@@ -232,7 +233,7 @@ def _eval_panels(f, lefts: np.ndarray, rights: np.ndarray, shape=None, rule=_rul
 
 def _ordered_sum(x: np.ndarray) -> np.ndarray:
     """Left-to-right sum along the last axis, as a running total from 0."""
-    return np.cumsum(x, axis=-1)[..., -1] + 0.0
+    return np.cumsum(x, axis=-1)[..., -1] + 0.0 if x.shape[-1] else np.zeros(x.shape[:-1])
 
 
 def _worst_panels(priority: np.ndarray, budget: int) -> np.ndarray:
@@ -262,14 +263,16 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
     vals and errs, (rows, panels), are the surviving panels sorted by left
     edge, lefts[order] their left edges; the last panel ends at b. With
     omega, panels use _sin_clenshaw_curtis at that frequency; edges, from
-    a to b, replace the seed panels of panel_hint."""
+    a to b, replace the seed panels of panel_hint. For a == b there are no
+    panels and no evaluations: one call of f on an empty array gives the
+    component shape."""
     rule = _rule(omega)
-    asked = 1
+    asked = int(b > a)
     if edges is None:
         if cfg.panel_hint is not None and b > a:
             asked = int(np.ceil((b - a) / cfg.panel_hint))
         n0 = min(asked, _MAX_SEED_PANELS)
-        edges = a + (b - a) * np.arange(n0 + 1) / n0
+        edges = a + (b - a) * np.arange(n0 + 1) / max(n0, 1)
     n0 = edges.size - 1
     lefts, rights = edges[:-1], edges[1:]
     vals, errs, shape = _eval_panels(f, lefts, rights, rule=rule)
@@ -325,11 +328,24 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
     return vals, errs, lefts, order, shape, evaluations
 
 
-def _sin_passes(f, pair, omega: float, b: float, cfg, far_cfg) -> list:
-    """The passes, as _adaptive's arguments, of Int_0^b f with f = f0 +
-    f1 sin(omega x) and pair giving (f0, f1): f at cfg over [0, b], seed
-    panels at most pi/omega wide; past omega b = _FAR_CROSSOVER, f over
-    [0, 1/omega] and pair at far_cfg from the decades 10^j/omega to b."""
+def _sin_passes(g, omega: float, b: float, cfg, far_cfg) -> list:
+    """The passes, as _adaptive's arguments, of Int_0^b g(x) (1 - sin(omega x)/(omega x)):
+    f = g sinc_deficit(omega x) at cfg over [0, b], seed panels at most pi/omega
+    wide; past omega b = _FAR_CROSSOVER, f over [0, 1/omega] and the pair
+    (g, -g/(omega x)) of f0 + f1 sin(omega x) at far_cfg from the decades
+    10^j/omega to b. The only place that forms either."""
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    if not (math.isfinite(b) and b >= 0.0):
+        raise ValueError(f"b must be finite and >= 0, got {b!r}")
+    from .specfun import sinc_deficit  # at call time: specfun imports this module
+
+    def f(x: np.ndarray) -> np.ndarray:
+        return g(x) * sinc_deficit(omega * x)
+
+    def pair(x: np.ndarray) -> np.ndarray:
+        return np.stack([y := g(x), -y / (omega * x)])
+
     cfg = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / omega))
     if omega * b <= _FAR_CROSSOVER:
         return [(f, 0.0, b, cfg, None, None)]
@@ -364,14 +380,14 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
     return QuadratureResult(value, error, evaluations)
 
 
-def integrate_sin_tail(f: Callable, pair: Callable, omega: float, b: float,
+def integrate_sin_tail(g: Callable, omega: float, b: float,
                        cfg: QuadratureConfig, far_cfg: QuadratureConfig) -> QuadratureResult:
-    """Integrate f over [0, b], f being f0 + f1 sin(omega x) and pair
-    returning (f0, f1) as (2, n). The engine decides the passes: integrate
-    at cfg with seed panels at most pi/omega wide over [0, b], or, past
-    omega b = _FAR_CROSSOVER, over [0, 1/omega] plus a far pass of pair at
+    """Integrate g(x) (1 - sin(omega x)/(omega x)) over [0, b], g smooth on
+    (0, b], omega finite and > 0, b finite and >= 0. The engine decides the
+    passes: integrate at cfg with seed panels at most pi/omega wide over [0, b],
+    or, past omega b = _FAR_CROSSOVER, over [0, 1/omega] plus a far pass at
     far_cfg, whose cost grows as ln omega. The result sums the passes'."""
-    first, *far = _sin_passes(f, pair, omega, b, cfg, far_cfg)
+    first, *far = _sin_passes(g, omega, b, cfg, far_cfg)
     near = integrate(*first[:4])  # by name, so that a shim on integrate sees it
     if not far:
         return near
@@ -399,22 +415,22 @@ def integrate_semi_infinite(f: Callable, a: float, decay_scale: float,
 
 def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_max: Callable,
                      cfg: QuadratureConfig, inner_cfg: QuadratureConfig,
-                     far: Optional[tuple] = None) -> QuadratureResult:
-    """Integrate weight(x) inner(t) over x in [a, b], t in [0, t_max(x)].
+                     omega: Optional[float] = None) -> QuadratureResult:
+    """Integrate weight(x) inner(t) over x in [a, b], t in [0, t_max(x)];
+    with omega, the inner integrand is inner(t) (1 - sin(omega t)/(omega t)).
 
     weight, inner and t_max take 1-D arrays (a scalar result broadcasts);
     t_max must be finite, non-negative and largest at a or b (t_top). One
-    adaptive pass of inner over [0, t_top] at inner_cfg tabulates
-    H(tau) = Int_0^tau inner. far = (pair, omega) says that inner is
-    f0 + f1 sin(omega t), pair returning (f0, f1) as (2, n); the engine
-    then splits the table as integrate_sin_tail does, both passes at inner_cfg.
-    A node x reads H(t_max(x)) as the prefix sum of the panels left of tau
-    plus one panel of the cut panel's rule (15 Kronrod or 25 sin-weighted
-    nodes) from its left edge to tau, so a tau of 0 or on an edge samples
-    nothing. The outer pass is integrate(..., cfg). abs_error_estimate adds
-    (b - a) max|weight| (table estimate + largest partial-panel estimate);
-    evaluations counts table, outer and partial-panel nodes. NonConvergence
-    names the axis; the inner text names the table pass's range."""
+    adaptive pass of the inner integrand over [0, t_top] at inner_cfg tabulates
+    its integral H(tau) from 0; with omega the engine splits the table as
+    integrate_sin_tail does, both passes at inner_cfg. A node x reads
+    H(t_max(x)) as the prefix sum of the panels left of tau plus one panel
+    of the cut panel's rule (15 Kronrod or 25 sin-weighted nodes) from its
+    left edge to tau, so a tau of 0 or on an edge samples nothing. The outer
+    pass is integrate(..., cfg). abs_error_estimate adds (b - a) max|weight|
+    (table estimate + largest partial-panel estimate); evaluations counts
+    table, outer and partial-panel nodes. NonConvergence names the axis;
+    the inner text names the table pass's range."""
 
     def limits(xs: np.ndarray, top: float) -> np.ndarray:
         tops = np.broadcast_to(np.asarray(t_max(xs), dtype=float), xs.shape)
@@ -426,21 +442,19 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
         return tops
 
     t_top = float(limits(np.array([a, b], dtype=float), math.inf).max())
-    passes = ([(inner, 0.0, t_top, inner_cfg, None, None)] if far is None
-              else _sin_passes(inner, *far, t_top, inner_cfg, inner_cfg))
-    reads = [(f, _rule(omega)) for f, _, _, _, omega, _ in passes]
-    edges, prefix, near, table_err, table_evals = np.zeros(1), np.zeros(1), 1, 0.0, 0
-    if t_top > 0.0:
-        try:
-            runs = [_adaptive(*p) for p in passes]
-        except NonConvergence as exc:
-            raise NonConvergence(f"inner axis: {exc}") from exc
-        # panels below `near` are Gauss-Kronrod, the rest the sin-weighted rule
-        near = runs[0][0].shape[1]
-        edges = np.append(np.concatenate([lefts[order] for _, _, lefts, order, *_ in runs]), t_top)
-        prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([v[0] for v, *_ in runs]))])
-        table_err = sum(float(_ordered_sum(e)[0]) for _, e, *_ in runs)
-        table_evals = sum(run[-1] for run in runs)
+    passes = ([(inner, 0.0, t_top, inner_cfg, None, None)] if omega is None
+              else _sin_passes(inner, omega, t_top, inner_cfg, inner_cfg))
+    reads = [(f, _rule(w)) for f, _, _, _, w, _ in passes]
+    try:
+        runs = [_adaptive(*p) for p in passes]
+    except NonConvergence as exc:
+        raise NonConvergence(f"inner axis: {exc}") from exc
+    # panels below `near` are Gauss-Kronrod, the rest the sin-weighted rule
+    near = runs[0][0].shape[1]
+    edges = np.append(np.concatenate([lefts[order] for _, _, lefts, order, *_ in runs]), t_top)
+    prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([v[0] for v, *_ in runs]))])
+    table_err = sum(float(_ordered_sum(e)[0]) for _, e, *_ in runs)
+    table_evals = sum(run[-1] for run in runs)
     partial_evals, partial_err, weight_max = 0, 0.0, 0.0
 
     def outer_integrand(xs: np.ndarray) -> np.ndarray:

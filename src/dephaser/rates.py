@@ -39,8 +39,7 @@ from .model import DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv, 
 from .quadrature import NonConvergence, QuadratureConfig, integrate_nested, integrate_sin_tail
 # only for perfbench/tests/test_perfbench.py, whose tracer test reads rates.integrate
 from .quadrature import integrate  # noqa: F401
-from .specfun import (_MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand, _sin_sq,
-                      sinc_deficit)
+from .specfun import _MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand, _sin_sq
 
 METHOD_CLOSED = "closed-form"
 METHOD_DOUBLE = "double-integral"
@@ -123,10 +122,10 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     infinite limit is truncated at X, the smallest of 8.5 (the Gaussian is
     below 1e-31), the form-factor limit sqrt(2) k_D L and
     x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17. One call of
-    quadrature.integrate_sin_tail takes the integrand with its pair
-    (exp(-x^2) B/x, -exp(-x^2) B/(a x^2)) against sin(a x), and decides
-    where its far pass takes over. The error is the engine's estimate;
-    T = 0 and D = 0 short-circuit to a vanishing rate.
+    quadrature.integrate_sin_tail takes the smooth factor exp(-x^2) B/x and
+    a; the engine forms the interference factor and decides where its far
+    pass takes over. The error is the engine's estimate; T = 0 and D = 0
+    short-circuit to a vanishing rate.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_CLOSED, 0.0)
@@ -136,16 +135,11 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     ratio = p.x_debye / p.form_factor_limit
     upper = min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / ratio)
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return np.exp(-x * x) / x * sinc_deficit(a * x) * _moment_bracket(
-            p.x_debye, x * ratio)
-
-    def far_pair(x: np.ndarray) -> np.ndarray:
-        g = np.exp(-x * x) / x * _moment_bracket(p.x_debye, x * ratio)
-        return np.stack([g, -g / (a * x)])
+    def smooth(x: np.ndarray) -> np.ndarray:
+        return np.exp(-x * x) / x * _moment_bracket(p.x_debye, x * ratio)
 
     try:
-        quad = integrate_sin_tail(integrand, far_pair, a, upper,
+        quad = integrate_sin_tail(smooth, a, upper,
                                   QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8, panel_hint=0.5),
                                   QuadratureConfig(abs_tol=1e-250, rel_tol=1e-9))
     except NonConvergence as exc:
@@ -165,8 +159,8 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     The outer limit is min(x_D, 60). The Bose weight is evaluated as
     x^5 e^(-x)/expm1(-x)^2, which does not overflow. quadrature.integrate_nested
     tabulates the inner integral and reads it at every outer node; given the
-    inner's pair (exp(-t^2)/t, -exp(-t^2)/(a t^2)) against sin(a t), it
-    decides where the table's far pass takes over, as for the closed route.
+    smooth factor exp(-t^2)/t and omega = a, it forms the interference factor
+    and decides where the table's far pass takes over, as for closed.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, METHOD_DOUBLE, 0.0)
@@ -179,18 +173,14 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
         return x**5 * np.exp(-x) / (em * em)
 
     def inner(t: np.ndarray) -> np.ndarray:
-        return np.exp(-t * t) / t * sinc_deficit(alpha * t)
-
-    def far_pair(t: np.ndarray) -> np.ndarray:
-        g = np.exp(-t * t) / t
-        return np.stack([g, -g / (alpha * t)])
+        return np.exp(-t * t) / t
 
     cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8)
     inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10, panel_hint=0.5)
     try:
         quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
                                 lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
-                                cfg, inner_cfg, far=(far_pair, alpha))
+                                cfg, inner_cfg, omega=alpha)
     except NonConvergence as exc:
         raise NonConvergence(
             f"{METHOD_DOUBLE} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "

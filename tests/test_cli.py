@@ -15,6 +15,7 @@ import pytest
 
 import dephaser
 import dephaser.rates as rates_module
+import dephaser.specfun as specfun_module
 from dephaser.cli import _build_parser, fmt_float, loglog_svg_text, main, write_text
 from dephaser.harmonic import MarkovValidityWarning, asymptotic_coherence
 from dephaser.coupling import SpectralDensity
@@ -239,8 +240,8 @@ def test_validate_command_failure_goes_to_stderr(capsys, monkeypatch):
     # and leaves the sampler untouched (the three routes share their scale
     # through derived_scales), so the closed-form vs monte-carlo comparison
     # must fail
-    true_deficit = rates_module.sinc_deficit
-    monkeypatch.setattr(rates_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
+    true_deficit = specfun_module.sinc_deficit
+    monkeypatch.setattr(specfun_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
     code, out, err = _run(capsys, [
         "validate", "--T", "50", "--L", "4e-9", "--D", "10e-9",
         "--samples", "100000",

@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 import dephaser.quadrature as quadrature_module
+import dephaser.specfun as specfun_module
 from dephaser.quadrature import (
     _BLOCK_ELEMS,
     _CC_NODES,
@@ -29,9 +30,11 @@ from dephaser.quadrature import (
     NonConvergence,
     NonFiniteSample,
     QuadratureConfig,
+    QuadratureResult,
     integrate,
     integrate_nested,
     integrate_semi_infinite,
+    integrate_sin_tail,
 )
 from dephaser.specfun import sinc_deficit
 
@@ -315,7 +318,13 @@ def test_limits_validation():
         integrate(np.sin, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(np.sin, 0.0, math.inf)
-    assert integrate(np.sin, 2.0, 2.0).value == 0.0
+    # an empty range samples nothing, whatever the integrand's shape
+    assert integrate(np.sin, 2.0, 2.0) == QuadratureResult(0.0, 0.0, 0)
+    assert integrate(lambda x: 1.0 / x, 0.0, 0.0) == QuadratureResult(0.0, 0.0, 0)
+    batched = integrate(lambda x: np.ones((3, x.size)), 2.0, 2.0)
+    np.testing.assert_array_equal(batched.value, np.zeros(3))
+    np.testing.assert_array_equal(batched.abs_error_estimate, np.zeros(3))
+    assert batched.evaluations == 0
 
 
 def test_config_validation():
@@ -475,11 +484,14 @@ def test_nested_inner_nonconvergence_names_the_table_range(monkeypatch):
 
 
 @pytest.mark.parametrize("omega", [1e3, 1e4, 1e6])
-def test_nested_far_table_matches_qawo(omega):
+def test_nested_far_table_matches_qawo(omega, monkeypatch):
     # h(t) = exp(-t^2)/t (1 - sin(omega t)/(omega t)), the rate's inner
-    # integrand, is f0 + f1 sin(omega t) with f0 = exp(-t^2)/t and
-    # f1 = -f0/(omega t). Weight 1 and t_max(x) = x on [0, b] give
-    # Int_0^b (b - t) h(t) dt. scipy takes [0, 1/omega] plainly, then each
+    # integrand, is f0 + f1 sin(omega t) with f0 = g = exp(-t^2)/t and
+    # f1 = -g/(omega t); the engine is given g and omega and forms both.
+    # Its Gauss-Kronrod integrand calls specfun.sinc_deficit once per call
+    # of g, its pair never, so the two are counted apart. Weight 1 and
+    # t_max(x) = x on [0, b] give Int_0^b (b - t) h(t) dt. scipy takes
+    # [0, 1/omega] plainly, then each
     # decade above it as f0 plainly plus f1 by QAWO. Past the crossover an
     # outer node below 1/omega cuts a Gauss-Kronrod panel (15 nodes), one
     # above it a panel of the sin-weighted rule (25 nodes); at omega = 1e3,
@@ -496,17 +508,21 @@ def test_nested_far_table_matches_qawo(omega):
         outer_nodes.append(x.copy())  # the first call, at (0, b), precedes the table
         return x
 
-    def counted(name, f):
-        def g(t):
-            values["table" if len(outer_nodes) == 1 else "read", name] += t.size
-            return f(t)
-        return g
+    def count(name, size, sign=1):
+        values["table" if len(outer_nodes) == 1 else "read", name] += sign * size
 
-    inner = counted("inner", lambda t: np.exp(-t * t) / t * sinc_deficit(omega * t))
-    pair = counted("pair", lambda t: np.stack([np.exp(-t * t) / t,
-                                               -np.exp(-t * t) / (omega * t * t)]))
-    res = integrate_nested(lambda x: 1.0, inner, 0.0, b, t_max, OUTER_CFG, INNER_CFG,
-                           far=(pair, omega))
+    def g(t):
+        count("pair", t.size)
+        return np.exp(-t * t) / t
+
+    def deficit(y):
+        # a Gauss-Kronrod sample, not a pair one
+        count("pair", y.size, -1)
+        count("inner", y.size)
+        return sinc_deficit(y)
+
+    monkeypatch.setattr(specfun_module, "sinc_deficit", deficit)
+    res = integrate_nested(lambda x: 1.0, g, 0.0, b, t_max, OUTER_CFG, INNER_CFG, omega=omega)
 
     # the far pieces' absolute tolerance is 1e-15 of the integral, about 10
     opts = dict(epsabs=1e-14, epsrel=1e-12, limit=500)
@@ -531,6 +547,66 @@ def test_nested_far_table_matches_qawo(omega):
     assert values["read", "inner"] == 15 * below and values["read", "pair"] == 25 * above
     table = values["table", "inner"] + values["table", "pair"]
     assert res.evaluations == table + nodes.size + 15 * below + 25 * above
+
+
+# the sin-tail entries' smooth factor, that of the double route's inner integrand
+def _sin_tail_g(x):
+    return np.exp(-x * x) / x
+
+
+def _sin_tail_reference(omega: float, b: float) -> float:
+    """scipy's Int_0^b g(x) (1 - sin(omega x)/(omega x)) dx: [0, 1/omega]
+    plainly, then each decade above it as g plainly plus -g/(omega x) by QAWO."""
+    opts = dict(epsabs=1e-15, epsrel=1e-13, limit=500)
+    lo = 1.0 / omega
+    ref = quad(lambda x: math.exp(-x * x) / x * (1.0 - math.sin(omega * x) / (omega * x)),
+               0.0, lo, **opts)[0]
+    cuts = [lo * 10.0**j for j in range(1 + int(math.log10(b * omega)))] + [b]
+    for u, v in zip(cuts, cuts[1:]):
+        ref += quad(lambda x: math.exp(-x * x) / x, u, v, **opts)[0]
+        ref += quad(lambda x: -math.exp(-x * x) / (omega * x * x), u, v,
+                    weight="sin", wvar=omega, **opts)[0]
+    return ref
+
+
+_SIN_TAIL_B = 3.0
+_SIN_TAIL_CFG = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10, panel_hint=0.5)
+_SIN_TAIL_FAR_CFG = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("omega_b", [1e2, 1e4, 1e7])
+def test_sin_tail_matches_qawo(omega_b):
+    # below the crossover (omega b = 100) one Gauss-Kronrod pass, above it
+    # the near pass plus the sin-weighted far pass
+    omega = omega_b / _SIN_TAIL_B
+    res = integrate_sin_tail(_sin_tail_g, omega, _SIN_TAIL_B, _SIN_TAIL_CFG, _SIN_TAIL_FAR_CFG)
+    ref = _sin_tail_reference(omega, _SIN_TAIL_B)
+    assert res.value == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert abs(res.value - ref) <= res.abs_error_estimate
+
+
+def test_sin_tail_evaluations_grow_as_log_omega():
+    # the far pass is seeded at the decades of 1/omega, so three more
+    # decades of omega b add far less than the evaluations at 1e5
+    counts = [integrate_sin_tail(_sin_tail_g, omega_b / _SIN_TAIL_B, _SIN_TAIL_B,
+                                 _SIN_TAIL_CFG, _SIN_TAIL_FAR_CFG).evaluations
+              for omega_b in (1e5, 1e8)]
+    assert counts[1] < 2 * counts[0]
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
+def test_sin_tail_entries_reject_a_bad_omega(omega):
+    with pytest.raises(ValueError, match="omega must be finite and > 0"):
+        integrate_sin_tail(_sin_tail_g, omega, 1.0, _SIN_TAIL_CFG, _SIN_TAIL_FAR_CFG)
+    with pytest.raises(ValueError, match="omega must be finite and > 0"):
+        integrate_nested(lambda x: 1.0, _sin_tail_g, 0.0, 1.0, lambda x: x,
+                         OUTER_CFG, INNER_CFG, omega=omega)
+
+
+@pytest.mark.parametrize("b", [-1.0, math.inf, math.nan])
+def test_sin_tail_rejects_a_bad_upper_limit(b):
+    with pytest.raises(ValueError, match="b must be finite and >= 0"):
+        integrate_sin_tail(_sin_tail_g, 10.0, b, _SIN_TAIL_CFG, _SIN_TAIL_FAR_CFG)
 
 
 def _sinc_kernel(x):

@@ -30,6 +30,7 @@ from scipy.integrate import quad
 
 import dephaser.quadrature as quadrature_module
 import dephaser.rates as rates_module
+import dephaser.specfun as specfun_module
 from dephaser.model import CONST, GAAS, DotGeometry, MaterialParams, ThermalEnv, derived_scales
 from dephaser.rates import (
     METHOD_CLOSED,
@@ -848,8 +849,8 @@ def test_validation_catches_inconsistent_routes(monkeypatch):
     # deterministic routes and leaves the sampler untouched (the three
     # routes share their scale through derived_scales), so the
     # closed-form vs monte-carlo comparison must fail
-    true_deficit = rates_module.sinc_deficit
-    monkeypatch.setattr(rates_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
+    true_deficit = specfun_module.sinc_deficit
+    monkeypatch.setattr(specfun_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
     report = rate_validate(GAAS, GEOM, ThermalEnv(T_K=50.0), samples=10**5)
     assert report.double_passed      # both deterministic routes doubled
     assert not report.mc_passed
