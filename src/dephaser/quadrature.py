@@ -1,12 +1,12 @@
 """Deterministic adaptive quadrature on finite, truncated semi-infinite,
-and nested 2-D domains.
+and nested 2-D domains: the package's leaf module, importing none of it.
 
 Panels use an embedded 7-point Gauss / 15-point Kronrod pair. The rule is
 open (no endpoint evaluations), so integrands with a removable singularity
 at an interval edge are handled as long as every sampled node is finite.
 An empty range samples nothing. For g(x) (1 - sin(omega x)/(omega x)),
-integrate_sin_tail and integrate_nested take g and omega and decide where
-a sin-weighted Clenshaw-Curtis rule takes over.
+integrate_sin_tail and integrate_nested take g and omega, form the factor
+with sinc_deficit and decide where a sin-weighted Clenshaw-Curtis rule takes over.
 Integrands are vectorized: they take a 1-D ndarray of n nodes and return
 shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
@@ -96,6 +96,8 @@ _SMALL_CALL = 64
 # 1/omega: that pass costs 2-3 ms for any omega, pi/omega panels 3.4-4 ms here
 _FAR_CROSSOVER = 4000.0
 
+# Below this the cubic series of sinc_deficit is exact to < 1e-15.
+_SINC_SERIES_CUT = 1e-2
 # Gaussian tail bound: exp(-s^2) < 1e-30 at s = sqrt(ln 1e30).
 _TRUNC_SIGMA = math.sqrt(math.log(1e30))
 
@@ -328,6 +330,23 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
     return vals, errs, lefts, order, shape, evaluations
 
 
+def sinc_deficit(y):
+    """1 - sin(y)/y, evaluated by series below y = 1e-2 to dodge cancellation.
+
+    Values lie in [0, 1 + 1/y]. Accepts scalars or arrays, y >= 0.
+    """
+    y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)) or np.any(y < 0.0):
+        raise ValueError("sinc_deficit requires finite y >= 0")
+    flat = np.atleast_1d(y)
+    out = 1.0 - np.sinc(flat / np.pi)
+    small = flat < _SINC_SERIES_CUT
+    if small.any():
+        y2 = flat[small] ** 2
+        out[small] = y2 / 6.0 - y2 * y2 / 120.0 + y2 * y2 * y2 / 5040.0
+    return float(out[0]) if y.ndim == 0 else out
+
+
 def _sin_passes(g, omega: float, b: float, cfg, far_cfg) -> list:
     """The passes, as _adaptive's arguments, of Int_0^b g(x) (1 - sin(omega x)/(omega x)):
     f = g sinc_deficit(omega x) at cfg over [0, b], seed panels at most pi/omega
@@ -338,7 +357,6 @@ def _sin_passes(g, omega: float, b: float, cfg, far_cfg) -> list:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     if not (math.isfinite(b) and b >= 0.0):
         raise ValueError(f"b must be finite and >= 0, got {b!r}")
-    from .specfun import sinc_deficit  # at call time: specfun imports this module
 
     def f(x: np.ndarray) -> np.ndarray:
         return g(x) * sinc_deficit(omega * x)

@@ -1,4 +1,5 @@
-"""Numerically stable special functions shared by the rate and coherence integrands."""
+"""Numerically stable special functions shared by the rate and coherence
+integrands; sinc_deficit, defined in quadrature, is exported from here."""
 from __future__ import annotations
 
 import functools
@@ -6,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureConfig, _eval_panels, integrate
+from .quadrature import QuadratureConfig, _eval_panels, integrate, sinc_deficit  # noqa: F401
 
 ZETA5 = 1.0369277551433699
 
@@ -14,31 +15,12 @@ ZETA5 = 1.0369277551433699
 # integral of u^5 e^u/(e^u-1)^2 over [0, inf) = 120 zeta(5).
 BOSE_FIFTH_MOMENT_INF = 120.0 * ZETA5
 
-# Below this the cubic series of sinc_deficit is exact to < 1e-15.
-_SINC_SERIES_CUT = 1e-2
 # Beyond this the fifth moment equals its limit to better than 1e-15 absolute.
 _MOMENT_TAIL_CUT = 60.0
 
 _MOMENT_CFG = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-13)
 # The moment table's panels, of equal width 5e-3 over [0, _MOMENT_TAIL_CUT].
 _MOMENT_TABLE_PANELS = 12_000
-
-
-def sinc_deficit(y):
-    """1 - sin(y)/y, evaluated by series below y = 1e-2 to dodge cancellation.
-
-    Values lie in [0, 1 + 1/y]. Accepts scalars or arrays, y >= 0.
-    """
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)) or np.any(y < 0.0):
-        raise ValueError("sinc_deficit requires finite y >= 0")
-    flat = np.atleast_1d(y)
-    out = 1.0 - np.sinc(flat / np.pi)
-    small = flat < _SINC_SERIES_CUT
-    if small.any():
-        y2 = flat[small] ** 2
-        out[small] = y2 / 6.0 - y2 * y2 / 120.0 + y2 * y2 * y2 / 5040.0
-    return float(out[0]) if y.ndim == 0 else out
 
 
 def _sin_sq(x: np.ndarray, out: np.ndarray) -> np.ndarray:

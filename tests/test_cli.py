@@ -14,8 +14,8 @@ import warnings
 import pytest
 
 import dephaser
+import dephaser.quadrature as quadrature_module
 import dephaser.rates as rates_module
-import dephaser.specfun as specfun_module
 from dephaser.cli import _build_parser, fmt_float, loglog_svg_text, main, write_text
 from dephaser.harmonic import MarkovValidityWarning, asymptotic_coherence
 from dephaser.coupling import SpectralDensity
@@ -214,6 +214,17 @@ def test_sweep_failed_point_reason_goes_to_stderr(capsys, monkeypatch):
     assert err == "temperature = 80.0: synthetic failure at 80 K\n"
 
 
+def test_rate_engine_failure_exits_2(capsys, monkeypatch):
+    # with no bisection allowed the closed route's far pass gives up at 1 mm
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 0)
+    code, out, err = _run(capsys, ["rate", "--T", "100", "--L", "4e-9", "--D", "1e-3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: closed-form rate at T_K=100.0, width_L_m=4e-09, "
+                          "separation_D_m=0.001: error estimate ")
+    assert err.endswith("after 0 subdivisions of [2.82842712474619e-06, 8.5]\n")
+
+
 def test_sweep_distance_axis(capsys):
     code, out, _ = _run(capsys, [
         "sweep", "--axis", "D", "--min", "1e-9", "--max", "1e-8",
@@ -240,8 +251,8 @@ def test_validate_command_failure_goes_to_stderr(capsys, monkeypatch):
     # and leaves the sampler untouched (the three routes share their scale
     # through derived_scales), so the closed-form vs monte-carlo comparison
     # must fail
-    true_deficit = specfun_module.sinc_deficit
-    monkeypatch.setattr(specfun_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
+    true_deficit = quadrature_module.sinc_deficit
+    monkeypatch.setattr(quadrature_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
     code, out, err = _run(capsys, [
         "validate", "--T", "50", "--L", "4e-9", "--D", "10e-9",
         "--samples", "100000",

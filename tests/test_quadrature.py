@@ -15,7 +15,6 @@ from scipy.integrate import quad
 from scipy.special import sici
 
 import dephaser.quadrature as quadrature_module
-import dephaser.specfun as specfun_module
 from dephaser.quadrature import (
     _BLOCK_ELEMS,
     _CC_NODES,
@@ -313,6 +312,17 @@ def test_non_convergence_reports_the_seed_panel_cap(monkeypatch):
         "200000 used")
 
 
+def test_a_scalar_integrand_broadcasts():
+    # a scalar, or an (m, 1) column, stands for its value at every node
+    res = integrate(lambda x: 2.0, 0.0, 3.0)
+    assert res.value == pytest.approx(6.0, rel=1e-14, abs=0.0)
+    assert res.evaluations == 15
+    assert res == integrate(lambda x: np.full_like(x, 2.0), 0.0, 3.0)
+    batched = integrate(lambda x: np.array([[1.0], [2.0]]), 0.0, 3.0)
+    np.testing.assert_allclose(batched.value, [3.0, 6.0], rtol=1e-14, atol=0.0)
+    assert batched.evaluations == 15
+
+
 def test_limits_validation():
     with pytest.raises(ValueError):
         integrate(np.sin, 1.0, 0.0)
@@ -483,12 +493,24 @@ def test_nested_inner_nonconvergence_names_the_table_range(monkeypatch):
     assert "above tolerance" in msg and "after 1 subdivisions of [0.0, 2.0]" in msg
 
 
+def test_nested_outer_nonconvergence_names_the_outer_axis(monkeypatch):
+    # the table of a constant converges on its seed panel; the outer pass
+    # of the oscillating weight cos(300 x) cannot in one subdivision
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 1)
+    with pytest.raises(NonConvergence) as info:
+        integrate_nested(lambda x: np.cos(300.0 * x), np.ones_like, 0.0, 1.0,
+                         lambda x: x, OUTER_CFG, OUTER_CFG)
+    msg = str(info.value)
+    assert msg.startswith("outer axis: error estimate")
+    assert "above tolerance" in msg and msg.endswith("after 1 subdivisions of [0.0, 1.0]")
+
+
 @pytest.mark.parametrize("omega", [1e3, 1e4, 1e6])
 def test_nested_far_table_matches_qawo(omega, monkeypatch):
     # h(t) = exp(-t^2)/t (1 - sin(omega t)/(omega t)), the rate's inner
     # integrand, is f0 + f1 sin(omega t) with f0 = g = exp(-t^2)/t and
     # f1 = -g/(omega t); the engine is given g and omega and forms both.
-    # Its Gauss-Kronrod integrand calls specfun.sinc_deficit once per call
+    # Its Gauss-Kronrod integrand calls quadrature.sinc_deficit once per call
     # of g, its pair never, so the two are counted apart. Weight 1 and
     # t_max(x) = x on [0, b] give Int_0^b (b - t) h(t) dt. scipy takes
     # [0, 1/omega] plainly, then each
@@ -521,7 +543,7 @@ def test_nested_far_table_matches_qawo(omega, monkeypatch):
         count("inner", y.size)
         return sinc_deficit(y)
 
-    monkeypatch.setattr(specfun_module, "sinc_deficit", deficit)
+    monkeypatch.setattr(quadrature_module, "sinc_deficit", deficit)
     res = integrate_nested(lambda x: 1.0, g, 0.0, b, t_max, OUTER_CFG, INNER_CFG, omega=omega)
 
     # the far pieces' absolute tolerance is 1e-15 of the integral, about 10

@@ -30,8 +30,8 @@ from scipy.integrate import quad
 
 import dephaser.quadrature as quadrature_module
 import dephaser.rates as rates_module
-import dephaser.specfun as specfun_module
 from dephaser.model import CONST, GAAS, DotGeometry, MaterialParams, ThermalEnv, derived_scales
+from dephaser.quadrature import NonConvergence
 from dephaser.rates import (
     METHOD_CLOSED,
     METHOD_DOUBLE,
@@ -274,6 +274,25 @@ def test_deterministic_routes_zero_limits(route):
         assert res.gamma_per_s == 0.0
         assert math.isinf(res.t2_s)
         assert res.error_estimate_per_s == 0.0
+
+
+@pytest.mark.parametrize("route, D, where, interval", [
+    # at 1 mm the near pass over [0, 1/a] converges on its seed panels, the far one not
+    (rate_closed_form, 1e-3, "separation_D_m=0.001: ", "[2.82842712474619e-06, 8.5]"),
+    (rate_double_integral, 10e-9, "separation_D_m=1e-08: outer axis: ", "[0.0, 4.327058755197736]"),
+    (rate_double_integral, 1e-3, "separation_D_m=0.001: inner axis: ",
+     "[2.82842712474619e-06, 8.5]"),
+])
+def test_an_engine_failure_names_the_route_and_the_point(monkeypatch, route, D, where, interval):
+    # with no bisection allowed the engine itself gives up, and the route
+    # puts its point (and for double the engine's axis) before its text
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 0)
+    with pytest.raises(NonConvergence) as info:
+        route(GAAS, DotGeometry(width_L_m=4e-9, separation_D_m=D), ThermalEnv(T_K=100.0))
+    msg = str(info.value)
+    label = METHOD_CLOSED if route is rate_closed_form else METHOD_DOUBLE
+    assert msg.startswith(f"{label} rate at T_K=100.0, width_L_m=4e-09, {where}error estimate ")
+    assert "above tolerance" in msg and msg.endswith(f"after 0 subdivisions of {interval}")
 
 
 def test_monte_carlo_zero_limits():
@@ -849,8 +868,8 @@ def test_validation_catches_inconsistent_routes(monkeypatch):
     # deterministic routes and leaves the sampler untouched (the three
     # routes share their scale through derived_scales), so the
     # closed-form vs monte-carlo comparison must fail
-    true_deficit = specfun_module.sinc_deficit
-    monkeypatch.setattr(specfun_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
+    true_deficit = quadrature_module.sinc_deficit
+    monkeypatch.setattr(quadrature_module, "sinc_deficit", lambda y: 2.0 * true_deficit(y))
     report = rate_validate(GAAS, GEOM, ThermalEnv(T_K=50.0), samples=10**5)
     assert report.double_passed      # both deterministic routes doubled
     assert not report.mc_passed

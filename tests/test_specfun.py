@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dephaser
+import dephaser.quadrature as quadrature_module
 from dephaser.specfun import (
     BOSE_FIFTH_MOMENT_INF,
     ZETA5,
@@ -27,6 +29,12 @@ PHI_AT_2 = 3.229290166368405
 PHI_AT_XD100 = 36.048440406100106  # argument 4.327058755197736
 
 RNG_SEED = 20260401
+
+
+def test_sinc_deficit_is_one_function_under_every_name():
+    # quadrature defines it; the package and specfun export that object, so
+    # a shim on any binding that replaces every binding of it sees each call
+    assert dephaser.sinc_deficit is sinc_deficit is quadrature_module.sinc_deficit
 
 
 def test_sinc_deficit_zero_and_analytic_points():

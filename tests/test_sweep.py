@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+import dephaser.quadrature as quadrature_module
 import dephaser.rates as rates_module
 from dephaser.cli import sweep_csv_text
 from dephaser.quadrature import NonConvergence
@@ -126,6 +127,22 @@ def test_sweep_records_nonconvergence_and_continues(monkeypatch):
     assert points[2].result is None
     assert "synthetic failure" in points[2].error
     assert all(p.result is not None for i, p in enumerate(points) if i != 2)
+
+
+def test_sweep_records_an_engine_failure_and_continues(monkeypatch):
+    # with no bisection allowed the closed route converges at 10 nm on its
+    # seed panels and its far pass gives up at 3.2 um and 1 mm
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 0)
+    spec = SweepSpec(axis=AXIS_DISTANCE, min_value=1e-8, max_value=1e-3, points=3,
+                     fixed_T_K=100.0)
+    points = run_sweep(spec)
+    assert [p.axis_value for p in points] == list(spec.grid())
+    assert points[0].result is not None and points[0].error is None
+    for p in points[1:]:
+        assert p.result is None
+        assert p.error.startswith(f"closed-form rate at T_K=100.0, width_L_m=4e-09, "
+                                  f"separation_D_m={p.axis_value!r}: error estimate ")
+        assert "after 0 subdivisions of [" in p.error
 
 
 def test_sweep_evaluates_every_point_on_the_calling_thread(monkeypatch):
