@@ -331,10 +331,12 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
 
 
 def sinc_deficit(y):
-    """1 - sin(y)/y, evaluated by series below y = 1e-2 to dodge cancellation.
+    """1 - sin(y)/y, by its cubic series below y = 1e-2, where it would cancel.
 
-    Values lie in [0, 1 + 1/y]. Accepts scalars or arrays, y >= 0.
-    """
+    Values lie in [0, 1 + 1/y]; y >= 0, scalar or array. Against mpmath over
+    1e-8 <= y <= 1e8 the relative error is at most 4.7e-16 below the cut and
+    above y = 1; between, sin(y)/y still cancels, by up to 2^-52 6/y^2
+    (8.0e-12 measured at y = 0.0100138)."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise ValueError("sinc_deficit requires finite y >= 0")
@@ -347,11 +349,11 @@ def sinc_deficit(y):
     return float(out[0]) if y.ndim == 0 else out
 
 
-def _sin_passes(g, omega: float, b: float, cfg, far_cfg) -> list:
-    """The passes, as _adaptive's arguments, of Int_0^b g(x) (1 - sin(omega x)/(omega x)):
-    f = g sinc_deficit(omega x) at cfg over [0, b], seed panels at most pi/omega
-    wide; past omega b = _FAR_CROSSOVER, f over [0, 1/omega] and the pair
-    (g, -g/(omega x)) of f0 + f1 sin(omega x) at far_cfg from the decades
+def _sin_passes(g, omega: float, b: float, cfg) -> list:
+    """The passes, as _adaptive's arguments, of Int_0^b g(x) (1 - sin(omega x)/(omega x)),
+    every one at cfg's tolerances: f = g sinc_deficit(omega x) over [0, b], seed
+    panels at most pi/omega wide; past omega b = _FAR_CROSSOVER, f over [0, 1/omega]
+    and the pair (g, -g/(omega x)) of f0 + f1 sin(omega x) from the decades
     10^j/omega to b. The only place that forms either."""
     if not (math.isfinite(omega) and omega > 0.0):
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
@@ -364,12 +366,12 @@ def _sin_passes(g, omega: float, b: float, cfg, far_cfg) -> list:
     def pair(x: np.ndarray) -> np.ndarray:
         return np.stack([y := g(x), -y / (omega * x)])
 
-    cfg = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / omega))
+    near = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / omega))
     if omega * b <= _FAR_CROSSOVER:
-        return [(f, 0.0, b, cfg, None, None)]
+        return [(f, 0.0, b, near, None, None)]
     decades = 10.0 ** np.arange(math.ceil(math.log10(omega * b))) / omega
-    return [(f, 0.0, 1.0 / omega, cfg, None, None),
-            (pair, 1.0 / omega, b, far_cfg, omega, np.append(decades[decades < b], b))]
+    return [(f, 0.0, 1.0 / omega, near, None, None),
+            (pair, 1.0 / omega, b, cfg, omega, np.append(decades[decades < b], b))]
 
 
 def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
@@ -399,13 +401,13 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
 
 
 def integrate_sin_tail(g: Callable, omega: float, b: float,
-                       cfg: QuadratureConfig, far_cfg: QuadratureConfig) -> QuadratureResult:
+                       cfg: QuadratureConfig) -> QuadratureResult:
     """Integrate g(x) (1 - sin(omega x)/(omega x)) over [0, b], g smooth on
     (0, b], omega finite and > 0, b finite and >= 0. The engine decides the
-    passes: integrate at cfg with seed panels at most pi/omega wide over [0, b],
-    or, past omega b = _FAR_CROSSOVER, over [0, 1/omega] plus a far pass at
-    far_cfg, whose cost grows as ln omega. The result sums the passes'."""
-    first, *far = _sin_passes(g, omega, b, cfg, far_cfg)
+    passes, each at cfg's tolerances: seed panels at most pi/omega wide over
+    [0, b], or, past omega b = _FAR_CROSSOVER, over [0, 1/omega] plus a far
+    pass whose cost grows as ln omega. The result sums the passes'."""
+    first, *far = _sin_passes(g, omega, b, cfg)
     near = integrate(*first[:4])  # by name, so that a shim on integrate sees it
     if not far:
         return near
@@ -441,7 +443,7 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
     t_max must be finite, non-negative and largest at a or b (t_top). One
     adaptive pass of the inner integrand over [0, t_top] at inner_cfg tabulates
     its integral H(tau) from 0; with omega the engine splits the table as
-    integrate_sin_tail does, both passes at inner_cfg. A node x reads
+    integrate_sin_tail does, every pass at inner_cfg. A node x reads
     H(t_max(x)) as the prefix sum of the panels left of tau plus one panel
     of the cut panel's rule (15 Kronrod or 25 sin-weighted nodes) from its
     left edge to tau, so a tau of 0 or on an edge samples nothing. The outer
@@ -461,7 +463,7 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
 
     t_top = float(limits(np.array([a, b], dtype=float), math.inf).max())
     passes = ([(inner, 0.0, t_top, inner_cfg, None, None)] if omega is None
-              else _sin_passes(inner, omega, t_top, inner_cfg, inner_cfg))
+              else _sin_passes(inner, omega, t_top, inner_cfg))
     reads = [(f, _rule(w)) for f, _, _, _, w, _ in passes]
     try:
         runs = [_adaptive(*p) for p in passes]

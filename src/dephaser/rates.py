@@ -39,7 +39,7 @@ from .model import DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv, 
 from .quadrature import NonConvergence, QuadratureConfig, integrate_nested, integrate_sin_tail
 # only for perfbench/tests/test_perfbench.py, whose tracer test reads rates.integrate
 from .quadrature import integrate  # noqa: F401
-from .specfun import _MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand, _sin_sq
+from .specfun import _MOMENT_TAIL_CUT, _moment_integrand, _sin_sq, get_moment_table
 
 METHOD_CLOSED = "closed-form"
 METHOD_DOUBLE = "double-integral"
@@ -48,6 +48,10 @@ METHODS = (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC)
 
 # Beyond this the Gaussian form factor exp(-x^2) is below 1e-31.
 _FORM_FACTOR_CUT = 8.5
+# every pass of the kernel integral: the closed route's one, double's inner table
+_KERNEL_CFG = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10, panel_hint=0.5)
+# the double route's outer pass over the Bose weight
+_OUTER_CFG = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8)
 
 _MIN_MC_SAMPLES = 10**4
 # the samples and seed wherever a Monte Carlo caller gives none
@@ -121,10 +125,11 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     with a = sqrt(2) D/L and x_D the Debye cutoff in thermal units. The
     infinite limit is truncated at X, the smallest of 8.5 (the Gaussian is
     below 1e-31), the form-factor limit sqrt(2) k_D L and
-    x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17. One call of
-    quadrature.integrate_sin_tail takes the smooth factor exp(-x^2) B/x and
-    a; the engine forms the interference factor and decides where its far
-    pass takes over. The error is the engine's estimate; T = 0 and D = 0
+    x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17; moment(x_D) is
+    read once a call. One call of quadrature.integrate_sin_tail takes the
+    smooth factor exp(-x^2) B/x, a and _KERNEL_CFG (every pass at rel 1e-10);
+    the engine forms the interference factor and decides where its far pass
+    takes over. The error is the engine's estimate; T = 0 and D = 0
     short-circuit to a vanishing rate.
     """
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
@@ -134,14 +139,14 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     a = p.sep_ratio
     ratio = p.x_debye / p.form_factor_limit
     upper = min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / ratio)
+    table = get_moment_table()
+    edge = table.eval(p.x_debye)
 
     def smooth(x: np.ndarray) -> np.ndarray:
-        return np.exp(-x * x) / x * _moment_bracket(p.x_debye, x * ratio)
+        return np.exp(-x * x) / x * np.maximum(edge - table.eval(x * ratio), 0.0)
 
     try:
-        quad = integrate_sin_tail(smooth, a, upper,
-                                  QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8, panel_hint=0.5),
-                                  QuadratureConfig(abs_tol=1e-250, rel_tol=1e-9))
+        quad = integrate_sin_tail(smooth, a, upper, _KERNEL_CFG)
     except NonConvergence as exc:
         raise NonConvergence(f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
                              f"separation_D_m={geom.separation_D_m}: {exc}") from exc
@@ -175,12 +180,10 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     def inner(t: np.ndarray) -> np.ndarray:
         return np.exp(-t * t) / t
 
-    cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-8)
-    inner_cfg = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10, panel_hint=0.5)
     try:
         quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
                                 lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
-                                cfg, inner_cfg, omega=alpha)
+                                _OUTER_CFG, _KERNEL_CFG, omega=alpha)
     except NonConvergence as exc:
         raise NonConvergence(
             f"{METHOD_DOUBLE} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "

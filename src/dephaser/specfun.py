@@ -68,12 +68,6 @@ def bose_fifth_moment(x: float) -> float:
     return integrate(_moment_integrand, 0.0, x, _MOMENT_CFG).value
 
 
-def _moment_bracket(x_debye: float, z: np.ndarray) -> np.ndarray:
-    """moment(x_debye) - moment(z), z <= x_debye: two table reads, clamped at 0."""
-    table = get_moment_table()
-    return np.maximum(table.eval(x_debye) - table.eval(z), 0.0)
-
-
 @dataclass(frozen=True)
 class BoseMomentTable:
     """Precomputed fifth-moment values with monotone cubic interpolation.

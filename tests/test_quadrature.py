@@ -215,11 +215,28 @@ def test_sin_rule_at_1e8_matches_the_asymptotic_series():
     assert value == pytest.approx(ref, rel=1e-8, abs=0.0)
 
 
-@pytest.mark.parametrize("lam", [0.5, 23.9, 24.1, 30.0, 100.0, 1e3, 1e7])
+def _fourier_moments_by_bessel(lam: float) -> np.ndarray:
+    """I_k(lam), k = 0..24, from the Jacobi-Anger expansion in mpmath:
+    e^{i lam cos th} = sum_n eps_n i^n J_n(lam) cos(n th), and
+    Int_0^pi cos(k th) cos(n th) sin(th) dth = (w(k + n) + w(k - n))/2 with
+    w(m) = Int_0^pi cos(m th) sin(th) dth, 2/(1 - m^2) for even m, else 0."""
+    def w(m):
+        return 0 if m % 2 else mpmath.mpf(2) / (1 - m * m)
+
+    with mpmath.workdps(30):
+        terms = [(1 if n == 0 else 2) * mpmath.mpc(0, 1) ** n * mpmath.besselj(n, lam)
+                 for n in range(int(lam) + 60)]
+        return np.array([complex(sum(c * (w(k + n) + w(k - n)) / 2 for n, c in enumerate(terms)))
+                         for k in range(25)])
+
+
+@pytest.mark.parametrize("lam", [0.5, 7.86, 23.9, 24.1, 30.0, 100.0, 1e3, 1e7])
 def test_fourier_moments_match_a_direct_sum(lam):
     # I_k(lam) = Int_-1^1 T_k(t) e^{i lam t} dt: a Clenshaw-Curtis sum up
-    # to lam = 24, the forward recurrence above; against a 300-point sum
-    # (exact to rounding up to lam = 100) and the closed forms of I_0, I_1
+    # to lam = 24, the forward recurrence above; against a 300-point
+    # Gauss-Legendre sum (within 2.4e-14 of mpmath up to lam = 100), the
+    # closed forms of I_0, I_1 and, below 24, a Bessel series in mpmath
+    # (the sum is within 7.8e-16 of it)
     got = _fourier_moments(np.array([lam]))[0]
     assert got[0] == pytest.approx(2.0 * math.sin(lam) / lam, rel=1e-13, abs=1e-15 / lam)
     assert got[1] == pytest.approx(2j * (math.sin(lam) - lam * math.cos(lam)) / lam**2,
@@ -228,6 +245,8 @@ def test_fourier_moments_match_a_direct_sum(lam):
         t, w = np.polynomial.legendre.leggauss(300)
         ref = (w * np.exp(1j * lam * t)) @ np.cos(np.outer(np.arccos(t), np.arange(25)))
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=5e-14)
+    if lam < 24.0:
+        np.testing.assert_allclose(got, _fourier_moments_by_bessel(lam), rtol=0.0, atol=2e-15)
 
 
 def test_sin_rule_counts_25_nodes_per_panel():
@@ -593,7 +612,6 @@ def _sin_tail_reference(omega: float, b: float) -> float:
 
 _SIN_TAIL_B = 3.0
 _SIN_TAIL_CFG = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10, panel_hint=0.5)
-_SIN_TAIL_FAR_CFG = QuadratureConfig(abs_tol=1e-250, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("omega_b", [1e2, 1e4, 1e7])
@@ -601,7 +619,7 @@ def test_sin_tail_matches_qawo(omega_b):
     # below the crossover (omega b = 100) one Gauss-Kronrod pass, above it
     # the near pass plus the sin-weighted far pass
     omega = omega_b / _SIN_TAIL_B
-    res = integrate_sin_tail(_sin_tail_g, omega, _SIN_TAIL_B, _SIN_TAIL_CFG, _SIN_TAIL_FAR_CFG)
+    res = integrate_sin_tail(_sin_tail_g, omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
     ref = _sin_tail_reference(omega, _SIN_TAIL_B)
     assert res.value == pytest.approx(ref, rel=1e-9, abs=0.0)
     assert abs(res.value - ref) <= res.abs_error_estimate
@@ -611,7 +629,7 @@ def test_sin_tail_evaluations_grow_as_log_omega():
     # the far pass is seeded at the decades of 1/omega, so three more
     # decades of omega b add far less than the evaluations at 1e5
     counts = [integrate_sin_tail(_sin_tail_g, omega_b / _SIN_TAIL_B, _SIN_TAIL_B,
-                                 _SIN_TAIL_CFG, _SIN_TAIL_FAR_CFG).evaluations
+                                 _SIN_TAIL_CFG).evaluations
               for omega_b in (1e5, 1e8)]
     assert counts[1] < 2 * counts[0]
 
@@ -619,7 +637,7 @@ def test_sin_tail_evaluations_grow_as_log_omega():
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
 def test_sin_tail_entries_reject_a_bad_omega(omega):
     with pytest.raises(ValueError, match="omega must be finite and > 0"):
-        integrate_sin_tail(_sin_tail_g, omega, 1.0, _SIN_TAIL_CFG, _SIN_TAIL_FAR_CFG)
+        integrate_sin_tail(_sin_tail_g, omega, 1.0, _SIN_TAIL_CFG)
     with pytest.raises(ValueError, match="omega must be finite and > 0"):
         integrate_nested(lambda x: 1.0, _sin_tail_g, 0.0, 1.0, lambda x: x,
                          OUTER_CFG, INNER_CFG, omega=omega)
@@ -628,7 +646,7 @@ def test_sin_tail_entries_reject_a_bad_omega(omega):
 @pytest.mark.parametrize("b", [-1.0, math.inf, math.nan])
 def test_sin_tail_rejects_a_bad_upper_limit(b):
     with pytest.raises(ValueError, match="b must be finite and >= 0"):
-        integrate_sin_tail(_sin_tail_g, 10.0, b, _SIN_TAIL_CFG, _SIN_TAIL_FAR_CFG)
+        integrate_sin_tail(_sin_tail_g, 10.0, b, _SIN_TAIL_CFG)
 
 
 def _sinc_kernel(x):

@@ -47,8 +47,8 @@ from dephaser.rates import (
     rate_validate,
     worker_count,
 )
-from dephaser.specfun import (_MOMENT_TAIL_CUT, _moment_bracket, _moment_integrand,
-                              bose_fifth_moment)
+from dephaser.specfun import (_MOMENT_TAIL_CUT, BoseMomentTable, _moment_integrand,
+                              bose_fifth_moment, get_moment_table)
 from dephaser.sweep import SweepSpec, fit_log_law, run_sweep
 from record_closed_box import box_points
 
@@ -120,6 +120,57 @@ def test_double_integral_agrees_with_closed_form_at_1_mK(L, D):
     closed = rate_closed_form(GAAS, geom, env).gamma_per_s
     double = rate_double_integral(GAAS, geom, env).gamma_per_s
     assert double == pytest.approx(closed, rel=1e-6, abs=0.0)
+
+
+def _low_temperature_terms(T, L, D, n) -> list:
+    """The first n terms of the rate's low-temperature series, in 1/s.
+
+    Where M(x_D) is 120 zeta(5) (x_D > 60), with r = x_D/U and
+    e^{-x^2} (1 - sin(a x)/(a x)) = sum_k c_k x^{2k}, the closed integral is
+    sum_k c_k (2k+5)! zeta(2k+5)/(2k r^{2k}), term by term from
+    Int_0^inf y^{2k-1} (120 zeta(5) - M(y)) dy = (2k+5)! zeta(2k+5)/(2k).
+    c_k = (-1)^{k+1} sum_{m=1..k} a^{2m}/((2m+1)! (k-m)!). The series is
+    asymptotic and shares no code with any route: no quadrature, no sin
+    rule, no moment table.
+    """
+    p = derived_scales(GAAS, DotGeometry(L, D), ThermalEnv(T))
+    assert p.x_debye > _MOMENT_TAIL_CUT
+    a, r = p.sep_ratio, p.x_debye / p.form_factor_limit
+    terms = []
+    for k in range(1, n + 1):
+        c = (-1) ** (k + 1) * sum(a ** (2 * m) / math.factorial(2 * m + 1) / math.factorial(k - m)
+                                  for m in range(1, k + 1))
+        moment = math.factorial(2 * k + 5) * float(mpmath.zeta(2 * k + 5)) / (2 * k)
+        terms.append(p.prefactor_per_s * c * moment / r ** (2 * k))
+    return terms
+
+
+LOW_T_POINTS = [(1e-3, 4e-9, 10e-9), (1e-3, 4e-9, 100e-9), (1e-2, 4e-9, 10e-9)]
+
+
+@pytest.mark.parametrize("T, L, D", LOW_T_POINTS)
+@pytest.mark.parametrize("route", [rate_closed_form, rate_double_integral])
+def test_deterministic_routes_match_the_low_temperature_series(route, T, L, D):
+    # three terms, the fourth as the truncation allowance (1.9e-18, 9.3e-14
+    # and 1.9e-12 of the rate at the three points). Seen: closed +6.1e-13,
+    # +4.4e-13, -1.4e-12, stating 1.2e-12; double -5.9e-15, -1.6e-13,
+    # -2.0e-12, stating 5.3e-11
+    *terms, omitted = _low_temperature_terms(T, L, D, 4)
+    series = sum(terms)
+    res = route(GAAS, DotGeometry(L, D), ThermalEnv(T))
+    allowance = res.error_estimate_per_s / res.gamma_per_s + abs(omitted / series)
+    assert abs(res.gamma_per_s / series - 1.0) <= allowance
+
+
+@pytest.mark.parametrize("T", [1e-3, 1e-2])
+def test_monte_carlo_matches_the_low_temperature_series(T):
+    # z = +0.57 and -0.27 at both temperatures: at this L and D the sampler's
+    # draws and weights scale together with T
+    series = sum(_low_temperature_terms(T, 4e-9, 10e-9, 3))
+    for seed in (1, 2):
+        res = rate_monte_carlo(GAAS, DotGeometry(4e-9, 10e-9), ThermalEnv(T),
+                               samples=2**20, seed=seed)
+        assert abs(res.gamma_per_s - series) <= 3.0 * res.mc_std_error_per_s
 
 
 @pytest.mark.parametrize("L", [0.1e-9, 4e-9])
@@ -228,6 +279,56 @@ def test_one_crossover_switches_both_routes(monkeypatch):
     assert omegas == [None, None, None]
     for got, ref in zip(panels, far):
         assert got.gamma_per_s == pytest.approx(ref.gamma_per_s, rel=1e-8, abs=0.0)
+
+
+def test_every_pass_of_the_kernel_integral_runs_at_one_tolerance(monkeypatch):
+    # at (100 K, 4 nm, 1 mm) both routes run the near and the far pass: the
+    # closed route's two passes and the double route's two table passes all
+    # run at the one route tolerance; only double's outer pass has its own
+    geom, env = DotGeometry(4e-9, 1e-3), ThermalEnv(100.0)
+    p = derived_scales(GAAS, geom, env)
+    passes, adaptive = [], quadrature_module._adaptive
+
+    def recording(f, a, b, cfg, omega=None, edges=None):
+        passes.append((a, b, omega, cfg))
+        return adaptive(f, a, b, cfg, omega, edges)
+
+    monkeypatch.setattr(quadrature_module, "_adaptive", recording)
+    rate_closed_form(GAAS, geom, env)
+    closed = passes[:]
+    passes.clear()
+    rate_double_integral(GAAS, geom, env)
+    *table, outer = passes
+    assert [w for _, _, w, _ in closed] == [None, p.sep_ratio] == [w for _, _, w, _ in table]
+    assert outer[:3] == (0.0, p.x_debye, None)
+    assert {(cfg.abs_tol, cfg.rel_tol) for *_, cfg in closed + table} == {(1e-250, 1e-10)}
+
+
+@pytest.mark.parametrize("T, D", [(1e-3, 10e-9), (100.0, 1e-3)])
+def test_closed_route_reads_the_debye_edge_once(monkeypatch, T, D):
+    # M(x_D) is one scalar read a call; every integrand call, near pass or
+    # far, makes one array read, and the engine's sampler calls it once.
+    # Both points make several calls: bisections at 1 mK, a far pass at 1 mm
+    geom, env = DotGeometry(4e-9, D), ThermalEnv(T)
+    x_debye = derived_scales(GAAS, geom, env).x_debye
+    reads, samples = [], []
+    table_eval, sample = BoseMomentTable.eval, quadrature_module._sample
+
+    def counting_eval(self, x):
+        reads.append(x)
+        return table_eval(self, x)
+
+    def counting_sample(f, nodes, shape):
+        samples.append(nodes.size)
+        return sample(f, nodes, shape)
+
+    get_moment_table()
+    monkeypatch.setattr(BoseMomentTable, "eval", counting_eval)
+    monkeypatch.setattr(quadrature_module, "_sample", counting_sample)
+    rate_closed_form(GAAS, geom, env)
+    scalars = [x for x in reads if np.ndim(x) == 0]
+    assert scalars == [x_debye] and len(samples) > 1
+    assert [np.size(x) for x in reads if np.ndim(x) == 1] == samples
 
 
 def test_sin_rule_reads_stay_within_the_block_bound(monkeypatch):
@@ -375,11 +476,12 @@ def _log_law_split(T, L, D):
     p = derived_scales(GAAS, DotGeometry(L, D), ThermalEnv(T))
     a, u = p.sep_ratio, p.form_factor_limit
     ratio = p.x_debye / u
-    b0 = float(_moment_bracket(p.x_debye, 0.0))
+    table = get_moment_table()
+    b0 = table.eval(p.x_debye)
     upper = min(rates_module._FORM_FACTOR_CUT, u)
     opts = dict(epsabs=1e-14 * b0, epsrel=1e-13, limit=500)
     r, r_err = quad(lambda x: math.exp(-x * x) / x
-                    * (float(_moment_bracket(p.x_debye, x * ratio)) - b0), 0.0, upper, **opts)
+                    * (max(b0 - table.eval(x * ratio), 0.0) - b0), 0.0, upper, **opts)
     if upper < rates_module._FORM_FACTOR_CUT:
         tail, tail_err = quad(lambda x: -b0 * math.exp(-x * x) / x, upper,
                               rates_module._FORM_FACTOR_CUT, **opts)
@@ -496,7 +598,7 @@ def test_large_separation_slope_is_prefactor_times_b0():
            for D in np.geomspace(100e-6, 1.0, 9)]
     fit = fit_log_law(pts, (50e-6, 2.0))
     p = derived_scales(GAAS, DotGeometry(4e-9, 1.0), env)
-    slope = p.prefactor_per_s * float(_moment_bracket(p.x_debye, 0.0))
+    slope = p.prefactor_per_s * get_moment_table().eval(p.x_debye)
     assert fit.slope == pytest.approx(slope, rel=1e-8)
     assert fit.residual_rms < 1e-8 * slope
 
