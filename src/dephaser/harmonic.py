@@ -37,13 +37,16 @@ import numpy as np
 
 from .coupling import SpectralDensity, spectral_density
 from .model import CONST, ThermalEnv
-from .quadrature import _TRUNC_SIGMA, QuadratureConfig, integrate
+from .quadrature import QuadratureConfig, integrate
 from .specfun import _sin_sq
 
 _EXP_CFG = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-10)
 # Bound on times x seed panels in one batched pass: the engine keeps a value
 # and an error per time and panel, 8 MB each at this size.
 _PASS_ELEMS = 1 << 20
+# A parametric density's support ends where at most this share of the
+# exponent's envelope lies past it, at every time and for the plateau.
+_TAIL_SHARE = 1e-12
 
 
 def uniform_times(t_max: float, points: int) -> np.ndarray:
@@ -70,26 +73,75 @@ def _thermal_weight(omega: np.ndarray, env: ThermalEnv) -> np.ndarray:
     return 1.0 / np.tanh(CONST.hbar * omega / (CONST.k_B * env.T_K))
 
 
+def _log_tail_bound(a: float, x: float) -> float:
+    """ln of an upper bound on Q(a, x) = Gamma(a, x)/Gamma(a), for a >= 1, x > a - 1.
+
+    Past x, ln u <= ln x + (u - x)/x, so u^(a-1) e^-u <= x^(a-1) e^-x
+    e^(-(u-x)(1 - (a-1)/x)), which integrates to Gamma(a, x) <= x^a e^-x/(x - a + 1).
+    The bound exceeds Q by at most the factor x/(x - a + 1).
+    """
+    return a * math.log(x) - x - math.log(x - a + 1.0) - math.lgamma(a)
+
+
 def _intervals(sd: SpectralDensity) -> list:
     """The pieces (lo, hi) over which sd is integrated, and the only rule for them.
 
     A tabulated density goes from knot to knot, so no panel straddles a
-    kink of the interpolated table. A parametric one is one piece [0, W],
-    W the point where its cut-off falls to 1e-30: exp(-s^2) at
-    s = _TRUNC_SIGMA, exp(-s) at s = _TRUNC_SIGMA^2 (s = w/w_c).
+    kink of the interpolated table. A parametric one is one piece
+    [0, s w_c]: s is the smallest edge at which the bound below puts the
+    dropped share of the exponent at or under _TAIL_SHARE, for every time
+    of a pass, every temperature and the plateau.
+
+    The bound. Write J = A w^n c(w/w_c). The exponent at time t integrates
+    w_th J h/(hbar w)^2 with h = sin^2(wt/2); the plateau's has h = 1/2.
+    Bound h by e = min(1, (wt/2)^2). Then w_th e/w^2 does not increase
+    with w: neither factor does, the thermal weight coth(hbar w/(k_B T))
+    included. Weighting J by a non-increasing function moves its mass
+    toward w = 0, so the share of the integral of w_th J e/w^2 beyond
+    s w_c is at most J's own share: Q(n+1, s) for c(u) = e^-u,
+    Q((n+1)/2, s^2) for c(u) = e^-u^2 (Q the regularized upper incomplete
+    gamma function, Abramowitz & Stegun 6.5). J/w^2's share rules the
+    long times and the plateau (e = 1 beyond w = 2/t). It is Q(n-1, s) or
+    Q((n-1)/2, s^2), and never the larger, since Q(a, x) grows with a.
+    So the thermal weight needs no factor of its own, and s depends on
+    the form and n alone.
+
+    Hence at every t the dropped part is at most _TAIL_SHARE of the
+    envelope exponent, the integral of w_th J e/(hbar w)^2. The envelope
+    tends to the exponent as t -> 0, and to twice it at long times and
+    for the plateau, where sin^2 averages 1/2. Measured against the
+    exponent itself (Gauss-Legendre, 0.001 <= t w_c <= 200, T = 0), the
+    dropped share peaks at the shortest times, at J's share, for n <= 40.
+    A Gaussian cut-off at n = 100 reaches 8.5e-12 at t w_c = 0.89, where
+    its narrow bulk sits on a zero of sin^2. Both are far inside the
+    passes' 1e-10.
+
+    Q comes from _log_tail_bound, and the edge from bisection: 36.7 w_c
+    for the exponential cut-off at n = 3 and 5.43 w_c for the Gaussian at
+    n = 2, where mpmath's exact Q gives 36.73 and 5.428.
     """
     if sd.form == "tabulated":
         knots = sd.table_omega_rad_per_s
         return list(zip(knots[:-1], knots[1:]))
-    edge = sd.cutoff_rad_per_s * _TRUNC_SIGMA
-    if sd.form == "power-law-exponential-cutoff":
-        edge *= _TRUNC_SIGMA
-    return [(0.0, edge)]
+    gaussian = sd.form == "power-law-gaussian-cutoff"
+    a = 0.5 * (sd.exponent + 1.0) if gaussian else sd.exponent + 1.0
+    goal = math.log(_TAIL_SHARE)
+    # bisect on x = s^2 (Gaussian) or s (exponential), from x = a
+    lo, hi = a, 2.0 * a + 64.0
+    while _log_tail_bound(a, hi) > goal:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if _log_tail_bound(a, mid) > goal:
+            lo = mid
+        else:
+            hi = mid
+    return [(0.0, sd.cutoff_rad_per_s * (math.sqrt(hi) if gaussian else hi))]
 
 
-def _over_spectrum(sd: SpectralDensity, integrand, cfg: QuadratureConfig):
-    """Integral of integrand(omega) over the support of sd, piece by piece."""
-    return sum(integrate(integrand, lo, hi, cfg).value for lo, hi in _intervals(sd))
+def _over_spectrum(pieces: list, integrand, cfg: QuadratureConfig):
+    """Integral of integrand(omega) over the pieces of _intervals, one call each."""
+    return sum(integrate(integrand, lo, hi, cfg).value for lo, hi in pieces)
 
 
 def _spectral_weight(sd: SpectralDensity, env: ThermalEnv,
@@ -120,10 +172,12 @@ def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray) -> np.ndarr
     The time-independent factor 2 w_th J/(hbar w)^2 is evaluated once per
     node and multiplied by sin^2(wt/2) (specfun._sin_sq) for every time of
     a pass; each time keeps its own error estimate. Seed panels are
-    pi/max(t) wide over each piece of _intervals(sd), fine enough for the
-    fastest oscillation. A pass takes as many times as keep
-    its (times x seed panels) store within _PASS_ELEMS: all of them unless
-    the seed panels number in the thousands. t = 0 gives exactly 1.
+    pi/max(t) wide over each piece of _intervals(sd), fine enough for
+    the fastest oscillation; a parametric density's one piece drops at
+    most 1e-12 of each time's envelope exponent (see there). A pass takes
+    as many times as keep its (times x seed panels) store within
+    _PASS_ELEMS: all of them unless the seed panels number in the
+    thousands. t = 0 gives exactly 1.
     """
     exponents = np.zeros(times.shape)
     positive = np.flatnonzero(times > 0.0)
@@ -134,7 +188,7 @@ def _ratios(sd: SpectralDensity, env: ThermalEnv, times: np.ndarray) -> np.ndarr
         per_pass = max(1, int(_PASS_ELEMS / (span / cfg.panel_hint + 1.0)))
         for rows in np.split(positive, range(per_pass, positive.size, per_pass)):
             integrand = _exponent_integrand(sd, env, times[rows])
-            exponents[rows] = _over_spectrum(sd, integrand, cfg)
+            exponents[rows] = _over_spectrum(pieces, integrand, cfg)
     return np.exp(-exponents)
 
 
@@ -159,7 +213,9 @@ def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv) -> Optional[float
     boundary values the integral diverges logarithmically at w = 0 and
     None is returned (the coherence decays to zero instead). Tabulated
     densities have support bounded away from zero frequency, so their
-    plateau is always finite.
+    plateau is always finite. The integral runs over the pieces of
+    _intervals(sd), the curve's; for a parametric density at most 1e-12
+    of it lies beyond (J/w^2's tail share, bounded there).
     """
     if sd.form != "tabulated":
         if sd.amplitude == 0.0:
@@ -173,7 +229,7 @@ def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv) -> Optional[float
     def integrand(omega: np.ndarray) -> np.ndarray:
         return _spectral_weight(sd, env, omega)
 
-    return math.exp(-_over_spectrum(sd, integrand, _EXP_CFG))
+    return math.exp(-_over_spectrum(_intervals(sd), integrand, _EXP_CFG))
 
 
 @dataclass(frozen=True)

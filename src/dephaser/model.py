@@ -12,8 +12,10 @@ from dataclasses import dataclass, fields
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA values (SI), compiled in so results are bit-reproducible.
-    Not user-configurable."""
+    """CODATA 2018 values (SI), compiled in so results are bit-reproducible.
+    Not user-configurable. eps0 is the 2018 value; CODATA 2022 gives
+    8.8541878188e-12, 6.8e-10 higher, which would move every rate by as
+    much through coupling_scale."""
 
     hbar: float = 1.054571817e-34  # J s
     k_B: float = 1.380649e-23  # J / K

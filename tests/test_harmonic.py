@@ -7,7 +7,9 @@ breakpoints.
 """
 
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -54,7 +56,7 @@ LIQUID_HE = ThermalEnv(T_K=4.2)
 
 def test_ratio_against_quad_oracle():
     assert coherence_ratio(SD_QUADRATIC, WARM, 5e-13) == pytest.approx(
-        RATIO_ORACLE_77K, rel=1e-10
+        RATIO_ORACLE_77K, rel=1e-10, abs=0
     )
 
 
@@ -65,7 +67,7 @@ def test_zero_temperature_plateau_analytic():
         -1e-82 * math.sqrt(math.pi) * 1e13 / (2.0 * CONST.hbar**2)
     )
     plateau = asymptotic_coherence(SD_QUADRATIC, COLD)
-    assert plateau == pytest.approx(expected, rel=1e-10)
+    assert plateau == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -108,7 +110,7 @@ def test_ratio_bounded_by_plateau_square():
 def test_ratio_converges_to_plateau():
     plateau = asymptotic_coherence(SD_QUADRATIC, COLD)
     late = coherence_ratio(SD_QUADRATIC, COLD, 100.0 / 1e13)
-    assert late == pytest.approx(plateau, rel=0.01)
+    assert late == pytest.approx(plateau, rel=0.01, abs=0)
 
 
 def test_warmer_reservoir_decoheres_faster():
@@ -120,13 +122,13 @@ def test_tiny_temperature_matches_zero_for_gapped_reservoir():
     # k_B * 1e-6 K is far below the 1e12 rad/s support edge
     cold = coherence_ratio(SD_GAPPED, COLD, 3e-13)
     tiny = coherence_ratio(SD_GAPPED, ThermalEnv(T_K=1e-6), 3e-13)
-    assert tiny == pytest.approx(cold, rel=1e-12)
+    assert tiny == pytest.approx(cold, rel=1e-12, abs=0)
 
 
 def test_thermal_weight_is_coth_of_hbar_omega_over_k_B_T():
     omega = np.array([CONST.k_B * WARM.T_K / CONST.hbar])
     assert harmonic._thermal_weight(omega, WARM)[0] == pytest.approx(
-        1.0 / math.tanh(1.0), rel=1e-15)
+        1.0 / math.tanh(1.0), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize("T", [4.0, 77.0, 300.0])
@@ -257,7 +259,7 @@ def test_tabulated_curve_against_quad_with_knot_breakpoints():
     curve = decoherence_curve(SD_TABLE, LIQUID_HE, 1e-11, 5)
     for t, r in zip(curve.times_s[1:], curve.ratio[1:]):
         expected = math.exp(-_table_exponent_oracle(float(t), LIQUID_HE))
-        assert r == pytest.approx(expected, rel=1e-9)
+        assert r == pytest.approx(expected, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("t", [1e-13, 1e-12, 1e-11])
@@ -291,11 +293,12 @@ def test_curve_points_match_single_time_ratio(sd, env, t_max):
     curve = decoherence_curve(sd, env, t_max, 9)
     assert curve.ratio[0] == 1.0
     for t, r in zip(curve.times_s[1:], curve.ratio[1:]):
-        assert r == pytest.approx(coherence_ratio(sd, env, float(t)), rel=1e-10)
+        assert r == pytest.approx(coherence_ratio(sd, env, float(t)), rel=1e-10, abs=0)
 
 
 def test_long_curve_splits_times_into_bounded_passes(monkeypatch):
-    # 237 seed panels per pass: a store of 900 values takes 3 times a pass
+    # the support ends at 5.43 w_c, 173 seed panels of pi/t_max: a store of
+    # 600 values takes 3 times a pass
     whole = decoherence_curve(SD_QUADRATIC, WARM, 1e-11, 9)
     rows = []
     original = harmonic._exponent_integrand
@@ -305,7 +308,7 @@ def test_long_curve_splits_times_into_bounded_passes(monkeypatch):
         return original(sd, env, times)
 
     monkeypatch.setattr(harmonic, "_exponent_integrand", spy)
-    monkeypatch.setattr(harmonic, "_PASS_ELEMS", 900)
+    monkeypatch.setattr(harmonic, "_PASS_ELEMS", 600)
     split = decoherence_curve(SD_QUADRATIC, WARM, 1e-11, 9)
     assert rows == [3, 3, 2]
     np.testing.assert_allclose(split.ratio, whole.ratio, rtol=1e-10, atol=0.0)
@@ -315,15 +318,93 @@ def test_intervals_of_a_table_are_its_knot_pairs():
     assert harmonic._intervals(SD_TABLE) == list(zip(TABLE_OMEGA[:-1], TABLE_OMEGA[1:]))
 
 
-@pytest.mark.parametrize(
-    "sd, cutoff",
-    [(SD_CUBIC, lambda s: math.exp(-s * s)), (SD_EXPONENTIAL, lambda s: math.exp(-s))],
-    ids=["gaussian", "exponential"],
-)
-def test_intervals_of_a_parametric_form_end_where_the_cutoff_is_1e_30(sd, cutoff):
+def _tail_share(form, n, s):
+    """The larger of J's and J/w^2's incomplete-gamma shares past s w_c, in mpmath.
+
+    J/w^2's counts only where it is integrable (n > 1).
+    """
+    gaussian = form == "power-law-gaussian-cutoff"
+    x = s * s if gaussian else s
+    order = [n + 1] + ([n - 1] if n > 1 else [])
+    return max(mpmath.gammainc(mpmath.mpf(m) / 2 if gaussian else m, x, regularized=True)
+               for m in order)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
+@pytest.mark.parametrize("form", ["power-law-gaussian-cutoff",
+                                  "power-law-exponential-cutoff"],
+                         ids=["gaussian", "exponential"])
+def test_intervals_of_a_parametric_form_end_where_the_tail_share_is_1e_12(form, n):
+    sd = SpectralDensity(form=form, amplitude=1e-82, exponent=float(n),
+                         cutoff_rad_per_s=1e13)
     [(lo, hi)] = harmonic._intervals(sd)
+    s = hi / sd.cutoff_rad_per_s
     assert lo == 0.0
-    assert cutoff(hi / sd.cutoff_rad_per_s) == pytest.approx(1e-30, rel=1e-12)
+    assert _tail_share(form, n, s) <= 1e-12
+    assert _tail_share(form, n, 0.95 * s) > 1e-12
+
+
+def _mpmath_exponent(sd, T_K, t):
+    """2 Int w_th J sin^2(wt/2)/(hbar w)^2 dw in mpmath at 20 digits.
+
+    Integrated in u = w/w_c over [0, top] in 16 Gauss-Legendre pieces; past
+    top the integrand is below e^-80 of its peak for every case here.
+    """
+    gaussian = sd.form == "power-law-gaussian-cutoff"
+    n = sd.exponent
+    with mpmath.workdps(20):
+        omega_c = mpmath.mpf(sd.cutoff_rad_per_s)
+        tau = omega_c * t
+        beta = (mpmath.mpf(CONST.hbar) * omega_c / (mpmath.mpf(CONST.k_B) * T_K)
+                if T_K else None)
+
+        def f(u):
+            weight = mpmath.coth(beta * u) if beta else 1
+            cut = mpmath.exp(-u * u) if gaussian else mpmath.exp(-u)
+            return weight * u ** (n - 2) * cut * mpmath.sin(u * tau / 2) ** 2
+
+        top = math.sqrt(n) + 12 if gaussian else 2 * n + 100
+        pieces = [top * k / 16 for k in range(17)]
+        return (2 * mpmath.mpf(sd.amplitude) * omega_c ** (n - 1) / mpmath.mpf(CONST.hbar) ** 2
+                * mpmath.quad(f, pieces, method="gauss-legendre"))
+
+
+@pytest.mark.parametrize("T_K", [0.0, 77.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 40])
+@pytest.mark.parametrize("form", ["power-law-gaussian-cutoff",
+                                  "power-law-exponential-cutoff"],
+                         ids=["gaussian", "exponential"])
+def test_curve_exponent_matches_mpmath_at_both_ends_of_a_pass(form, n, T_K):
+    # t runs from 0.01/w_c, where sin^2(wt/2) ~ (wt/2)^2 and J's tail share
+    # rules, to 2/w_c, in one pass; w_c keeps w^40 finite up to the edge and
+    # the amplitude puts the exponent at 100 at t_max
+    omega_c = 1e13 if n <= 10 else 1e4
+    t_max = 2.0 / omega_c
+    unit = SpectralDensity(form=form, amplitude=1.0, exponent=float(n),
+                           cutoff_rad_per_s=omega_c)
+    sd = replace(unit, amplitude=float(100 / _mpmath_exponent(unit, T_K, t_max)))
+    curve = decoherence_curve(sd, ThermalEnv(T_K=T_K), t_max, 201)
+    for i in (1, -1):
+        t = float(curve.times_s[i])
+        assert -math.log(curve.ratio[i]) == pytest.approx(
+            float(_mpmath_exponent(sd, T_K, t)), rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize(
+    "form, n, omega_c, amplitude, t",
+    [("power-law-exponential-cutoff", 30, 1e6, 3.7e-272, 1e-6),
+     ("power-law-gaussian-cutoff", 40, 1e4, 8.2e-238, 1e-6),
+     ("power-law-gaussian-cutoff", 60, 1e3, 9.2e-273, 1e-5)],
+    ids=["exponential-30", "gaussian-40", "gaussian-60"],
+)
+def test_steep_cutoff_keeps_its_tail(form, n, omega_c, amplitude, t):
+    # an edge where the cut-off factor is 1e-30 drops 1.2e-8 of the exponent
+    # at exponential n = 30 (t = 1/w_c) and 6.5e-8 at Gaussian n = 60
+    # (t = 0.01/w_c), 1.9e-12 at Gaussian n = 40
+    sd = SpectralDensity(form=form, amplitude=amplitude, exponent=float(n),
+                         cutoff_rad_per_s=omega_c)
+    exponent = -math.log(coherence_ratio(sd, COLD, t))
+    assert exponent == pytest.approx(float(_mpmath_exponent(sd, 0.0, t)), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize(

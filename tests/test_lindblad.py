@@ -48,7 +48,7 @@ def test_zero_time_is_identity():
 def test_half_life_of_coherence():
     p = LindbladParams(gamma_per_s=1e9)
     out = evolve_analytic(BALANCED, p, math.log(2.0) / 1e9)
-    assert out.rho01 == pytest.approx(0.25, rel=1e-13)
+    assert out.rho01 == pytest.approx(0.25, rel=1e-13, abs=0)
     assert out.rho00 == 0.5 and out.rho11 == 0.5
 
 
@@ -56,7 +56,7 @@ def test_coherence_reaches_inverse_e_at_t2():
     gamma = 7.3e8
     p = LindbladParams(gamma_per_s=gamma)
     out = evolve_analytic(BALANCED, p, 1.0 / gamma)
-    assert abs(out.rho01) == pytest.approx(0.5 / math.e, rel=1e-12)
+    assert abs(out.rho01) == pytest.approx(0.5 / math.e, rel=1e-12, abs=0)
 
 
 def test_populations_are_conserved_exactly():
@@ -123,7 +123,7 @@ def test_pure_rotation_when_rate_vanishes():
     p = LindbladParams(gamma_per_s=0.0, level_splitting_E_J=E)
     t = 2.7e-10
     out = evolve_analytic(BALANCED, p, t)
-    assert abs(out.rho01) == pytest.approx(0.5, rel=1e-14)
+    assert abs(out.rho01) == pytest.approx(0.5, rel=1e-14, abs=0)
     expected_phase = E * t / CONST.hbar
     assert cmath.phase(out.rho01 / BALANCED.rho01) == pytest.approx(
         math.remainder(expected_phase, 2.0 * math.pi), abs=1e-12

@@ -56,12 +56,12 @@ def test_polynomial_is_exact():
 
 def test_sine_period():
     res = integrate(np.sin, 0.0, math.pi)
-    assert res.value == pytest.approx(2.0, rel=1e-13)
+    assert res.value == pytest.approx(2.0, rel=1e-13, abs=0)
 
 
 def test_gaussian_against_erf():
     res = integrate(lambda x: np.exp(-x * x), -6.0, 6.0)
-    assert res.value == pytest.approx(math.sqrt(math.pi) * math.erf(6.0), rel=1e-13)
+    assert res.value == pytest.approx(math.sqrt(math.pi) * math.erf(6.0), rel=1e-13, abs=0)
 
 
 def test_inverse_sqrt_edge_singularity(monkeypatch):
@@ -70,7 +70,7 @@ def test_inverse_sqrt_edge_singularity(monkeypatch):
     monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 20000)
     cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
     res = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, cfg)
-    assert res.value == pytest.approx(2.0, rel=1e-8)
+    assert res.value == pytest.approx(2.0, rel=1e-8, abs=0)
 
 
 def test_oscillatory_rate_kernel_oracle():
@@ -78,7 +78,7 @@ def test_oscillatory_rate_kernel_oracle():
     res = integrate(
         lambda x: np.exp(-x * x) * sinc_deficit(50.0 * x) / x, 0.0, 10.0, cfg
     )
-    assert res.value == pytest.approx(OSC_ORACLE, rel=1e-9)
+    assert res.value == pytest.approx(OSC_ORACLE, rel=1e-9, abs=0)
     assert res.abs_error_estimate < 1e-9
 
 
@@ -124,9 +124,9 @@ def test_batched_components_meet_their_own_tolerance():
              0.5 * math.sqrt(math.pi) * math.erf(3.0),
              1e-12 * 2.0 * 3.0**1.5 / 3.0]
     for i, ref in enumerate(exact):
-        assert res.value[i] == pytest.approx(ref, rel=1e-9)
+        assert res.value[i] == pytest.approx(ref, rel=1e-9, abs=0)
         alone = integrate(lambda x, i=i: f(x)[i], 0.0, 3.0, cfg)
-        assert res.value[i] == pytest.approx(alone.value, rel=1e-10)
+        assert res.value[i] == pytest.approx(alone.value, rel=1e-10, abs=0)
 
 
 def test_batched_blocks_stay_bounded():
@@ -365,13 +365,13 @@ def test_config_validation():
 
 def test_semi_infinite_gaussian():
     res = integrate_semi_infinite(lambda x: np.exp(-x * x), 0.0, 1.0)
-    assert res.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
+    assert res.value == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10, abs=0)
 
 
 def test_semi_infinite_moment():
     # int_0^inf x^3 exp(-(x/2)^2) dx = 8
     res = integrate_semi_infinite(lambda x: x**3 * np.exp(-((x / 2.0) ** 2)), 0.0, 2.0)
-    assert res.value == pytest.approx(8.0, rel=1e-10)
+    assert res.value == pytest.approx(8.0, rel=1e-10, abs=0)
 
 
 def test_semi_infinite_rejects_bad_scale():
@@ -382,14 +382,14 @@ def test_semi_infinite_rejects_bad_scale():
 def test_nested_triangle_area():
     res = integrate_nested(lambda x: 1.0, lambda t: np.ones_like(t), 0.0, 1.0, lambda x: x,
                            OUTER_CFG, INNER_CFG)
-    assert res.value == pytest.approx(0.5, rel=1e-10)
+    assert res.value == pytest.approx(0.5, rel=1e-10, abs=0)
 
 
 def test_nested_separable_product():
     # int_0^1 int_0^1 x t dt dx = 1/4
     res = integrate_nested(lambda x: x, lambda t: t, 0.0, 1.0, lambda x: 1.0,
                            OUTER_CFG, INNER_CFG)
-    assert res.value == pytest.approx(0.25, rel=1e-10)
+    assert res.value == pytest.approx(0.25, rel=1e-10, abs=0)
 
 
 def test_nested_inner_limit_validation():
@@ -414,7 +414,7 @@ def test_nested_oscillatory_inner_matches_analytic(a):
     cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-11, panel_hint=math.pi / a)
     inner_cfg = QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, panel_hint=math.pi / a)
     res = integrate_nested(lambda x: 1.0, inner, 0.0, 1.0, lambda x: x, cfg, inner_cfg)
-    assert res.value == pytest.approx((1.0 - math.cos(a)) / a**2, rel=1e-10)
+    assert res.value == pytest.approx((1.0 - math.cos(a)) / a**2, rel=1e-10, abs=0)
     assert shapes == {()}
 
 
@@ -452,7 +452,7 @@ def test_nested_zero_length_inner_range_is_never_sampled():
                   lambda x: np.where(x < 0.5, 0.0, x))
     res = run.run(0.0, 1.0)
     antiderivative = [x * sici(x)[0] + math.cos(x) for x in (0.5, 1.0)]
-    assert res.value == pytest.approx(antiderivative[1] - antiderivative[0], rel=1e-10)
+    assert res.value == pytest.approx(antiderivative[1] - antiderivative[0], rel=1e-10, abs=0)
     assert min(t.min() for _, t in run.inner_calls) > 0.0
     reached = sum(np.count_nonzero(x >= 0.5) for x in run.outer_nodes)
     assert 0 < reached < sum(x.size for x in run.outer_nodes)
@@ -465,7 +465,7 @@ def test_nested_evaluations_count_values_computed():
     run = _Phased(lambda x: x, lambda t: t, lambda x: x)
     res = run.run(0.0, 2.0, QuadratureConfig(panel_hint=0.1),
                   QuadratureConfig(abs_tol=1e-14, rel_tol=1e-12, panel_hint=0.1))
-    assert res.value == pytest.approx(2.0, rel=1e-10)
+    assert res.value == pytest.approx(2.0, rel=1e-10, abs=0)
     nodes = sum(x.size for x in run.outer_nodes)
     assert run.values(table=True) == 15 * 20
     assert run.values(table=False) == 15 * nodes
@@ -478,7 +478,7 @@ def test_nested_node_on_a_panel_edge_samples_nothing():
     # int_0^1 3 x^2 dx * int_0^0.5 t dt = 1/8
     run = _Phased(lambda x: 3.0 * x * x, lambda t: t, lambda x: np.where(x < 1.0, 0.5, 1.0))
     res = run.run(0.0, 1.0, inner_cfg=QuadratureConfig(panel_hint=0.25))
-    assert res.value == pytest.approx(0.125, rel=1e-14)
+    assert res.value == pytest.approx(0.125, rel=1e-14, abs=0)
     assert run.values(table=True) == 15 * 4 and run.values(table=False) == 0
     assert res.evaluations == 15 * 4 + sum(x.size for x in run.outer_nodes)
 

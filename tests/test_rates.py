@@ -78,9 +78,9 @@ MC_LONG_SE = 5774701847.432322
 )
 def test_closed_form_matches_independent_oracle(T, expected):
     res = rate_closed_form(GAAS, GEOM, ThermalEnv(T_K=T))
-    assert res.gamma_per_s == pytest.approx(expected, rel=1e-7)
+    assert res.gamma_per_s == pytest.approx(expected, rel=1e-7, abs=0)
     assert res.method == METHOD_CLOSED
-    assert res.t2_s == pytest.approx(1.0 / expected, rel=1e-7)
+    assert res.t2_s == pytest.approx(1.0 / expected, rel=1e-7, abs=0)
 
 
 def test_closed_form_error_estimate_is_tight():
@@ -101,14 +101,14 @@ def test_double_integral_agrees_with_closed_form(T, D):
     env = ThermalEnv(T_K=T)
     closed = rate_closed_form(GAAS, geom, env).gamma_per_s
     double = rate_double_integral(GAAS, geom, env).gamma_per_s
-    assert double == pytest.approx(closed, rel=1e-6)
+    assert double == pytest.approx(closed, rel=1e-6, abs=0)
 
 
 def test_double_integral_matches_the_10000_K_oracle():
     # closed sits 9.4e-6 below this oracle here: the moment table's absolute
     # interpolation error at x_D = 0.043. double uses no moment table
     res = rate_double_integral(GAAS, GEOM, ThermalEnv(T_K=1e4))
-    assert res.gamma_per_s == pytest.approx(ORACLE_GAMMA_10000K, rel=1e-10)
+    assert res.gamma_per_s == pytest.approx(ORACLE_GAMMA_10000K, rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("L, D", [(4e-9, 10e-9), (100e-9, 1e-6)])
@@ -195,7 +195,7 @@ def test_small_separation_routes_agree():
     closed = rate_closed_form(GAAS, geom, env).gamma_per_s
     double = rate_double_integral(GAAS, geom, env).gamma_per_s
     assert closed > 0.0
-    assert double == pytest.approx(closed, rel=1e-4)
+    assert double == pytest.approx(closed, rel=1e-4, abs=0)
 
 
 def _counting_table(monkeypatch):
@@ -228,7 +228,7 @@ def test_double_integral_makes_one_table_pass_and_one_outer_pass(monkeypatch, D)
     assert passes == [(0.0, rates_module._FORM_FACTOR_CUT, None), (0.0, x_debye, None)]
     assert outer == [(0.0, x_debye)]
     assert res.gamma_per_s == pytest.approx(rate_closed_form(GAAS, geom, env).gamma_per_s,
-                                            rel=1e-6)
+                                            rel=1e-6, abs=0)
 
 
 def test_double_integral_far_table_makes_two_passes_and_one_outer_pass(monkeypatch):
@@ -246,7 +246,7 @@ def test_double_integral_far_table_makes_two_passes_and_one_outer_pass(monkeypat
                       (0.0, p.x_debye, None)]
     assert outer == [(0.0, p.x_debye)]
     assert res.gamma_per_s == pytest.approx(rate_closed_form(GAAS, geom, env).gamma_per_s,
-                                            rel=1e-8)
+                                            rel=1e-8, abs=0)
 
 
 def _omega_of_each_pass(monkeypatch) -> list:
@@ -528,7 +528,7 @@ def test_adaptive_and_split_closed_forms_agree_from_10_to_100_um(T, L, D):
     assert D > _crossover_separation(T, L)
     split = _closed(T, L, D)
     adaptive = _closed(T, L, D, math.inf)
-    assert split.gamma_per_s == pytest.approx(adaptive.gamma_per_s, rel=1e-8)
+    assert split.gamma_per_s == pytest.approx(adaptive.gamma_per_s, rel=1e-8, abs=0)
     assert split.error_estimate_per_s <= 1e-10 * split.gamma_per_s
 
 
@@ -599,7 +599,7 @@ def test_large_separation_slope_is_prefactor_times_b0():
     fit = fit_log_law(pts, (50e-6, 2.0))
     p = derived_scales(GAAS, DotGeometry(4e-9, 1.0), env)
     slope = p.prefactor_per_s * get_moment_table().eval(p.x_debye)
-    assert fit.slope == pytest.approx(slope, rel=1e-8)
+    assert fit.slope == pytest.approx(slope, rel=1e-8, abs=0)
     assert fit.residual_rms < 1e-8 * slope
 
 
@@ -629,7 +629,7 @@ def test_closed_form_is_finite_and_non_decreasing_in_separation(log_T, log_L, lo
 def test_split_closed_form_agrees_with_double_integral(T, L, D):
     closed = _closed(T, L, D, 0.0).gamma_per_s
     double = rate_double_integral(GAAS, DotGeometry(L, D), ThermalEnv(T)).gamma_per_s
-    assert double == pytest.approx(closed, rel=1e-2)
+    assert double == pytest.approx(closed, rel=1e-2, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -640,7 +640,7 @@ def test_double_integral_matches_split_closed_form(T, L, D):
     geom, env = DotGeometry(L, D), ThermalEnv(T)
     closed = rate_closed_form(GAAS, geom, env).gamma_per_s
     double = rate_double_integral(GAAS, geom, env).gamma_per_s
-    assert double == pytest.approx(closed, rel=1e-6)
+    assert double == pytest.approx(closed, rel=1e-6, abs=0)
 
 
 def test_closed_form_matches_the_recorded_box_reference():
@@ -689,8 +689,8 @@ def test_double_integral_evaluation_count_does_not_grow_with_separation(monkeypa
 
 def test_monte_carlo_pinned_output():
     res = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=100.0), samples=10**6)
-    assert res.gamma_per_s == pytest.approx(MC_PIN_GAMMA, rel=1e-12)
-    assert res.mc_std_error_per_s == pytest.approx(MC_PIN_SE, rel=1e-12)
+    assert res.gamma_per_s == pytest.approx(MC_PIN_GAMMA, rel=1e-12, abs=0)
+    assert res.mc_std_error_per_s == pytest.approx(MC_PIN_SE, rel=1e-12, abs=0)
     assert res.error_estimate_per_s == res.mc_std_error_per_s
     assert res.method == METHOD_MC
 
@@ -698,8 +698,8 @@ def test_monte_carlo_pinned_output():
 def test_monte_carlo_seed_changes_output():
     res = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=100.0), samples=10**6,
                            seed=999)
-    assert res.gamma_per_s == pytest.approx(MC_PIN_GAMMA_SEED999, rel=1e-12)
-    assert res.gamma_per_s != pytest.approx(MC_PIN_GAMMA, rel=1e-12)
+    assert res.gamma_per_s == pytest.approx(MC_PIN_GAMMA_SEED999, rel=1e-12, abs=0)
+    assert res.gamma_per_s != pytest.approx(MC_PIN_GAMMA, rel=1e-12, abs=0)
 
 
 def test_monte_carlo_pin_consistent_with_oracle():
@@ -732,9 +732,9 @@ def test_monte_carlo_chunk_size_changes_rounding_only(monkeypatch):
     chunked = rate_monte_carlo(GAAS, GEOM, env, samples=300_001)
     monkeypatch.setattr(rates_module, "_MC_CHUNK", rates_module._MC_BLOCK)
     whole = rate_monte_carlo(GAAS, GEOM, env, samples=300_001)
-    assert chunked.gamma_per_s == pytest.approx(whole.gamma_per_s, rel=1e-12)
+    assert chunked.gamma_per_s == pytest.approx(whole.gamma_per_s, rel=1e-12, abs=0)
     assert chunked.mc_std_error_per_s == pytest.approx(
-        whole.mc_std_error_per_s, rel=1e-12)
+        whole.mc_std_error_per_s, rel=1e-12, abs=0)
 
 
 def _reference_mc_block(seed, lo, hi, table, x_per_k, lw, sep):
@@ -783,8 +783,8 @@ def test_mc_block_matches_reference_kernel(T, D, lo, hi):
     count, mean, m2 = rates_module._mc_block(11, lo, hi, *args)
     ref_count, ref_mean, ref_m2 = _reference_mc_block(11, lo, hi, *args)
     assert count == ref_count == hi - lo
-    assert mean == pytest.approx(ref_mean, rel=1e-13)
-    assert m2 == pytest.approx(ref_m2, rel=1e-13)
+    assert mean == pytest.approx(ref_mean, rel=1e-13, abs=0)
+    assert m2 == pytest.approx(ref_m2, rel=1e-13, abs=0)
 
 
 def test_block_offset_continues_the_stream():
@@ -891,10 +891,10 @@ def test_variance_merge_is_stable(offset, rel):
     data = np.concatenate(blocks)
     exact_var = np.var(data - offset, ddof=1)   # the shift is exact here
     assert count == data.size
-    assert mean == pytest.approx(data.mean(), rel=1e-15)
-    assert m2 / (count - 1) == pytest.approx(exact_var, rel=rel)
+    assert mean == pytest.approx(data.mean(), rel=1e-15, abs=0)
+    assert m2 / (count - 1) == pytest.approx(exact_var, rel=rel, abs=0)
     if rel == 1e-12:
-        assert m2 / (count - 1) == pytest.approx(np.var(data, ddof=1), rel=1e-12)
+        assert m2 / (count - 1) == pytest.approx(np.var(data, ddof=1), rel=1e-12, abs=0)
     # the one-pass formula this merge replaces is off by 2e-4 at 1e6 and
     # negative at 1e12
     naive = ((data * data).sum() - count * (data.sum() / count) ** 2) / (count - 1)
@@ -907,7 +907,7 @@ def test_monte_carlo_error_scaling():
     small = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=100.0), samples=250_000)
     large = rate_monte_carlo(GAAS, GEOM, ThermalEnv(T_K=100.0), samples=10**6)
     assert large.mc_std_error_per_s == pytest.approx(
-        0.5 * small.mc_std_error_per_s, rel=0.25
+        0.5 * small.mc_std_error_per_s, rel=0.25, abs=0
     )
 
 

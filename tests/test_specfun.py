@@ -41,15 +41,18 @@ def test_sinc_deficit_is_one_function_under_every_name():
 def test_sinc_deficit_zero_and_analytic_points():
     assert sinc_deficit(0.0) == 0.0
     # 1 - sin(y)/y at y = pi/2 and y = pi
-    assert sinc_deficit(math.pi / 2) == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-14)
-    assert sinc_deficit(math.pi) == pytest.approx(1.0, rel=1e-14)
+    assert sinc_deficit(math.pi / 2) == pytest.approx(1.0 - 2.0 / math.pi, rel=1e-14, abs=0)
+    assert sinc_deficit(math.pi) == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_sinc_deficit_series_joins_direct_branch():
-    # the two evaluation branches must agree where they meet
-    below = sinc_deficit(0.01 * (1 - 1e-9))
-    above = sinc_deficit(0.01 * (1 + 1e-9))
-    assert below == pytest.approx(above, rel=1e-10)
+    # each branch where they meet, against mpmath at its own y: the series
+    # just below the cut within 1e-15, the direct branch just above it
+    # within the docstring's 2^-52 6/y^2 (1.3e-11 there)
+    for y, bound in ((0.01 * (1 - 1e-9), 1e-15), (0.01 * (1 + 1e-9), 2.0**-52 * 6.0 / 0.01**2)):
+        with mpmath.workdps(40):
+            ref = float(1 - mpmath.sin(mpmath.mpf(y)) / mpmath.mpf(y))
+        assert sinc_deficit(y) == pytest.approx(ref, rel=bound, abs=0)
 
 
 def test_sinc_deficit_small_argument_quadratic():
@@ -133,7 +136,7 @@ def test_sin_sq_matches_numpy_sin():
     [(0.2, PHI_AT_0P2), (2.0, PHI_AT_2), (4.327058755197736, PHI_AT_XD100)],
 )
 def test_fifth_moment_against_quad(x, expected):
-    assert bose_fifth_moment(x) == pytest.approx(expected, rel=1e-10)
+    assert bose_fifth_moment(x) == pytest.approx(expected, rel=1e-10, abs=0)
 
 
 def test_fifth_moment_endpoints():
@@ -148,7 +151,7 @@ def test_fifth_moment_small_x_series():
     # x^4/4 - x^6/72 + x^8/1920 + O(x^10)
     x = 0.2
     series = x**4 / 4 - x**6 / 72 + x**8 / 1920
-    assert bose_fifth_moment(x) == pytest.approx(series, rel=1e-6)
+    assert bose_fifth_moment(x) == pytest.approx(series, rel=1e-6, abs=0)
 
 
 def test_moment_table_matches_direct_evaluation():

@@ -225,9 +225,9 @@ def test_fit_power_law_scale_equivariance():
     scaled = [(x, 1e12 * y) for x, y in pts]
     base = fit_power_law(pts, (0.5, 200.0))
     shifted = fit_power_law(scaled, (0.5, 200.0))
-    assert shifted.slope == pytest.approx(base.slope, rel=1e-12)
+    assert shifted.slope == pytest.approx(base.slope, rel=1e-12, abs=0)
     assert shifted.intercept == pytest.approx(base.intercept + math.log(1e12),
-                                              rel=1e-12)
+                                              rel=1e-12, abs=0)
 
 
 def test_fit_log_law_exact():
@@ -242,14 +242,14 @@ def test_fit_log_law_flat_data():
     pts = [(x, 5.0) for x in (1.0, 2.0, 4.0, 8.0)]
     fit = fit_log_law(pts, (0.5, 10.0))
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
-    assert fit.intercept == pytest.approx(5.0, rel=1e-12)
+    assert fit.intercept == pytest.approx(5.0, rel=1e-12, abs=0)
 
 
 def test_fit_log_law_accepts_non_positive_y():
     # y = ln x / ln 2 - 1 passes through -1, 0 and 1
     fit = fit_log_law([(1.0, -1.0), (2.0, 0.0), (4.0, 1.0)], (0.5, 5.0))
-    assert fit.slope == pytest.approx(1.0 / math.log(2.0), rel=1e-12)
-    assert fit.intercept == pytest.approx(-1.0, rel=1e-12)
+    assert fit.slope == pytest.approx(1.0 / math.log(2.0), rel=1e-12, abs=0)
+    assert fit.intercept == pytest.approx(-1.0, rel=1e-12, abs=0)
 
 
 def test_fit_window_validation():
