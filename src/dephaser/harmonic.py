@@ -208,26 +208,41 @@ def coherence_ratio(sd: SpectralDensity, env: ThermalEnv, t: float) -> float:
 def asymptotic_coherence(sd: SpectralDensity, env: ThermalEnv) -> Optional[float]:
     """Long-time coherence plateau, or None when no finite plateau exists.
 
-    Replaces sin^2(wt/2) by its mean 1/2. The limit is finite for
-    parametric exponents n > 2 at T > 0 and n > 1 at T = 0; at the
-    boundary values the integral diverges logarithmically at w = 0 and
-    None is returned (the coherence decays to zero instead). Tabulated
-    densities have support bounded away from zero frequency, so their
-    plateau is always finite. The integral runs over the pieces of
+    Replaces sin^2(wt/2) by its mean 1/2. For a parametric J = A w^n c(w/w_c)
+    the weight w_th J/(hbar w)^2 goes as lead w^(q-1) at w -> 0, with
+    q = n - 2, lead = A k_B T/hbar^3 at T > 0 and q = n - 1, lead = A/hbar^2
+    at T = 0. For q <= 0 the integral diverges at w = 0 and None is returned
+    (the coherence decays to zero instead). For 0 < q < 1 the weight is
+    integrable but unbounded there, which the engine cannot resolve: on
+    [0, w0], w0 = min(w_c, k_B T/hbar), lead w0^q/q is added in closed form
+    and the engine integrates weight - lead w^(q-1), which vanishes as w^q.
+    For q >= 1 the weight is bounded and is integrated as it stands.
+    Tabulated densities have support bounded away from zero frequency, so
+    their plateau is always finite. The integral runs over the pieces of
     _intervals(sd), the curve's; for a parametric density at most 1e-12
     of it lies beyond (J/w^2's tail share, bounded there).
     """
+    def integrand(omega: np.ndarray) -> np.ndarray:
+        return _spectral_weight(sd, env, omega)
+
     if sd.form != "tabulated":
         if sd.amplitude == 0.0:
             return 1.0
-        divergent = (env.T_K > 0.0 and sd.exponent <= 2.0) or (
-            env.T_K == 0.0 and sd.exponent <= 1.0
-        )
-        if divergent:
+        warm = env.T_K > 0.0
+        q = sd.exponent - (2.0 if warm else 1.0)
+        if q <= 0.0:
             return None
+        if q < 1.0:
+            thermal = CONST.k_B * env.T_K / CONST.hbar if warm else math.inf
+            lead = sd.amplitude / CONST.hbar**2 * (thermal if warm else 1.0)
+            w0 = min(sd.cutoff_rad_per_s, thermal)
+            [(_, top)] = _intervals(sd)
 
-    def integrand(omega: np.ndarray) -> np.ndarray:
-        return _spectral_weight(sd, env, omega)
+            def rest(omega: np.ndarray) -> np.ndarray:
+                return integrand(omega) - lead * omega ** (q - 1.0)
+
+            return math.exp(-(lead * w0**q / q + integrate(rest, 0.0, w0, _EXP_CFG).value
+                              + integrate(integrand, w0, top, _EXP_CFG).value))
 
     return math.exp(-_over_spectrum(_intervals(sd), integrand, _EXP_CFG))
 

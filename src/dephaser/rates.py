@@ -31,7 +31,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -115,6 +115,21 @@ def _check_narrow_cutoff(p: RateIntegralParams) -> None:
                       CutoffValidityWarning, stacklevel=level)
 
 
+def _route(method: str, material: MaterialParams, geom: DotGeometry, env: ThermalEnv,
+           rate: Callable[[RateIntegralParams], tuple]) -> RateResult:
+    """The frame every route runs in: T = 0 and D = 0 short-circuit to a
+    vanishing rate; otherwise rate(derived_scales(...)) gives (gamma, error),
+    and a NonConvergence is relabelled with the route and the point."""
+    if env.T_K == 0.0 or geom.separation_D_m == 0.0:
+        return RateResult(0.0, method, 0.0)
+    try:
+        gamma, error = rate(derived_scales(material, geom, env))
+    except NonConvergence as exc:
+        raise NonConvergence(f"{method} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
+                             f"separation_D_m={geom.separation_D_m}: {exc}") from exc
+    return RateResult(gamma, method, error)
+
+
 def rate_closed_form(material: MaterialParams, geom: DotGeometry,
                      env: ThermalEnv) -> RateResult:
     """Dephasing rate from the reduced one-dimensional integral.
@@ -132,26 +147,20 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     takes over. The error is the engine's estimate; T = 0 and D = 0
     short-circuit to a vanishing rate.
     """
-    if env.T_K == 0.0 or geom.separation_D_m == 0.0:
-        return RateResult(0.0, METHOD_CLOSED, 0.0)
-    p = derived_scales(material, geom, env)
-    _check_narrow_cutoff(p)
-    a = p.sep_ratio
-    ratio = p.x_debye / p.form_factor_limit
-    upper = min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / ratio)
-    table = get_moment_table()
-    edge = table.eval(p.x_debye)
+    def rate(p: RateIntegralParams) -> tuple:
+        _check_narrow_cutoff(p)
+        ratio = p.x_debye / p.form_factor_limit
+        upper = min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / ratio)
+        table = get_moment_table()
+        edge = table.eval(p.x_debye)
 
-    def smooth(x: np.ndarray) -> np.ndarray:
-        return np.exp(-x * x) / x * np.maximum(edge - table.eval(x * ratio), 0.0)
+        def smooth(x: np.ndarray) -> np.ndarray:
+            return np.exp(-x * x) / x * np.maximum(edge - table.eval(x * ratio), 0.0)
 
-    try:
-        quad = integrate_sin_tail(smooth, a, upper, _KERNEL_CFG)
-    except NonConvergence as exc:
-        raise NonConvergence(f"{METHOD_CLOSED} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
-                             f"separation_D_m={geom.separation_D_m}: {exc}") from exc
-    return RateResult(p.prefactor_per_s * quad.value, METHOD_CLOSED,
-                      p.prefactor_per_s * quad.abs_error_estimate)
+        quad = integrate_sin_tail(smooth, p.sep_ratio, upper, _KERNEL_CFG)
+        return p.prefactor_per_s * quad.value, p.prefactor_per_s * quad.abs_error_estimate
+
+    return _route(METHOD_CLOSED, material, geom, env, rate)
 
 
 def rate_double_integral(material: MaterialParams, geom: DotGeometry,
@@ -167,12 +176,6 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     smooth factor exp(-t^2)/t and omega = a, it forms the interference factor
     and decides where the table's far pass takes over, as for closed.
     """
-    if env.T_K == 0.0 or geom.separation_D_m == 0.0:
-        return RateResult(0.0, METHOD_DOUBLE, 0.0)
-    p = derived_scales(material, geom, env)
-    alpha = p.sep_ratio
-    slope = p.form_factor_limit / p.x_debye
-
     def weight(x: np.ndarray) -> np.ndarray:
         em = np.expm1(-x)
         return x**5 * np.exp(-x) / (em * em)
@@ -180,17 +183,14 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     def inner(t: np.ndarray) -> np.ndarray:
         return np.exp(-t * t) / t
 
-    try:
+    def rate(p: RateIntegralParams) -> tuple:
+        slope = p.form_factor_limit / p.x_debye
         quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
                                 lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
-                                _OUTER_CFG, _KERNEL_CFG, omega=alpha)
-    except NonConvergence as exc:
-        raise NonConvergence(
-            f"{METHOD_DOUBLE} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
-            f"separation_D_m={geom.separation_D_m}: {exc}"
-        ) from exc
-    return RateResult(p.prefactor_per_s * quad.value, METHOD_DOUBLE,
-                      p.prefactor_per_s * quad.abs_error_estimate)
+                                _OUTER_CFG, _KERNEL_CFG, omega=p.sep_ratio)
+        return p.prefactor_per_s * quad.value, p.prefactor_per_s * quad.abs_error_estimate
+
+    return _route(METHOD_DOUBLE, material, geom, env, rate)
 
 
 def _radial_table(x_per_k: float, k_max: float) -> Optional[tuple]:
@@ -383,28 +383,23 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     _check_sampling(samples, seed)
     samples = int(samples)
     seed = int(seed)
-    if env.T_K == 0.0 or geom.separation_D_m == 0.0:
-        return RateResult(0.0, METHOD_MC, 0.0)
 
-    p = derived_scales(material, geom, env)
-    x_per_k = p.x_debye / material.k_D_per_m
-    table = _radial_table(x_per_k, min(material.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
-    if table is None:
-        return RateResult(0.0, METHOD_MC, 0.0)
-    scale = p.prefactor_per_s * x_per_k**5 / (8.0 * math.pi**2)
+    def rate(p: RateIntegralParams) -> tuple:
+        x_per_k = p.x_debye / material.k_D_per_m
+        table = _radial_table(x_per_k, min(material.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
+        if table is None:
+            return 0.0, 0.0
+        scale = p.prefactor_per_s * x_per_k**5 / (8.0 * math.pi**2)
+        blocks = [(b * _MC_BLOCK, min(samples, (b + 1) * _MC_BLOCK))
+                  for b in range((samples + _MC_BLOCK - 1) // _MC_BLOCK)]
 
-    blocks = [(b * _MC_BLOCK, min(samples, (b + 1) * _MC_BLOCK))
-              for b in range((samples + _MC_BLOCK - 1) // _MC_BLOCK)]
+        with ThreadPoolExecutor(max_workers=min(worker_count(), len(blocks))) as pool:
+            count, mean, m2 = _merge_moments(pool.map(
+                lambda span: _mc_block(seed, *span, table, x_per_k,
+                                       geom.width_L_m, geom.separation_D_m), blocks))
+        return scale * mean, scale * math.sqrt(m2 / (count - 1) / count)
 
-    def work(span):
-        lo, hi = span
-        return _mc_block(seed, lo, hi, table, x_per_k,
-                         geom.width_L_m, geom.separation_D_m)
-
-    with ThreadPoolExecutor(max_workers=min(worker_count(), len(blocks))) as pool:
-        count, mean, m2 = _merge_moments(pool.map(work, blocks))
-    se_mean = math.sqrt(m2 / (count - 1) / count)
-    return RateResult(scale * mean, METHOD_MC, scale * se_mean)
+    return _route(METHOD_MC, material, geom, env, rate)
 
 
 def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,

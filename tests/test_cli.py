@@ -284,6 +284,22 @@ def test_curve_plateau_on_stderr(capsys):
     assert float(first[1]) == 1.0
 
 
+def test_curve_plateau_with_a_singular_weight(capsys):
+    # n = 2.5 at 4 K: the plateau's weight goes as w^(-1/2) at w = 0
+    code, out, err = _run(capsys, [
+        "curve", "--spectral", "power-law-exponential-cutoff", "--A", "3e-89",
+        "--n", "2.5", "--omega-c", "1e13", "--T", "4", "--tmax", "4e-12",
+        "--points", "5",
+    ])
+    assert code == 0
+    sd = SpectralDensity(form="power-law-exponential-cutoff", amplitude=3e-89,
+                         exponent=2.5, cutoff_rad_per_s=1e13)
+    plateau = asymptotic_coherence(sd, ThermalEnv(T_K=4.0))
+    assert 0.0 < plateau < 1.0
+    assert err.strip() == f"plateau = {plateau!r}"
+    assert len(out.splitlines()) == 6
+
+
 def test_curve_divergent_plateau(capsys):
     code, _, err = _run(capsys, [
         "curve", "--spectral", "power-law-gaussian-cutoff", "--A", "1e-70",

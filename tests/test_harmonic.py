@@ -390,6 +390,65 @@ def test_curve_exponent_matches_mpmath_at_both_ends_of_a_pass(form, n, T_K):
             float(_mpmath_exponent(sd, T_K, t)), rel=1e-10, abs=0)
 
 
+def _mpmath_plateau_exponent(sd, T_K):
+    """Int_0^inf w_th J/(hbar w)^2 dw in mpmath at 30 digits, under w = w_c u^p.
+
+    p = 1/q (q = n - 2 at T > 0, n - 1 at T = 0) turns the integrable
+    w^(q-1) singularity at w = 0 into a finite value at u = 0; on the raw
+    w integral mpmath's own error estimate understates its error (2e-9 off
+    at n = 2.2, 4 K).
+    """
+    gaussian = sd.form == "power-law-gaussian-cutoff"
+    with mpmath.workdps(30):
+        n = mpmath.mpf(sd.exponent)
+        omega_c = mpmath.mpf(sd.cutoff_rad_per_s)
+        beta = (mpmath.mpf(CONST.hbar) * omega_c / (mpmath.mpf(CONST.k_B) * T_K)
+                if T_K else None)
+        p = 1 / (n - (2 if T_K else 1))
+
+        def f(u):
+            y = u**p  # w/w_c; dw = w_c p y/u du
+            weight = y * mpmath.coth(beta * y) if beta else y
+            cut = mpmath.exp(-y * y) if gaussian else mpmath.exp(-y)
+            return p * weight * y ** (n - 2) * cut / u
+
+        return (mpmath.mpf(sd.amplitude) * omega_c ** (n - 1) / mpmath.mpf(CONST.hbar) ** 2
+                * mpmath.quad(f, [0, 1, mpmath.inf]))
+
+
+@pytest.mark.parametrize("T_K, n", [(4.0, 2.02), (4.0, 2.2), (4.0, 2.5), (4.0, 2.8),
+                                    (0.0, 1.2), (0.0, 1.5), (0.0, 1.8)])
+@pytest.mark.parametrize("form", ["power-law-gaussian-cutoff",
+                                  "power-law-exponential-cutoff"],
+                         ids=["gaussian", "exponential"])
+def test_plateau_with_a_singular_weight_matches_mpmath(form, T_K, n):
+    # the weight goes as w^(n-3) at T > 0 and w^(n-2) at T = 0, integrable
+    # but unbounded at w = 0; the amplitude puts the exponent near 1
+    omega_c = 1e13
+    sd = SpectralDensity(form=form, amplitude=CONST.hbar**2 * omega_c ** (1.0 - n),
+                         exponent=n, cutoff_rad_per_s=omega_c)
+    exponent = -math.log(asymptotic_coherence(sd, ThermalEnv(T_K=T_K)))
+    assert exponent == pytest.approx(float(_mpmath_plateau_exponent(sd, T_K)), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("n", [1.0001, 1.01, 1.99])
+@pytest.mark.parametrize("form", ["power-law-gaussian-cutoff",
+                                  "power-law-exponential-cutoff"],
+                         ids=["gaussian", "exponential"])
+def test_zero_temperature_plateau_near_the_divergence_is_a_gamma_function(form, n):
+    # at T = 0 the exponent is A w_c^(n-1)/hbar^2 times Gamma(n-1)
+    # (exponential cut-off) or Gamma((n-1)/2)/2 (Gaussian), up to the 1e-12
+    # tail share; the amplitude puts it at 1. The weight goes as w^(n-2),
+    # which n = 1.0001 makes nearly as singular as 1/w
+    omega_c = 1e13
+    gamma = (math.gamma((n - 1.0) / 2.0) / 2.0 if form == "power-law-gaussian-cutoff"
+             else math.gamma(n - 1.0))
+    sd = SpectralDensity(form=form, amplitude=CONST.hbar**2 * omega_c ** (1.0 - n) / gamma,
+                         exponent=n, cutoff_rad_per_s=omega_c)
+    exponent = -math.log(asymptotic_coherence(sd, COLD))
+    assert exponent == pytest.approx(1.0, rel=1e-9, abs=0)
+
+
 @pytest.mark.parametrize(
     "form, n, omega_c, amplitude, t",
     [("power-law-exponential-cutoff", 30, 1e6, 3.7e-272, 1e-6),

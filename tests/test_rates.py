@@ -507,12 +507,27 @@ def test_log_kernel_matches_hypergeometric_oracle(a):
 def test_closed_form_follows_the_log_law_split_from_100_um_to_1_m(T, L):
     # the closed route shares no code with K(a), and is within the dropped
     # term's bound of B0 K(a) + R at every D
+    _assert_follows_the_log_law_split(_closed, T, L)
+
+
+@pytest.mark.parametrize("T, L", [(50.0, 4e-9), (4.0, 4e-9), (300.0, 1e-10)])
+def test_double_integral_follows_the_log_law_split_from_100_um_to_1_m(T, L):
+    # as for closed. The split reads B0 and B from the moment table, whose
+    # error puts it 9.1e-6 from double at (10^4 K, 4 nm): that row checks
+    # closed, which reads the same table, alone
+    _assert_follows_the_log_law_split(
+        lambda T, L, D: rate_double_integral(GAAS, DotGeometry(L, D), ThermalEnv(T)), T, L)
+
+
+def _assert_follows_the_log_law_split(route, T, L):
+    """route(T, L, D) at D = 100 um, 1 mm and 1 m is within its stated error
+    plus the split's allowance of B0 K(a) + R."""
     for D in (100e-6, 1e-3, 1.0):
-        res = _closed(T, L, D)
+        res = route(T, L, D)
         p = derived_scales(GAAS, DotGeometry(L, D), ThermalEnv(T))
         split, allowance = _log_law_split(T, L, D)
-        closed = res.gamma_per_s / p.prefactor_per_s
-        assert abs(closed - split) <= allowance + res.error_estimate_per_s / p.prefactor_per_s
+        value = res.gamma_per_s / p.prefactor_per_s
+        assert abs(value - split) <= allowance + res.error_estimate_per_s / p.prefactor_per_s
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ a fault there moves both together; each such function has its own oracle
 against QAWO, both routes against the low-temperature series). This test
 traces one call of each route with sys.setprofile and fails when the
 shared set changes, so a newly shared function is declared here, with its
-oracle, before it lands. mc meets the others only in the model's scale.
+oracle, before it lands. mc meets the others only in the model's scale
+and the route frame (rates._route: the T = 0 / D = 0 short-circuit, the
+NonConvergence label and the result record).
 """
 
 import sys
@@ -24,9 +26,10 @@ from dephaser.specfun import get_moment_table
 
 PACKAGE = str(Path(dephaser.__file__).parent)
 
-# the model's scale and the result record: the only functions mc may share
+# the model's scale, the route frame and the result record: the only
+# functions mc may share
 SCALE = {"model.derived_scales", "model.coupling_scale", "model.RateIntegralParams.__init__",
-         "rates.RateResult.__init__", "rates.RateResult.__post_init__"}
+         "rates._route", "rates.RateResult.__init__", "rates.RateResult.__post_init__"}
 # the engine and the interference factor, run by closed and double at every point
 ENGINE = {"quadrature.QuadratureConfig.__init__", "quadrature.QuadratureConfig.__post_init__",
           "quadrature.QuadratureResult.__init__", "quadrature.integrate",
