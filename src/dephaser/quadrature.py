@@ -6,7 +6,8 @@ open (no endpoint evaluations), so integrands with a removable singularity
 at an interval edge are handled as long as every sampled node is finite.
 An empty range samples nothing. For g(x) (1 - sin(omega x)/(omega x)),
 integrate_sin_tail and integrate_nested take g and omega, form the factor
-with sinc_deficit and decide where a sin-weighted Clenshaw-Curtis rule takes over.
+with sinc_deficit and decide where a sin-weighted Clenshaw-Curtis rule takes over;
+integrate_sin_tail also takes one omega per row of a g returning (m, n).
 Integrands are vectorized: they take a 1-D ndarray of n nodes and return
 shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
@@ -349,25 +350,30 @@ def sinc_deficit(y):
     return float(out[0]) if y.ndim == 0 else out
 
 
-def _sin_passes(g, omega: float, b: float, cfg) -> list:
+def _sin_passes(g, omega, b: float, cfg) -> list:
     """The passes, as _adaptive's arguments, of Int_0^b g(x) (1 - sin(omega x)/(omega x)),
     every one at cfg's tolerances: f = g sinc_deficit(omega x) over [0, b], seed
     panels at most pi/omega wide; past omega b = _FAR_CROSSOVER, f over [0, 1/omega]
     and the pair (g, -g/(omega x)) of f0 + f1 sin(omega x) from the decades
-    10^j/omega to b. The only place that forms either."""
-    if not (math.isfinite(omega) and omega > 0.0):
+    10^j/omega to b. omega may be an array of m rows of g, all at or below the
+    crossover (the sin-weighted rule takes one omega): one pass of f's m rows,
+    seed panels at most pi/max(omega) wide. The only place that forms either."""
+    w = np.asarray(omega, dtype=float)
+    if w.ndim > 1 or not (w.size and np.isfinite(w).all() and (w > 0.0).all()):
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     if not (math.isfinite(b) and b >= 0.0):
         raise ValueError(f"b must be finite and >= 0, got {b!r}")
+    freq = w[:, None] if w.ndim else omega
 
     def f(x: np.ndarray) -> np.ndarray:
-        return g(x) * sinc_deficit(omega * x)
+        return g(x) * sinc_deficit(freq * x)
 
     def pair(x: np.ndarray) -> np.ndarray:
         return np.stack([y := g(x), -y / (omega * x)])
 
-    near = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / omega))
-    if omega * b <= _FAR_CROSSOVER:
+    top = float(w.max())
+    near = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / top))
+    if top * b <= _FAR_CROSSOVER:
         return [(f, 0.0, b, near, None, None)]
     decades = 10.0 ** np.arange(math.ceil(math.log10(omega * b))) / omega
     return [(f, 0.0, 1.0 / omega, near, None, None),
@@ -400,13 +406,22 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
     return QuadratureResult(value, error, evaluations)
 
 
-def integrate_sin_tail(g: Callable, omega: float, b: float,
+def integrate_sin_tail(g: Callable, omega, b: float,
                        cfg: QuadratureConfig) -> QuadratureResult:
     """Integrate g(x) (1 - sin(omega x)/(omega x)) over [0, b], g smooth on
     (0, b], omega finite and > 0, b finite and >= 0. The engine decides the
     passes, each at cfg's tolerances: seed panels at most pi/omega wide over
     [0, b], or, past omega b = _FAR_CROSSOVER, over [0, 1/omega] plus a far
-    pass whose cost grows as ln omega. The result sums the passes'."""
+    pass whose cost grows as ln omega. The result sums the passes'.
+
+    omega may also be an array of m, one per row of a g returning (m, n);
+    value and abs_error_estimate are then arrays of m. The rows at or below
+    the crossover share one batched pass, seed panels at most pi/max(omega)
+    wide, each row meeting the tolerance on its own; a row past it takes its
+    own passes, bit for bit as its scalar call, on g's row. A g whose rows
+    do not match omega raises ValueError."""
+    if np.ndim(omega):
+        return _sin_tail_rows(g, omega, b, cfg)
     first, *far = _sin_passes(g, omega, b, cfg)
     near = integrate(*first[:4])  # by name, so that a shim on integrate sees it
     if not far:
@@ -415,6 +430,34 @@ def integrate_sin_tail(g: Callable, omega: float, b: float,
     return QuadratureResult(near.value + float(_ordered_sum(vals)[0]),
                             near.abs_error_estimate + float(_ordered_sum(errs)[0]),
                             near.evaluations + evaluations)
+
+
+def _sin_tail_rows(g: Callable, omega, b: float, cfg: QuadratureConfig) -> QuadratureResult:
+    """integrate_sin_tail for an array omega of m rows; _sin_passes checks
+    every row's omega and b, in the batched pass or in its own."""
+    omega = np.asarray(omega, dtype=float)
+    if omega.ndim != 1 or not omega.size:
+        raise ValueError(f"omega must be a scalar or a 1-d array of rows, got shape {omega.shape}")
+    far = omega * b > _FAR_CROSSOVER
+    near = np.flatnonzero(~far)
+
+    def rows(x: np.ndarray, pick=slice(None)) -> np.ndarray:
+        y = np.asarray(g(x), dtype=float)
+        if y.ndim != 2 or y.shape[0] != omega.size:
+            raise ValueError(f"g returned shape {y.shape} for {omega.size} values of omega")
+        return y[pick]
+
+    value, error, evaluations = np.empty(omega.size), np.empty(omega.size), 0
+    if near.size:
+        near_g = partial(rows, pick=near) if far.any() else rows
+        (f, lo, hi, near_cfg, _, _), = _sin_passes(near_g, omega[near], b, cfg)
+        res = integrate(f, lo, hi, near_cfg)
+        value[near], error[near], evaluations = res.value, res.abs_error_estimate, res.evaluations
+    for i in np.flatnonzero(far):
+        res = integrate_sin_tail(partial(rows, pick=i), float(omega[i]), b, cfg)
+        value[i], error[i] = res.value, res.abs_error_estimate
+        evaluations += res.evaluations
+    return QuadratureResult(value, error, evaluations)
 
 
 def integrate_semi_infinite(f: Callable, a: float, decay_scale: float,

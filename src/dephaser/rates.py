@@ -36,7 +36,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import DotGeometry, MaterialParams, RateIntegralParams, ThermalEnv, derived_scales
-from .quadrature import NonConvergence, QuadratureConfig, integrate_nested, integrate_sin_tail
+from .quadrature import (NonConvergence, NonFiniteSample, QuadratureConfig, integrate_nested,
+                         integrate_sin_tail)
 # only for perfbench/tests/test_perfbench.py, whose tracer test reads rates.integrate
 from .quadrature import integrate  # noqa: F401
 from .specfun import _MOMENT_TAIL_CUT, _moment_integrand, _sin_sq, get_moment_table
@@ -145,22 +146,80 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     smooth factor exp(-x^2) B/x, a and _KERNEL_CFG (every pass at rel 1e-10);
     the engine forms the interference factor and decides where its far pass
     takes over. The error is the engine's estimate; T = 0 and D = 0
-    short-circuit to a vanishing rate.
+    short-circuit to a vanishing rate. This is the batch of one of the
+    route's batched core, which run_sweep calls for a whole grid.
     """
-    def rate(p: RateIntegralParams) -> tuple:
+    result, = _closed_form_rates(material, [(geom, env)])
+    if isinstance(result, NonConvergence):
+        raise result
+    return result
+
+
+def _closed_form_rates(material: MaterialParams, points) -> list:
+    """rate_closed_form at each (geom, env) of points, in order: its
+    RateResult, or the NonConvergence it raises there.
+
+    Points that share sep_ratio (every point of a T-sweep) go through one
+    _closed_pass; a lone point is its own. If a shared pass raises
+    NonConvergence or NonFiniteSample, its points run again one at a time,
+    so every point ends as its own call would, with the same bits and text.
+    """
+    scales = {i: derived_scales(material, geom, env) for i, (geom, env) in enumerate(points)
+              if env.T_K != 0.0 and geom.separation_D_m != 0.0}
+    groups = {}
+    for i, p in scales.items():
         _check_narrow_cutoff(p)
-        ratio = p.x_debye / p.form_factor_limit
-        upper = min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / ratio)
-        table = get_moment_table()
-        edge = table.eval(p.x_debye)
+        groups.setdefault(p.sep_ratio, []).append(i)
+    done = {}
+    for rows in groups.values():
+        if len(rows) > 1:
+            try:
+                done.update(zip(rows, _closed_pass([scales[i] for i in rows])))
+            except (NonConvergence, NonFiniteSample):
+                pass  # its points run again one at a time below
 
-        def smooth(x: np.ndarray) -> np.ndarray:
-            return np.exp(-x * x) / x * np.maximum(edge - table.eval(x * ratio), 0.0)
+    def one(i: int, geom: DotGeometry, env: ThermalEnv):
+        try:
+            return _route(METHOD_CLOSED, material, geom, env,
+                          lambda p: done[i] if i in done else _closed_pass([p])[0])
+        except NonConvergence as exc:
+            return exc
 
-        quad = integrate_sin_tail(smooth, p.sep_ratio, upper, _KERNEL_CFG)
-        return p.prefactor_per_s * quad.value, p.prefactor_per_s * quad.abs_error_estimate
+    return [one(i, geom, env) for i, (geom, env) in enumerate(points)]
 
-    return _route(METHOD_CLOSED, material, geom, env, rate)
+
+def _closed_pass(ps: list) -> list:
+    """(gamma, error) of the closed route at each of ps, which share
+    sep_ratio a, from one call of integrate_sin_tail.
+
+    Row i, with its own limit X_i, is written in x = y/s_i over [0, X],
+    X = max X_i and s_i = X_i/X: its smooth factor exp(-y^2) B_i(y)/x at
+    omega = a s_i, so every row has support on the whole range and the rows
+    share the engine's batched panels. One row runs on scalars (s = 1), so
+    rate_closed_form's integral is the scalar call.
+    """
+    table = get_moment_table()
+    ratio = np.array([p.x_debye / p.form_factor_limit for p in ps])
+    upper = np.array([min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / r)
+                      for p, r in zip(ps, ratio)])
+    top = float(upper.max())
+    shrink = upper / top
+    omega = ps[0].sep_ratio * shrink
+    if len(ps) == 1:
+        s, r, omega = shrink[0], ratio[0], float(omega[0])
+        e = table.eval(ps[0].x_debye)
+    else:
+        s, r = shrink[:, None], ratio[:, None]
+        e = table.eval(np.array([p.x_debye for p in ps]))[:, None]
+
+    def smooth(x: np.ndarray) -> np.ndarray:
+        y = s * x
+        return np.exp(-y * y) / x * np.maximum(e - table.eval(y * r), 0.0)
+
+    quad = integrate_sin_tail(smooth, omega, top, _KERNEL_CFG)
+    return [(p.prefactor_per_s * float(v), p.prefactor_per_s * float(err))
+            for p, v, err in zip(ps, np.atleast_1d(quad.value),
+                                 np.atleast_1d(quad.abs_error_estimate))]
 
 
 def rate_double_integral(material: MaterialParams, geom: DotGeometry,
@@ -410,7 +469,8 @@ def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,
     samples and seed apply to the Monte Carlo route only. The routes are
     looked up as module globals at each call, so rebinding
     ``rates.rate_closed_form`` (a test double, a timing shim) reaches
-    every caller of this dispatch.
+    every caller of this dispatch. A closed-route sweep is not one: it
+    calls the route's batched core, _closed_form_rates, for its whole grid.
     """
     if method == METHOD_CLOSED:
         return rate_closed_form(material, geom, env)

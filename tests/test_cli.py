@@ -15,7 +15,7 @@ import pytest
 
 import dephaser
 import dephaser.quadrature as quadrature_module
-import dephaser.rates as rates_module
+import dephaser.sweep as sweep_module
 from dephaser.cli import _build_parser, fmt_float, loglog_svg_text, main, write_text
 from dephaser.harmonic import MarkovValidityWarning, asymptotic_coherence
 from dephaser.coupling import SpectralDensity
@@ -200,12 +200,13 @@ def test_sweep_failed_point_reason_goes_to_stderr(capsys, monkeypatch):
             "--log", "--L", "4e-9", "--D", "10e-9"]
     _, clean, _ = _run(capsys, argv)
 
-    def flaky(material, geom, env):
-        if env.T_K == 80.0:
-            raise NonConvergence("synthetic failure at 80 K")
-        return rate_closed_form(material, geom, env)
+    true_rates = sweep_module._closed_form_rates
 
-    monkeypatch.setattr(rates_module, "rate_closed_form", flaky)
+    def flaky(material, points):
+        return [NonConvergence("synthetic failure at 80 K") if env.T_K == 80.0 else out
+                for (_, env), out in zip(points, true_rates(material, points))]
+
+    monkeypatch.setattr(sweep_module, "_closed_form_rates", flaky)
     code, out, err = _run(capsys, argv)
     assert code == 0
     assert out.splitlines()[:4] == clean.splitlines()[:4]

@@ -649,6 +649,82 @@ def test_sin_tail_rejects_a_bad_upper_limit(b):
         integrate_sin_tail(_sin_tail_g, 10.0, b, _SIN_TAIL_CFG)
 
 
+def _scaled_rows(scales):
+    """A g of one row per scale c: c exp(-(c x)^2)/x, each row the scalar
+    g of _scaled_row(c)."""
+    return lambda x: np.stack([_scaled_row(c)(x) for c in scales])
+
+
+def _scaled_row(c):
+    return lambda x: c * np.exp(-(c * x) ** 2) / x
+
+
+def _bits(res):
+    return ([float(v).hex() for v in np.atleast_1d(res.value)],
+            [float(e).hex() for e in np.atleast_1d(res.abs_error_estimate)], res.evaluations)
+
+
+@pytest.mark.parametrize("omega_b", [1e2, 1e5])
+def test_sin_tail_of_one_row_is_the_scalar_call(omega_b):
+    # below the crossover the row runs the batched mode on one component,
+    # above it its own passes; either way the bits are the scalar call's
+    omega = omega_b / _SIN_TAIL_B
+    one = integrate_sin_tail(_scaled_rows([1.0]), np.array([omega]), _SIN_TAIL_B,
+                             _SIN_TAIL_CFG)
+    scalar = integrate_sin_tail(_scaled_row(1.0), omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
+    assert np.shape(one.value) == (1,)
+    assert _bits(one) == _bits(scalar)
+
+
+def test_sin_tail_rows_agree_with_their_scalar_calls():
+    scales, omegas = [0.5, 1.0, 3.0, 0.1], np.array([0.2, 30.0, 7.0, 900.0])
+    rows = integrate_sin_tail(_scaled_rows(scales), omegas, _SIN_TAIL_B, _SIN_TAIL_CFG)
+    for k, (c, omega) in enumerate(zip(scales, omegas)):
+        alone = integrate_sin_tail(_scaled_row(c), omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
+        assert rows.value[k] == pytest.approx(alone.value, rel=2e-10, abs=0.0)
+        assert abs(rows.value[k] - alone.value) <= (rows.abs_error_estimate[k]
+                                                    + alone.abs_error_estimate)
+
+
+def test_sin_tail_rows_past_the_crossover_take_their_own_passes():
+    scales = [1.0, 2.0, 0.7]
+    omegas = np.array([10.0, 1e5, 3e6]) / _SIN_TAIL_B  # the last two past it
+    rows = integrate_sin_tail(_scaled_rows(scales), omegas, _SIN_TAIL_B, _SIN_TAIL_CFG)
+    near = integrate_sin_tail(_scaled_rows(scales[:1]), omegas[:1], _SIN_TAIL_B,
+                              _SIN_TAIL_CFG)
+    evaluations = near.evaluations
+    for k in (1, 2):
+        assert omegas[k] * _SIN_TAIL_B > quadrature_module._FAR_CROSSOVER
+        alone = integrate_sin_tail(_scaled_row(scales[k]), omegas[k], _SIN_TAIL_B,
+                                   _SIN_TAIL_CFG)
+        assert rows.value[k].hex() == alone.value.hex()
+        assert rows.abs_error_estimate[k].hex() == alone.abs_error_estimate.hex()
+        evaluations += alone.evaluations
+    assert rows.value[0].hex() == near.value[0].hex()
+    assert rows.evaluations == evaluations
+
+
+@pytest.mark.parametrize("omega", [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]),
+                                   np.array([1.0, 1e5])])
+def test_sin_tail_rows_reject_a_g_of_other_length(omega):
+    with pytest.raises(ValueError, match="for .* values of omega"):
+        integrate_sin_tail(_scaled_rows([1.0, 2.0, 3.0]), omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_sin_tail_rows_reject_a_bad_omega_in_any_row(bad):
+    # a bad row is checked in the batched pass or, past the crossover, in its own
+    with pytest.raises(ValueError, match="omega must be finite and > 0"):
+        integrate_sin_tail(_scaled_rows([1.0, 2.0]), np.array([1.0, bad]), _SIN_TAIL_B,
+                           _SIN_TAIL_CFG)
+
+
+@pytest.mark.parametrize("omega", [np.array([]), np.ones((2, 2))])
+def test_sin_tail_rows_reject_an_omega_that_is_not_a_row_vector(omega):
+    with pytest.raises(ValueError, match="1-d array of rows"):
+        integrate_sin_tail(_scaled_rows([1.0]), omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
+
+
 def _sinc_kernel(x):
     return np.exp(-x * x) * sinc_deficit(50.0 * x) / x
 

@@ -1,5 +1,6 @@
 """Tests for parameter sweeps, their CSV rows, and scaling fits."""
 
+import contextlib
 import math
 import threading
 
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 
 import dephaser.quadrature as quadrature_module
-import dephaser.rates as rates_module
+import dephaser.sweep as sweep_module
 from dephaser.cli import sweep_csv_text
 from dephaser.quadrature import NonConvergence
-from dephaser.rates import METHOD_CLOSED, METHOD_MC
+from dephaser.model import GAAS
+from dephaser.rates import METHOD_CLOSED, METHOD_MC, CutoffValidityWarning, rate_closed_form
 from dephaser.sweep import (
     AXIS_DISTANCE,
     AXIS_TEMPERATURE,
@@ -113,16 +115,17 @@ def test_csv_failure_row_renders_nan(tmp_path):
 
 
 def test_sweep_records_nonconvergence_and_continues(monkeypatch):
+    # a closed sweep takes every point's outcome from the route's batched
+    # core, which returns a point's NonConvergence in its place
     spec = _temperature_spec(points=4)
     target = spec.grid()[2]
-    true_rate = rates_module.rate_closed_form
+    true_rates = sweep_module._closed_form_rates
 
-    def flaky(material, geom, env):
-        if env.T_K == target:
-            raise NonConvergence("synthetic failure for this grid point")
-        return true_rate(material, geom, env)
+    def flaky(material, points):
+        return [NonConvergence("synthetic failure for this grid point") if env.T_K == target
+                else out for (_, env), out in zip(points, true_rates(material, points))]
 
-    monkeypatch.setattr(rates_module, "rate_closed_form", flaky)
+    monkeypatch.setattr(sweep_module, "_closed_form_rates", flaky)
     points = run_sweep(spec)
     assert points[2].result is None
     assert "synthetic failure" in points[2].error
@@ -147,17 +150,93 @@ def test_sweep_records_an_engine_failure_and_continues(monkeypatch):
 
 def test_sweep_evaluates_every_point_on_the_calling_thread(monkeypatch):
     monkeypatch.setenv("DEPHASER_THREADS", "4")
-    true_rate = rates_module.rate_closed_form
+    true_rates = sweep_module._closed_form_rates
     threads = []
 
-    def recording(material, geom, env):
-        threads.append(threading.get_ident())
-        return true_rate(material, geom, env)
+    def recording(material, points):
+        # one entry per point the core is asked for, from the thread that asks
+        threads.extend(threading.get_ident() for _ in points)
+        return true_rates(material, points)
 
-    monkeypatch.setattr(rates_module, "rate_closed_form", recording)
+    monkeypatch.setattr(sweep_module, "_closed_form_rates", recording)
     points = run_sweep(_temperature_spec(points=4))
     assert all(p.result is not None for p in points)
     assert threads == [threading.get_ident()] * 4
+
+
+def _workload_temperature_spec(L):
+    return SweepSpec(axis=AXIS_TEMPERATURE, min_value=1e-3, max_value=1e4, points=29,
+                     width_L_m=L, fixed_D_m=1e-8)
+
+
+def _per_point(spec, value):
+    return rate_closed_form(GAAS, *spec._inputs(value))
+
+
+@pytest.mark.parametrize("L", [4e-9, 1e-10, 1e-7])
+def test_closed_temperature_sweep_agrees_with_each_point_to_1e_12(L):
+    # the rows of one batched pass meet the tolerance each on its own, on
+    # other panels than their own calls, so they agree but not bit for bit
+    spec = _workload_temperature_spec(L)
+    narrow = pytest.warns(CutoffValidityWarning) if L < 1e-9 else contextlib.nullcontext()
+    with narrow:
+        points = run_sweep(spec)
+        refs = [_per_point(spec, p.axis_value) for p in points]
+    for p, ref in zip(points, refs):
+        assert p.result.gamma_per_s == pytest.approx(ref.gamma_per_s, rel=1e-12, abs=0.0)
+
+
+def test_zero_temperature_and_zero_separation_rows_are_exactly_zero():
+    specs = [SweepSpec(axis=AXIS_TEMPERATURE, min_value=0.0, max_value=10.0, points=3,
+                       spacing="linear", fixed_D_m=1e-8),
+             SweepSpec(axis=AXIS_DISTANCE, min_value=0.0, max_value=2e-8, points=3,
+                       spacing="linear", fixed_T_K=50.0),
+             SweepSpec(axis=AXIS_TEMPERATURE, min_value=1.0, max_value=10.0, points=3,
+                       fixed_D_m=0.0)]
+    for spec, zeros in zip(specs, (1, 1, 3)):
+        points = run_sweep(spec)
+        assert [p.result.gamma_per_s for p in points[:zeros]] == [0.0] * zeros
+        assert [p.result.error_estimate_per_s for p in points[:zeros]] == [0.0] * zeros
+        assert all(p.result.gamma_per_s > 0.0 for p in points[zeros:])
+
+
+def test_a_closed_temperature_sweep_is_one_engine_pass(monkeypatch):
+    # every point of a T-sweep shares D and L, so one integrate call takes
+    # them all; each point of a D-sweep has its own sep_ratio and pass
+    true_integrate = quadrature_module.integrate
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return true_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature_module, "integrate", counting)
+    run_sweep(_workload_temperature_spec(4e-9))
+    assert len(calls) == 1
+    calls.clear()
+    run_sweep(SweepSpec(axis=AXIS_DISTANCE, min_value=1e-10, max_value=1e-6, points=25,
+                        fixed_T_K=4.0))
+    assert len(calls) == 25
+
+
+def test_a_failed_batched_pass_runs_its_points_one_at_a_time(monkeypatch):
+    # with no bisection allowed the shared pass of these three points fails;
+    # alone, 10 mK and 0.1 K converge on their seed panels and 1 K's far
+    # pass gives up
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 0)
+    spec = SweepSpec(axis=AXIS_TEMPERATURE, min_value=1e-2, max_value=1.0, points=3,
+                     fixed_D_m=1e-5)
+    points = run_sweep(spec)
+    for p in points[:2]:
+        ref = _per_point(spec, p.axis_value)
+        assert p.error is None
+        assert p.result.gamma_per_s.hex() == ref.gamma_per_s.hex()
+        assert p.result.error_estimate_per_s.hex() == ref.error_estimate_per_s.hex()
+    with pytest.raises(NonConvergence) as failed:
+        _per_point(spec, 1.0)
+    assert points[2].result is None and points[2].error == str(failed.value)
+    assert points[2].error.startswith("closed-form rate at T_K=1.0, width_L_m=4e-09, "
+                                      "separation_D_m=1e-05: error estimate ")
 
 
 @pytest.mark.parametrize(
