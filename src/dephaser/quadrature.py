@@ -7,7 +7,7 @@ at an interval edge are handled as long as every sampled node is finite.
 An empty range samples nothing. For g(x) (1 - sin(omega x)/(omega x)),
 integrate_sin_tail and integrate_nested take g and omega, form the factor
 with sinc_deficit and decide where a sin-weighted Clenshaw-Curtis rule takes over;
-integrate_sin_tail also takes one omega per row of a g returning (m, n).
+integrate_sin_tail takes one omega per row of g, a scalar omega being one row.
 Integrands are vectorized: they take a 1-D ndarray of n nodes and return
 shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
@@ -293,7 +293,7 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
         pick = _worst_panels(priority[:n], min(_BISECT_BATCH, _MAX_SUBDIVISIONS - splits))
         if not pick.size:
             worst = int(np.argmax(total_err / tol))
-            where = f" in component {worst} of {total_err.size}" if shape else ""
+            where = f" in component {worst} of {total_err.size}" if total_err.size > 1 else ""
             capped = (f"; panel_hint asked for {asked} seed panels, {n0} used"
                       if asked > n0 else "")
             raise NonConvergence(f"error estimate {total_err[worst]:.3e} above tolerance "
@@ -355,29 +355,28 @@ def _sin_passes(g, omega, b: float, cfg) -> list:
     every one at cfg's tolerances: f = g sinc_deficit(omega x) over [0, b], seed
     panels at most pi/omega wide; past omega b = _FAR_CROSSOVER, f over [0, 1/omega]
     and the pair (g, -g/(omega x)) of f0 + f1 sin(omega x) from the decades
-    10^j/omega to b. omega may be an array of m rows of g, all at or below the
-    crossover (the sin-weighted rule takes one omega): one pass of f's m rows,
-    seed panels at most pi/max(omega) wide. The only place that forms either."""
-    w = np.asarray(omega, dtype=float)
-    if w.ndim > 1 or not (w.size and np.isfinite(w).all() and (w > 0.0).all()):
+    10^j/omega to b. omega is a scalar or an array of m rows of g, all at or below
+    the crossover (the sin-weighted rule takes one omega); f holds one row per
+    omega, its seed panels at most pi/max(omega) wide. The only place that forms either."""
+    w = np.atleast_1d(np.asarray(omega, dtype=float))
+    if not (np.isfinite(w).all() and (w > 0.0).all()):
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     if not (math.isfinite(b) and b >= 0.0):
         raise ValueError(f"b must be finite and >= 0, got {b!r}")
-    freq = w[:, None] if w.ndim else omega
+    freq, top = w[:, None], float(w.max())
 
     def f(x: np.ndarray) -> np.ndarray:
         return g(x) * sinc_deficit(freq * x)
 
     def pair(x: np.ndarray) -> np.ndarray:
-        return np.stack([y := g(x), -y / (omega * x)])
+        return np.stack([y := g(x), -y / (top * x)])
 
-    top = float(w.max())
     near = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / top))
     if top * b <= _FAR_CROSSOVER:
         return [(f, 0.0, b, near, None, None)]
-    decades = 10.0 ** np.arange(math.ceil(math.log10(omega * b))) / omega
-    return [(f, 0.0, 1.0 / omega, near, None, None),
-            (pair, 1.0 / omega, b, cfg, omega, np.append(decades[decades < b], b))]
+    decades = 10.0 ** np.arange(math.ceil(math.log10(top * b))) / top
+    return [(f, 0.0, 1.0 / top, near, None, None),
+            (pair, 1.0 / top, b, cfg, top, np.append(decades[decades < b], b))]
 
 
 def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] = None) -> QuadratureResult:
@@ -414,49 +413,43 @@ def integrate_sin_tail(g: Callable, omega, b: float,
     [0, b], or, past omega b = _FAR_CROSSOVER, over [0, 1/omega] plus a far
     pass whose cost grows as ln omega. The result sums the passes'.
 
-    omega may also be an array of m, one per row of a g returning (m, n);
-    value and abs_error_estimate are then arrays of m. The rows at or below
-    the crossover share one batched pass, seed panels at most pi/max(omega)
-    wide, each row meeting the tolerance on its own; a row past it takes its
-    own passes, bit for bit as its scalar call, on g's row. A g whose rows
-    do not match omega raises ValueError."""
-    if np.ndim(omega):
-        return _sin_tail_rows(g, omega, b, cfg)
-    first, *far = _sin_passes(g, omega, b, cfg)
-    near = integrate(*first[:4])  # by name, so that a shim on integrate sees it
-    if not far:
-        return near
-    vals, errs, *_, evaluations = _adaptive(*far[0])
-    return QuadratureResult(near.value + float(_ordered_sum(vals)[0]),
-                            near.abs_error_estimate + float(_ordered_sum(errs)[0]),
-                            near.evaluations + evaluations)
-
-
-def _sin_tail_rows(g: Callable, omega, b: float, cfg: QuadratureConfig) -> QuadratureResult:
-    """integrate_sin_tail for an array omega of m rows; _sin_passes checks
-    every row's omega and b, in the batched pass or in its own."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 1 or not omega.size:
-        raise ValueError(f"omega must be a scalar or a 1-d array of rows, got shape {omega.shape}")
-    far = omega * b > _FAR_CROSSOVER
+    omega is a scalar, with g returning (n,), or an array of m, one per row
+    of a g returning (m, n), when value and abs_error_estimate are arrays of
+    m; a scalar omega is the one-row case. The rows at or below the
+    crossover share one batched pass, seed panels at most pi/max(omega)
+    wide, each row meeting the tolerance on its own; a row past it takes
+    its own passes on g's row. A g whose rows do not match omega raises
+    ValueError."""
+    w = np.asarray(omega, dtype=float)
+    if w.ndim > 1 or not w.size:
+        raise ValueError(f"omega must be a scalar or a 1-d array of rows, got shape {w.shape}")
+    ws = np.atleast_1d(w)
+    far = ws * b > _FAR_CROSSOVER
     near = np.flatnonzero(~far)
 
     def rows(x: np.ndarray, pick=slice(None)) -> np.ndarray:
         y = np.asarray(g(x), dtype=float)
-        if y.ndim != 2 or y.shape[0] != omega.size:
-            raise ValueError(f"g returned shape {y.shape} for {omega.size} values of omega")
+        if not w.ndim and y.ndim < 2:
+            y = np.broadcast_to(y, x.shape)[None]
+        if y.ndim != 2 or y.shape[0] != ws.size:
+            raise ValueError(f"g returned shape {y.shape} for {ws.size} values of omega")
         return y[pick]
 
-    value, error, evaluations = np.empty(omega.size), np.empty(omega.size), 0
+    value, error, evaluations = np.empty(ws.size), np.empty(ws.size), 0
     if near.size:
         near_g = partial(rows, pick=near) if far.any() else rows
-        (f, lo, hi, near_cfg, _, _), = _sin_passes(near_g, omega[near], b, cfg)
-        res = integrate(f, lo, hi, near_cfg)
+        (f, lo, hi, near_cfg, _, _), = _sin_passes(near_g, ws[near], b, cfg)
+        res = integrate(f, lo, hi, near_cfg)  # by name, so that a shim on integrate sees it
         value[near], error[near], evaluations = res.value, res.abs_error_estimate, res.evaluations
     for i in np.flatnonzero(far):
-        res = integrate_sin_tail(partial(rows, pick=i), float(omega[i]), b, cfg)
-        value[i], error[i] = res.value, res.abs_error_estimate
-        evaluations += res.evaluations
+        first, tail = _sin_passes(partial(rows, pick=i), float(ws[i]), b, cfg)
+        res = integrate(*first[:4])
+        vals, errs, *_, n = _adaptive(*tail)
+        value[i] = res.value[0] + float(_ordered_sum(vals)[0])
+        error[i] = res.abs_error_estimate[0] + float(_ordered_sum(errs)[0])
+        evaluations += res.evaluations + n
+    if not w.ndim:
+        return QuadratureResult(float(value[0]), float(error[0]), evaluations)
     return QuadratureResult(value, error, evaluations)
 
 
@@ -480,7 +473,7 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
                      cfg: QuadratureConfig, inner_cfg: QuadratureConfig,
                      omega: Optional[float] = None) -> QuadratureResult:
     """Integrate weight(x) inner(t) over x in [a, b], t in [0, t_max(x)];
-    with omega, the inner integrand is inner(t) (1 - sin(omega t)/(omega t)).
+    with omega, a scalar, the inner integrand is inner(t) (1 - sin(omega t)/(omega t)).
 
     weight, inner and t_max take 1-D arrays (a scalar result broadcasts);
     t_max must be finite, non-negative and largest at a or b (t_top). One
@@ -494,6 +487,9 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
     (table estimate + largest partial-panel estimate); evaluations counts
     table, outer and partial-panel nodes. NonConvergence names the axis;
     the inner text names the table pass's range."""
+
+    if np.ndim(omega):
+        raise ValueError(f"omega must be a scalar, got shape {np.shape(omega)}")
 
     def limits(xs: np.ndarray, top: float) -> np.ndarray:
         tops = np.broadcast_to(np.asarray(t_max(xs), dtype=float), xs.shape)

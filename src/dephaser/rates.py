@@ -116,15 +116,15 @@ def _check_narrow_cutoff(p: RateIntegralParams) -> None:
                       CutoffValidityWarning, stacklevel=level)
 
 
-def _route(method: str, material: MaterialParams, geom: DotGeometry, env: ThermalEnv,
-           rate: Callable[[RateIntegralParams], tuple]) -> RateResult:
+def _route(method: str, geom: DotGeometry, env: ThermalEnv,
+           rate: Callable[[], tuple]) -> RateResult:
     """The frame every route runs in: T = 0 and D = 0 short-circuit to a
-    vanishing rate; otherwise rate(derived_scales(...)) gives (gamma, error),
-    and a NonConvergence is relabelled with the route and the point."""
+    vanishing rate; otherwise rate() gives (gamma, error), and a
+    NonConvergence is relabelled with the route and the point."""
     if env.T_K == 0.0 or geom.separation_D_m == 0.0:
         return RateResult(0.0, method, 0.0)
     try:
-        gamma, error = rate(derived_scales(material, geom, env))
+        gamma, error = rate()
     except NonConvergence as exc:
         raise NonConvergence(f"{method} rate at T_K={env.T_K}, width_L_m={geom.width_L_m}, "
                              f"separation_D_m={geom.separation_D_m}: {exc}") from exc
@@ -143,10 +143,10 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     below 1e-31), the form-factor limit sqrt(2) k_D L and
     x = 60 sqrt(2) k_D L / x_D, past which B is below 1e-17; moment(x_D) is
     read once a call. One call of quadrature.integrate_sin_tail takes the
-    smooth factor exp(-x^2) B/x, a and _KERNEL_CFG (every pass at rel 1e-10);
-    the engine forms the interference factor and decides where its far pass
-    takes over. The error is the engine's estimate; T = 0 and D = 0
-    short-circuit to a vanishing rate. This is the batch of one of the
+    smooth factor exp(-x^2) B/x as one row, a and _KERNEL_CFG (every pass at
+    rel 1e-10); the engine forms the interference factor and decides where
+    its far pass takes over. The error is the engine's estimate; T = 0 and
+    D = 0 short-circuit to a vanishing rate. This is the batch of one of the
     route's batched core, which run_sweep calls for a whole grid.
     """
     result, = _closed_form_rates(material, [(geom, env)])
@@ -180,8 +180,8 @@ def _closed_form_rates(material: MaterialParams, points) -> list:
 
     def one(i: int, geom: DotGeometry, env: ThermalEnv):
         try:
-            return _route(METHOD_CLOSED, material, geom, env,
-                          lambda p: done[i] if i in done else _closed_pass([p])[0])
+            return _route(METHOD_CLOSED, geom, env,
+                          lambda: done[i] if i in done else _closed_pass([scales[i]])[0])
         except NonConvergence as exc:
             return exc
 
@@ -195,31 +195,24 @@ def _closed_pass(ps: list) -> list:
     Row i, with its own limit X_i, is written in x = y/s_i over [0, X],
     X = max X_i and s_i = X_i/X: its smooth factor exp(-y^2) B_i(y)/x at
     omega = a s_i, so every row has support on the whole range and the rows
-    share the engine's batched panels. One row runs on scalars (s = 1), so
-    rate_closed_form's integral is the scalar call.
+    share the engine's batched panels. s_i, the row's moment ratio and its
+    M(x_D) are columns; a lone point is a batch of one row with s = 1.
     """
     table = get_moment_table()
     ratio = np.array([p.x_debye / p.form_factor_limit for p in ps])
     upper = np.array([min(_FORM_FACTOR_CUT, p.form_factor_limit, _MOMENT_TAIL_CUT / r)
                       for p, r in zip(ps, ratio)])
     top = float(upper.max())
-    shrink = upper / top
-    omega = ps[0].sep_ratio * shrink
-    if len(ps) == 1:
-        s, r, omega = shrink[0], ratio[0], float(omega[0])
-        e = table.eval(ps[0].x_debye)
-    else:
-        s, r = shrink[:, None], ratio[:, None]
-        e = table.eval(np.array([p.x_debye for p in ps]))[:, None]
+    s, r = (upper / top)[:, None], ratio[:, None]
+    e = table.eval(np.array([p.x_debye for p in ps]))[:, None]
 
     def smooth(x: np.ndarray) -> np.ndarray:
         y = s * x
         return np.exp(-y * y) / x * np.maximum(e - table.eval(y * r), 0.0)
 
-    quad = integrate_sin_tail(smooth, omega, top, _KERNEL_CFG)
+    quad = integrate_sin_tail(smooth, ps[0].sep_ratio * s[:, 0], top, _KERNEL_CFG)
     return [(p.prefactor_per_s * float(v), p.prefactor_per_s * float(err))
-            for p, v, err in zip(ps, np.atleast_1d(quad.value),
-                                 np.atleast_1d(quad.abs_error_estimate))]
+            for p, v, err in zip(ps, quad.value, quad.abs_error_estimate)]
 
 
 def rate_double_integral(material: MaterialParams, geom: DotGeometry,
@@ -242,14 +235,15 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     def inner(t: np.ndarray) -> np.ndarray:
         return np.exp(-t * t) / t
 
-    def rate(p: RateIntegralParams) -> tuple:
+    def rate() -> tuple:
+        p = derived_scales(material, geom, env)
         slope = p.form_factor_limit / p.x_debye
         quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
                                 lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
                                 _OUTER_CFG, _KERNEL_CFG, omega=p.sep_ratio)
         return p.prefactor_per_s * quad.value, p.prefactor_per_s * quad.abs_error_estimate
 
-    return _route(METHOD_DOUBLE, material, geom, env, rate)
+    return _route(METHOD_DOUBLE, geom, env, rate)
 
 
 def _radial_table(x_per_k: float, k_max: float) -> Optional[tuple]:
@@ -443,7 +437,8 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     samples = int(samples)
     seed = int(seed)
 
-    def rate(p: RateIntegralParams) -> tuple:
+    def rate() -> tuple:
+        p = derived_scales(material, geom, env)
         x_per_k = p.x_debye / material.k_D_per_m
         table = _radial_table(x_per_k, min(material.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
         if table is None:
@@ -458,7 +453,7 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
                                        geom.width_L_m, geom.separation_D_m), blocks))
         return scale * mean, scale * math.sqrt(m2 / (count - 1) / count)
 
-    return _route(METHOD_MC, material, geom, env, rate)
+    return _route(METHOD_MC, geom, env, rate)
 
 
 def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,

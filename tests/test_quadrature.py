@@ -320,6 +320,24 @@ def test_non_convergence_reports_budget(monkeypatch):
     assert "seed panels" not in str(info.value)
 
 
+def test_non_convergence_names_a_component_only_among_several(monkeypatch):
+    # an integrand of one row, (n,) or (1, n), gives one text; of two, the
+    # text names the row that failed
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 2)
+    cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-12)
+
+    def wave(x):
+        return np.sin(700.0 * x) / (1e-3 + x)
+
+    texts = []
+    for f in (wave, lambda x: wave(x)[None], lambda x: np.stack([np.ones_like(x), wave(x)])):
+        with pytest.raises(NonConvergence) as info:
+            integrate(f, 0.0, 1.0, cfg)
+        texts.append(str(info.value))
+    assert texts[0] == texts[1] and "component" not in texts[0]
+    assert texts[2].endswith("after 2 subdivisions of [0.0, 1.0] in component 1 of 2")
+
+
 def test_non_convergence_reports_the_seed_panel_cap(monkeypatch):
     # panel_hint asks for 10^6 seed panels; the engine uses _MAX_SEED_PANELS
     monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 1)
@@ -639,6 +657,14 @@ def test_sin_tail_entries_reject_a_bad_omega(omega):
     with pytest.raises(ValueError, match="omega must be finite and > 0"):
         integrate_sin_tail(_sin_tail_g, omega, 1.0, _SIN_TAIL_CFG)
     with pytest.raises(ValueError, match="omega must be finite and > 0"):
+        integrate_nested(lambda x: 1.0, _sin_tail_g, 0.0, 1.0, lambda x: x,
+                         OUTER_CFG, INNER_CFG, omega=omega)
+
+
+@pytest.mark.parametrize("omega", [[1.0, 2.0], np.array([1.0, 5000.0]), np.array([3.0])])
+def test_nested_rejects_an_omega_that_is_not_a_scalar(omega):
+    # the inner table is built for one omega; an array would read only its first row's
+    with pytest.raises(ValueError, match="omega must be a scalar"):
         integrate_nested(lambda x: 1.0, _sin_tail_g, 0.0, 1.0, lambda x: x,
                          OUTER_CFG, INNER_CFG, omega=omega)
 

@@ -306,9 +306,10 @@ def test_every_pass_of_the_kernel_integral_runs_at_one_tolerance(monkeypatch):
 
 @pytest.mark.parametrize("T, D", [(1e-3, 10e-9), (100.0, 1e-3)])
 def test_closed_route_reads_the_debye_edge_once(monkeypatch, T, D):
-    # M(x_D) is one scalar read a call; every integrand call, near pass or
-    # far, makes one array read, and the engine's sampler calls it once.
-    # Both points make several calls: bisections at 1 mK, a far pass at 1 mm
+    # M(x_D) is one read a call, a column of the point's one row; every
+    # integrand call, near pass or far, makes one (1, n) read of its n nodes,
+    # and the engine's sampler calls it once. Both points make several
+    # calls: bisections at 1 mK, a far pass at 1 mm
     geom, env = DotGeometry(4e-9, D), ThermalEnv(T)
     x_debye = derived_scales(GAAS, geom, env).x_debye
     reads, samples = [], []
@@ -326,9 +327,10 @@ def test_closed_route_reads_the_debye_edge_once(monkeypatch, T, D):
     monkeypatch.setattr(BoseMomentTable, "eval", counting_eval)
     monkeypatch.setattr(quadrature_module, "_sample", counting_sample)
     rate_closed_form(GAAS, geom, env)
-    scalars = [x for x in reads if np.ndim(x) == 0]
-    assert scalars == [x_debye] and len(samples) > 1
-    assert [np.size(x) for x in reads if np.ndim(x) == 1] == samples
+    edges = [x for x in reads if np.ndim(x) == 1]
+    assert len(edges) == 1 and edges[0].tolist() == [x_debye] and len(samples) > 1
+    assert [np.shape(x) for x in reads if np.ndim(x) == 2] == [(1, n) for n in samples]
+    assert len(reads) == 1 + len(samples)
 
 
 def test_sin_rule_reads_stay_within_the_block_bound(monkeypatch):
@@ -377,22 +379,26 @@ def test_deterministic_routes_zero_limits(route):
         assert res.error_estimate_per_s == 0.0
 
 
-@pytest.mark.parametrize("route, D, where, interval", [
+@pytest.mark.parametrize("route, T, D, where, interval", [
     # at 1 mm the near pass over [0, 1/a] converges on its seed panels, the far one not
-    (rate_closed_form, 1e-3, "separation_D_m=0.001: ", "[2.82842712474619e-06, 8.5]"),
-    (rate_double_integral, 10e-9, "separation_D_m=1e-08: outer axis: ", "[0.0, 4.327058755197736]"),
-    (rate_double_integral, 1e-3, "separation_D_m=0.001: inner axis: ",
+    (rate_closed_form, 100.0, 1e-3, "separation_D_m=0.001: ", "[2.82842712474619e-06, 8.5]"),
+    # at 1 mK the one pass over [0, X] gives up; the point's one row names no component
+    (rate_closed_form, 1e-3, 10e-9, "separation_D_m=1e-08: ", "[0.0, 0.008628317792496345]"),
+    (rate_double_integral, 100.0, 10e-9, "separation_D_m=1e-08: outer axis: ",
+     "[0.0, 4.327058755197736]"),
+    (rate_double_integral, 100.0, 1e-3, "separation_D_m=0.001: inner axis: ",
      "[2.82842712474619e-06, 8.5]"),
 ])
-def test_an_engine_failure_names_the_route_and_the_point(monkeypatch, route, D, where, interval):
+def test_an_engine_failure_names_the_route_and_the_point(monkeypatch, route, T, D, where,
+                                                         interval):
     # with no bisection allowed the engine itself gives up, and the route
     # puts its point (and for double the engine's axis) before its text
     monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 0)
     with pytest.raises(NonConvergence) as info:
-        route(GAAS, DotGeometry(width_L_m=4e-9, separation_D_m=D), ThermalEnv(T_K=100.0))
+        route(GAAS, DotGeometry(width_L_m=4e-9, separation_D_m=D), ThermalEnv(T_K=T))
     msg = str(info.value)
     label = METHOD_CLOSED if route is rate_closed_form else METHOD_DOUBLE
-    assert msg.startswith(f"{label} rate at T_K=100.0, width_L_m=4e-09, {where}error estimate ")
+    assert msg.startswith(f"{label} rate at T_K={T}, width_L_m=4e-09, {where}error estimate ")
     assert "above tolerance" in msg and msg.endswith(f"after 0 subdivisions of {interval}")
 
 

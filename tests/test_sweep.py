@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dephaser.quadrature as quadrature_module
+import dephaser.rates as rates_module
 import dephaser.sweep as sweep_module
 from dephaser.cli import sweep_csv_text
 from dephaser.quadrature import NonConvergence
@@ -169,6 +170,11 @@ def _workload_temperature_spec(L):
                      width_L_m=L, fixed_D_m=1e-8)
 
 
+def _workload_distance_spec(T):
+    return SweepSpec(axis=AXIS_DISTANCE, min_value=1e-10, max_value=1e-6, points=25,
+                     width_L_m=4e-9, fixed_T_K=T)
+
+
 def _per_point(spec, value):
     return rate_closed_form(GAAS, *spec._inputs(value))
 
@@ -214,9 +220,34 @@ def test_a_closed_temperature_sweep_is_one_engine_pass(monkeypatch):
     run_sweep(_workload_temperature_spec(4e-9))
     assert len(calls) == 1
     calls.clear()
-    run_sweep(SweepSpec(axis=AXIS_DISTANCE, min_value=1e-10, max_value=1e-6, points=25,
-                        fixed_T_K=4.0))
+    run_sweep(_workload_distance_spec(4.0))
     assert len(calls) == 25
+
+
+def test_a_closed_distance_sweep_point_is_its_own_call_bit_for_bit():
+    # each point of a D-sweep has its own sep_ratio, so its pass is a batch
+    # of one, the pass rate_closed_form makes at that point
+    spec = _workload_distance_spec(4.0)
+    points = run_sweep(spec)
+    assert len(points) == 25
+    for p in points:
+        ref = _per_point(spec, p.axis_value)
+        assert p.result.gamma_per_s.hex() == ref.gamma_per_s.hex()
+        assert p.result.error_estimate_per_s.hex() == ref.error_estimate_per_s.hex()
+
+
+def test_a_closed_sweep_derives_each_points_scales_once(monkeypatch):
+    # the core groups the points by their scales and hands the same scales
+    # to each point's frame, so they are derived once a point
+    true_scales, calls = rates_module.derived_scales, []
+
+    def counting(*args):
+        calls.append(args)
+        return true_scales(*args)
+
+    monkeypatch.setattr(rates_module, "derived_scales", counting)
+    run_sweep(_workload_temperature_spec(4e-9))
+    assert len(calls) == 29
 
 
 def test_a_failed_batched_pass_runs_its_points_one_at_a_time(monkeypatch):
