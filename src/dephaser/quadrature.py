@@ -7,7 +7,8 @@ at an interval edge are handled as long as every sampled node is finite.
 An empty range samples nothing. For g(x) (1 - sin(omega x)/(omega x)),
 integrate_sin_tail and integrate_nested take g and omega, form the factor
 with sinc_deficit and decide where a sin-weighted Clenshaw-Curtis rule takes over;
-integrate_sin_tail takes one omega per row of g, a scalar omega being one row.
+integrate_sin_tail takes a 1-d array of omega, one per row, and a g(x, rows)
+that returns only the rows a pass integrates.
 Integrands are vectorized: they take a 1-D ndarray of n nodes and return
 shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
@@ -405,51 +406,43 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
     return QuadratureResult(value, error, evaluations)
 
 
-def integrate_sin_tail(g: Callable, omega, b: float,
+def integrate_sin_tail(g: Callable, omega: np.ndarray, b: float,
                        cfg: QuadratureConfig) -> QuadratureResult:
-    """Integrate g(x) (1 - sin(omega x)/(omega x)) over [0, b], g smooth on
-    (0, b], omega finite and > 0, b finite and >= 0. The engine decides the
-    passes, each at cfg's tolerances: seed panels at most pi/omega wide over
-    [0, b], or, past omega b = _FAR_CROSSOVER, over [0, 1/omega] plus a far
-    pass whose cost grows as ln omega. The result sums the passes'.
-
-    omega is a scalar, with g returning (n,), or an array of m, one per row
-    of a g returning (m, n), when value and abs_error_estimate are arrays of
-    m; a scalar omega is the one-row case. The rows at or below the
-    crossover share one batched pass, seed panels at most pi/max(omega)
-    wide, each row meeting the tolerance on its own; a row past it takes
-    its own passes on g's row. A g whose rows do not match omega raises
-    ValueError."""
+    """Integrate g_i(x) (1 - sin(omega_i x)/(omega_i x)) over [0, b] for each
+    of the m rows of omega, a 1-d array of finite values > 0, b finite and
+    >= 0. g(x, rows) returns g_i, smooth on (0, b], at the nodes x for the
+    index array rows, as (len(rows), n); value and abs_error_estimate are
+    arrays of m. Every pass runs at cfg's tolerances. The rows at or below
+    omega b = _FAR_CROSSOVER share one batched pass over [0, b], seed panels
+    at most pi/max(omega) wide, each row meeting the tolerance on its own. A
+    row past it takes its own two passes, asking g for that row alone: [0,
+    1/omega] and a far pass whose cost grows as ln omega. A g that returns
+    other rows than it is asked for raises ValueError."""
     w = np.asarray(omega, dtype=float)
-    if w.ndim > 1 or not w.size:
-        raise ValueError(f"omega must be a scalar or a 1-d array of rows, got shape {w.shape}")
-    ws = np.atleast_1d(w)
-    far = ws * b > _FAR_CROSSOVER
+    if w.ndim != 1 or not w.size:
+        raise ValueError(f"omega must be a 1-d array of rows, got shape {w.shape}")
+    far = w * b > _FAR_CROSSOVER
     near = np.flatnonzero(~far)
 
-    def rows(x: np.ndarray, pick=slice(None)) -> np.ndarray:
-        y = np.asarray(g(x), dtype=float)
-        if not w.ndim and y.ndim < 2:
-            y = np.broadcast_to(y, x.shape)[None]
-        if y.ndim != 2 or y.shape[0] != ws.size:
-            raise ValueError(f"g returned shape {y.shape} for {ws.size} values of omega")
-        return y[pick]
+    def asked(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        y = np.asarray(g(x, rows), dtype=float)
+        if y.ndim != 2 or y.shape[0] != rows.size:
+            raise ValueError(f"g returned shape {y.shape} for {rows.size} values of omega")
+        return y
 
-    value, error, evaluations = np.empty(ws.size), np.empty(ws.size), 0
+    value, error, evaluations = np.empty(w.size), np.empty(w.size), 0
     if near.size:
-        near_g = partial(rows, pick=near) if far.any() else rows
-        (f, lo, hi, near_cfg, _, _), = _sin_passes(near_g, ws[near], b, cfg)
+        (f, lo, hi, near_cfg, _, _), = _sin_passes(partial(asked, near), w[near], b, cfg)
         res = integrate(f, lo, hi, near_cfg)  # by name, so that a shim on integrate sees it
         value[near], error[near], evaluations = res.value, res.abs_error_estimate, res.evaluations
     for i in np.flatnonzero(far):
-        first, tail = _sin_passes(partial(rows, pick=i), float(ws[i]), b, cfg)
+        row = partial(asked, np.array([i]))
+        first, tail = _sin_passes(lambda x: row(x)[0], float(w[i]), b, cfg)
         res = integrate(*first[:4])
         vals, errs, *_, n = _adaptive(*tail)
         value[i] = res.value[0] + float(_ordered_sum(vals)[0])
         error[i] = res.abs_error_estimate[0] + float(_ordered_sum(errs)[0])
         evaluations += res.evaluations + n
-    if not w.ndim:
-        return QuadratureResult(float(value[0]), float(error[0]), evaluations)
     return QuadratureResult(value, error, evaluations)
 
 
@@ -503,6 +496,8 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
     t_top = float(limits(np.array([a, b], dtype=float), math.inf).max())
     passes = ([(inner, 0.0, t_top, inner_cfg, None, None)] if omega is None
               else _sin_passes(inner, omega, t_top, inner_cfg))
+    if a == b and math.isfinite(a):  # integrate's empty range: no table, no evaluations
+        return QuadratureResult(0.0, 0.0, 0)
     reads = [(f, _rule(w)) for f, _, _, _, w, _ in passes]
     try:
         runs = [_adaptive(*p) for p in passes]

@@ -160,7 +160,9 @@ def _closed_form_rates(material: MaterialParams, points) -> list:
     RateResult, or the NonConvergence it raises there.
 
     Points that share sep_ratio (every point of a T-sweep) go through one
-    _closed_pass; a lone point is its own. If a shared pass raises
+    _closed_pass; a lone point is its own. In a shared pass the points at or
+    below the engine's crossover share one batched engine pass, and each
+    point past it takes its own near and far passes. If a shared pass raises
     NonConvergence or NonFiniteSample, its points run again one at a time,
     so every point ends as its own call would, with the same bits and text.
     """
@@ -196,7 +198,8 @@ def _closed_pass(ps: list) -> list:
     X = max X_i and s_i = X_i/X: its smooth factor exp(-y^2) B_i(y)/x at
     omega = a s_i, so every row has support on the whole range and the rows
     share the engine's batched panels. s_i, the row's moment ratio and its
-    M(x_D) are columns; a lone point is a batch of one row with s = 1.
+    M(x_D) are columns, which smooth reads at the rows the engine asks for;
+    a lone point is a batch of one row with s = 1.
     """
     table = get_moment_table()
     ratio = np.array([p.x_debye / p.form_factor_limit for p in ps])
@@ -206,9 +209,9 @@ def _closed_pass(ps: list) -> list:
     s, r = (upper / top)[:, None], ratio[:, None]
     e = table.eval(np.array([p.x_debye for p in ps]))[:, None]
 
-    def smooth(x: np.ndarray) -> np.ndarray:
-        y = s * x
-        return np.exp(-y * y) / x * np.maximum(e - table.eval(y * r), 0.0)
+    def smooth(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        y = s[rows] * x
+        return np.exp(-y * y) / x * np.maximum(e[rows] - table.eval(y * r[rows]), 0.0)
 
     quad = integrate_sin_tail(smooth, ps[0].sep_ratio * s[:, 0], top, _KERNEL_CFG)
     return [(p.prefactor_per_s * float(v), p.prefactor_per_s * float(err))

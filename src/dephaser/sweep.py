@@ -119,10 +119,11 @@ def run_sweep(spec: SweepSpec) -> list:
     recorded in place with its error message; the sweep continues.
 
     The closed route takes the whole grid in one call of its batched core:
-    the points that share D and L (every point of a T-sweep) come from one
-    engine pass and agree with rate_closed_form at the same point to 1e-12
-    relative, not bit for bit; each point of a D-sweep is its own pass and
-    is rate_closed_form's value. A shared pass that fails runs its points
+    the points that share D and L (every point of a T-sweep) go through one
+    call of the engine, where the points at or below its crossover share one
+    batched pass and each point past it takes its own two. They agree with
+    rate_closed_form at the same point to 1e-12 relative, not bit for bit;
+    each point of a D-sweep is its own call and is rate_closed_form's value. A shared pass that fails runs its points
     again one at a time, so a failed point's error is the one its own call
     raises. The other routes go through compute_rate point by point.
     """

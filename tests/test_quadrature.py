@@ -397,6 +397,21 @@ def test_semi_infinite_rejects_bad_scale():
         integrate_semi_infinite(lambda x: np.exp(-x * x), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("omega", [None, 3.0])
+def test_nested_empty_outer_range_samples_nothing(omega):
+    # as integrate's empty range: no table, no outer nodes, value and error 0
+    calls = []
+
+    def inner(t):
+        calls.append(t.size)
+        return _sin_tail_g(t)
+
+    res = integrate_nested(lambda x: 1.0, inner, 2.0, 2.0, lambda x: x,
+                           OUTER_CFG, INNER_CFG, omega=omega)
+    assert res == QuadratureResult(0.0, 0.0, 0)
+    assert calls == []
+
+
 def test_nested_triangle_area():
     res = integrate_nested(lambda x: 1.0, lambda t: np.ones_like(t), 0.0, 1.0, lambda x: x,
                            OUTER_CFG, INNER_CFG)
@@ -613,6 +628,11 @@ def _sin_tail_g(x):
     return np.exp(-x * x) / x
 
 
+def _one_row(x, rows):
+    # _sin_tail_g as integrate_sin_tail's g of one row
+    return _sin_tail_g(x)[None]
+
+
 def _sin_tail_reference(omega: float, b: float) -> float:
     """scipy's Int_0^b g(x) (1 - sin(omega x)/(omega x)) dx: [0, 1/omega]
     plainly, then each decade above it as g plainly plus -g/(omega x) by QAWO."""
@@ -637,16 +657,16 @@ def test_sin_tail_matches_qawo(omega_b):
     # below the crossover (omega b = 100) one Gauss-Kronrod pass, above it
     # the near pass plus the sin-weighted far pass
     omega = omega_b / _SIN_TAIL_B
-    res = integrate_sin_tail(_sin_tail_g, omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
+    res = integrate_sin_tail(_one_row, np.array([omega]), _SIN_TAIL_B, _SIN_TAIL_CFG)
     ref = _sin_tail_reference(omega, _SIN_TAIL_B)
-    assert res.value == pytest.approx(ref, rel=1e-9, abs=0.0)
-    assert abs(res.value - ref) <= res.abs_error_estimate
+    assert res.value[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
+    assert abs(res.value[0] - ref) <= res.abs_error_estimate[0]
 
 
 def test_sin_tail_evaluations_grow_as_log_omega():
     # the far pass is seeded at the decades of 1/omega, so three more
     # decades of omega b add far less than the evaluations at 1e5
-    counts = [integrate_sin_tail(_sin_tail_g, omega_b / _SIN_TAIL_B, _SIN_TAIL_B,
+    counts = [integrate_sin_tail(_one_row, np.array([omega_b / _SIN_TAIL_B]), _SIN_TAIL_B,
                                  _SIN_TAIL_CFG).evaluations
               for omega_b in (1e5, 1e8)]
     assert counts[1] < 2 * counts[0]
@@ -655,7 +675,7 @@ def test_sin_tail_evaluations_grow_as_log_omega():
 @pytest.mark.parametrize("omega", [0.0, -1.0, math.inf, math.nan])
 def test_sin_tail_entries_reject_a_bad_omega(omega):
     with pytest.raises(ValueError, match="omega must be finite and > 0"):
-        integrate_sin_tail(_sin_tail_g, omega, 1.0, _SIN_TAIL_CFG)
+        integrate_sin_tail(_one_row, np.array([omega]), 1.0, _SIN_TAIL_CFG)
     with pytest.raises(ValueError, match="omega must be finite and > 0"):
         integrate_nested(lambda x: 1.0, _sin_tail_g, 0.0, 1.0, lambda x: x,
                          OUTER_CFG, INNER_CFG, omega=omega)
@@ -672,59 +692,46 @@ def test_nested_rejects_an_omega_that_is_not_a_scalar(omega):
 @pytest.mark.parametrize("b", [-1.0, math.inf, math.nan])
 def test_sin_tail_rejects_a_bad_upper_limit(b):
     with pytest.raises(ValueError, match="b must be finite and >= 0"):
-        integrate_sin_tail(_sin_tail_g, 10.0, b, _SIN_TAIL_CFG)
+        integrate_sin_tail(_one_row, np.array([10.0]), b, _SIN_TAIL_CFG)
 
 
-def _scaled_rows(scales):
-    """A g of one row per scale c: c exp(-(c x)^2)/x, each row the scalar
-    g of _scaled_row(c)."""
-    return lambda x: np.stack([_scaled_row(c)(x) for c in scales])
+def _scaled_rows(scales, asked=None):
+    """A g(x, rows) of one row per scale c, c exp(-(c x)^2)/x; each call
+    appends the rows it was asked for to `asked`."""
+    def g(x, rows):
+        if asked is not None:
+            asked.append(list(rows))
+        return np.stack([scales[k] * np.exp(-(scales[k] * x) ** 2) / x for k in rows])
+    return g
 
 
-def _scaled_row(c):
-    return lambda x: c * np.exp(-(c * x) ** 2) / x
-
-
-def _bits(res):
-    return ([float(v).hex() for v in np.atleast_1d(res.value)],
-            [float(e).hex() for e in np.atleast_1d(res.abs_error_estimate)], res.evaluations)
-
-
-@pytest.mark.parametrize("omega_b", [1e2, 1e5])
-def test_sin_tail_of_one_row_is_the_scalar_call(omega_b):
-    # below the crossover the row runs the batched mode on one component,
-    # above it its own passes; either way the bits are the scalar call's
-    omega = omega_b / _SIN_TAIL_B
-    one = integrate_sin_tail(_scaled_rows([1.0]), np.array([omega]), _SIN_TAIL_B,
-                             _SIN_TAIL_CFG)
-    scalar = integrate_sin_tail(_scaled_row(1.0), omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
-    assert np.shape(one.value) == (1,)
-    assert _bits(one) == _bits(scalar)
-
-
-def test_sin_tail_rows_agree_with_their_scalar_calls():
+def test_sin_tail_rows_agree_with_their_lone_calls():
     scales, omegas = [0.5, 1.0, 3.0, 0.1], np.array([0.2, 30.0, 7.0, 900.0])
     rows = integrate_sin_tail(_scaled_rows(scales), omegas, _SIN_TAIL_B, _SIN_TAIL_CFG)
-    for k, (c, omega) in enumerate(zip(scales, omegas)):
-        alone = integrate_sin_tail(_scaled_row(c), omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
-        assert rows.value[k] == pytest.approx(alone.value, rel=2e-10, abs=0.0)
-        assert abs(rows.value[k] - alone.value) <= (rows.abs_error_estimate[k]
-                                                    + alone.abs_error_estimate)
+    for k, c in enumerate(scales):
+        alone = integrate_sin_tail(_scaled_rows([c]), omegas[k:k + 1], _SIN_TAIL_B,
+                                   _SIN_TAIL_CFG)
+        assert rows.value[k] == pytest.approx(alone.value[0], rel=2e-10, abs=0.0)
+        assert abs(rows.value[k] - alone.value[0]) <= (rows.abs_error_estimate[k]
+                                                       + alone.abs_error_estimate[0])
 
 
 def test_sin_tail_rows_past_the_crossover_take_their_own_passes():
     scales = [1.0, 2.0, 0.7]
     omegas = np.array([10.0, 1e5, 3e6]) / _SIN_TAIL_B  # the last two past it
-    rows = integrate_sin_tail(_scaled_rows(scales), omegas, _SIN_TAIL_B, _SIN_TAIL_CFG)
+    asked = []
+    rows = integrate_sin_tail(_scaled_rows(scales, asked), omegas, _SIN_TAIL_B, _SIN_TAIL_CFG)
+    # the near pass asks for the near row, each far row's passes for that row alone
+    assert {tuple(r) for r in asked} == {(0,), (1,), (2,)}
     near = integrate_sin_tail(_scaled_rows(scales[:1]), omegas[:1], _SIN_TAIL_B,
                               _SIN_TAIL_CFG)
     evaluations = near.evaluations
     for k in (1, 2):
         assert omegas[k] * _SIN_TAIL_B > quadrature_module._FAR_CROSSOVER
-        alone = integrate_sin_tail(_scaled_row(scales[k]), omegas[k], _SIN_TAIL_B,
-                                   _SIN_TAIL_CFG)
-        assert rows.value[k].hex() == alone.value.hex()
-        assert rows.abs_error_estimate[k].hex() == alone.abs_error_estimate.hex()
+        alone = integrate_sin_tail(_scaled_rows(scales[k:k + 1]), omegas[k:k + 1],
+                                   _SIN_TAIL_B, _SIN_TAIL_CFG)
+        assert rows.value[k].hex() == alone.value[0].hex()
+        assert rows.abs_error_estimate[k].hex() == alone.abs_error_estimate[0].hex()
         evaluations += alone.evaluations
     assert rows.value[0].hex() == near.value[0].hex()
     assert rows.evaluations == evaluations
@@ -733,8 +740,12 @@ def test_sin_tail_rows_past_the_crossover_take_their_own_passes():
 @pytest.mark.parametrize("omega", [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]),
                                    np.array([1.0, 1e5])])
 def test_sin_tail_rows_reject_a_g_of_other_length(omega):
+    # a g that returns all three of its rows, whatever it is asked for
+    def g(x, rows):
+        return _scaled_rows([1.0, 2.0, 3.0])(x, range(3))
+
     with pytest.raises(ValueError, match="for .* values of omega"):
-        integrate_sin_tail(_scaled_rows([1.0, 2.0, 3.0]), omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
+        integrate_sin_tail(g, omega, _SIN_TAIL_B, _SIN_TAIL_CFG)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
@@ -745,7 +756,7 @@ def test_sin_tail_rows_reject_a_bad_omega_in_any_row(bad):
                            _SIN_TAIL_CFG)
 
 
-@pytest.mark.parametrize("omega", [np.array([]), np.ones((2, 2))])
+@pytest.mark.parametrize("omega", [np.array([]), np.ones((2, 2)), 3.0])
 def test_sin_tail_rows_reject_an_omega_that_is_not_a_row_vector(omega):
     with pytest.raises(ValueError, match="1-d array of rows"):
         integrate_sin_tail(_scaled_rows([1.0]), omega, _SIN_TAIL_B, _SIN_TAIL_CFG)

@@ -14,6 +14,7 @@ from dephaser.cli import sweep_csv_text
 from dephaser.quadrature import NonConvergence
 from dephaser.model import GAAS
 from dephaser.rates import METHOD_CLOSED, METHOD_MC, CutoffValidityWarning, rate_closed_form
+from dephaser.specfun import BoseMomentTable, get_moment_table
 from dephaser.sweep import (
     AXIS_DISTANCE,
     AXIS_TEMPERATURE,
@@ -165,9 +166,9 @@ def test_sweep_evaluates_every_point_on_the_calling_thread(monkeypatch):
     assert threads == [threading.get_ident()] * 4
 
 
-def _workload_temperature_spec(L):
+def _workload_temperature_spec(L, D=1e-8):
     return SweepSpec(axis=AXIS_TEMPERATURE, min_value=1e-3, max_value=1e4, points=29,
-                     width_L_m=L, fixed_D_m=1e-8)
+                     width_L_m=L, fixed_D_m=D)
 
 
 def _workload_distance_spec(T):
@@ -179,11 +180,16 @@ def _per_point(spec, value):
     return rate_closed_form(GAAS, *spec._inputs(value))
 
 
-@pytest.mark.parametrize("L", [4e-9, 1e-10, 1e-7])
-def test_closed_temperature_sweep_agrees_with_each_point_to_1e_12(L):
+@pytest.mark.parametrize("L, D", [pytest.param(4e-9, 1e-8, id="4e-09"),
+                                  pytest.param(1e-10, 1e-8, id="1e-10"),
+                                  pytest.param(1e-7, 1e-8, id="1e-07"),
+                                  pytest.param(4e-9, 1e-5, id="4e-09-10um"),
+                                  pytest.param(4e-9, 1e-3, id="4e-09-1mm")])
+def test_closed_temperature_sweep_agrees_with_each_point_to_1e_12(L, D):
     # the rows of one batched pass meet the tolerance each on its own, on
-    # other panels than their own calls, so they agree but not bit for bit
-    spec = _workload_temperature_spec(L)
+    # other panels than their own calls, so they agree but not bit for bit;
+    # at 10 um and 1 mm most rows are past the crossover, inside the batch
+    spec = _workload_temperature_spec(L, D)
     narrow = pytest.warns(CutoffValidityWarning) if L < 1e-9 else contextlib.nullcontext()
     with narrow:
         points = run_sweep(spec)
@@ -207,8 +213,9 @@ def test_zero_temperature_and_zero_separation_rows_are_exactly_zero():
 
 
 def test_a_closed_temperature_sweep_is_one_engine_pass(monkeypatch):
-    # every point of a T-sweep shares D and L, so one integrate call takes
-    # them all; each point of a D-sweep has its own sep_ratio and pass
+    # every point of a T-sweep shares D and L, and at 10 nm none is past the
+    # crossover, so one integrate call takes them all; each point of a
+    # D-sweep has its own sep_ratio and pass
     true_integrate = quadrature_module.integrate
     calls = []
 
@@ -222,6 +229,28 @@ def test_a_closed_temperature_sweep_is_one_engine_pass(monkeypatch):
     calls.clear()
     run_sweep(_workload_distance_spec(4.0))
     assert len(calls) == 25
+
+
+def test_a_far_row_of_a_temperature_sweep_reads_only_its_own_moments(monkeypatch):
+    # at 1 mm, 28 of the 29 rows are past the crossover; each far row's
+    # passes ask the integrand for that row alone, so the sweep reads about
+    # as many table points as its 29 lone calls (29 times as many if every
+    # far node read all the rows)
+    spec = _workload_temperature_spec(4e-9, 1e-3)
+    points, table_eval = [], BoseMomentTable.eval
+
+    def counting_eval(self, x):
+        points.append(np.size(x))
+        return table_eval(self, x)
+
+    get_moment_table()
+    monkeypatch.setattr(BoseMomentTable, "eval", counting_eval)
+    run_sweep(spec)
+    swept = sum(points)
+    points.clear()
+    for value in spec.grid():
+        _per_point(spec, value)
+    assert swept <= 1.5 * sum(points)
 
 
 def test_a_closed_distance_sweep_point_is_its_own_call_bit_for_bit():
