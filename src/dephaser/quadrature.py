@@ -95,7 +95,8 @@ _BISECT_BATCH = 64
 _BLOCK_ELEMS = 1 << 16
 _SMALL_CALL = 64
 # omega b past which a sin(omega x) integral over [0, b] takes the far pass beyond
-# 1/omega: that pass costs 2-3 ms for any omega, pi/omega panels 3.4-4 ms here
+# 1/omega. In a closed-route call (2-core Xeon, numpy 2.4.6) that pass costs
+# 1.6-1.7 ms for any omega, pi/omega panels 1.7-1.9 ms at 3000 and 2.5-2.7 ms here
 _FAR_CROSSOVER = 4000.0
 
 # Below this the cubic series of sinc_deficit is exact to < 1e-15.
@@ -105,9 +106,10 @@ _TRUNC_SIGMA = math.sqrt(math.log(1e30))
 
 
 def _sample(f, nodes: np.ndarray, shape) -> tuple:
-    """f at the (panels, k) nodes as (rows, panels, k), and its component
-    shape: () for an integrand returning (n,), (m,) for one returning (m, n).
-    `shape` is that of an earlier call, or None."""
+    """f at the (panels, k) nodes as a C-contiguous (rows, panels, k), and
+    its component shape: () for an integrand returning (n,), (m,) for one
+    returning (m, n). `shape` is that of an earlier call, or None. The rule
+    checks the values (see _non_finite)."""
     flat = nodes.ravel()
     y = np.asarray(f(flat), dtype=float)
     if y.ndim > 2:
@@ -116,35 +118,44 @@ def _sample(f, nodes: np.ndarray, shape) -> tuple:
     if shape is not None and got != shape:
         raise ValueError(f"integrand returned {got or 'scalar'} components, "
                          f"earlier {shape or 'scalar'}")
-    if y.shape != got + flat.shape:
-        y = np.broadcast_to(y, got + flat.shape)
-    rows = got[0] if got else 1
-    bad = ~np.isfinite(y)
+    # einsum picks its summation kernel by stride, so a broadcast or strided
+    # return is copied: a panel's bits must not depend on how f built them
+    y = np.ascontiguousarray(np.broadcast_to(y, got + flat.shape))
+    return y.reshape((got[0] if got else 1,) + nodes.shape), got
+
+
+def _non_finite(y: np.ndarray, nodes: np.ndarray) -> None:
+    """Raise NonFiniteSample at the first node, in panel order, where a row of y
+    is NaN or Inf, if any; a rule calls it when a sum of y with no zero weight
+    is not finite."""
+    bad = ~np.isfinite(y).reshape(y.shape[0], -1).all(axis=0)
     if bad.any():
-        where = flat[bad.reshape(rows, -1).any(axis=0)][0]
+        where = nodes.ravel()[bad][0]
         raise NonFiniteSample(f"integrand returned a non-finite value at x={float(where)!r}")
-    return y.reshape((rows,) + nodes.shape), got
 
 
 def _gauss_kronrod(f, lefts: np.ndarray, rights: np.ndarray, shape):
     """Apply the Gauss-Kronrod pair to a batch of panels in one call to f:
     the panel values and error estimates, each (rows, panels), and the
-    shape of one integral's value (see _sample)."""
+    shape of one integral's value (see _sample). A sum over a panel's 15 nodes
+    is an einsum dot product (no BLAS), so its bits do not depend on the batch."""
     mid, half = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
-    y, got = _sample(f, mid[:, None] + half[:, None] * _NODES[None, :], shape)
-    resk = half * (y * _WK_FULL).sum(axis=-1)
-    resg = half * (y * _WG_FULL).sum(axis=-1)
+    nodes = mid[:, None] + half[:, None] * _NODES[None, :]
+    y, got = _sample(f, nodes, shape)
     # in place, so that at most one temporary of y's size is alive
     tmp = np.abs(y)
-    tmp *= _WK_FULL
-    resabs = np.abs(half) * tmp.sum(axis=-1)
+    resabs = np.einsum("...k,k->...", tmp, _WK_FULL)
+    if not np.isfinite(resabs).all():
+        _non_finite(y, nodes)
+    resabs *= np.abs(half)
+    resk = half * np.einsum("...k,k->...", y, _WK_FULL)
+    resg = half * np.einsum("...k,k->...", y, _WG_FULL)
     width = rights - lefts
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(width > 0, resk / np.where(width > 0, width, 1.0), 0.0)
     np.subtract(y, mean[..., None], out=tmp)
     np.abs(tmp, out=tmp)
-    tmp *= _WK_FULL
-    resasc = np.abs(half) * tmp.sum(axis=-1)
+    resasc = np.abs(half) * np.einsum("...k,k->...", tmp, _WK_FULL)
     raw = np.abs(resk - resg)
     scaled = np.where((resasc > 0) & (raw > 0), resasc * np.minimum(
         1.0, (200.0 * raw / np.where(resasc > 0, resasc, 1.0)) ** 1.5), raw)
@@ -166,9 +177,10 @@ _CC_NODES = np.cos(np.arange(25) * np.pi / 24)
 _CC25, _CC13 = _dct1(24), _dct1(12)
 _T_INTEGRALS = np.zeros(97)  # Int_-1^1 T_k(t) dt
 _T_INTEGRALS[::2] = 2.0 / (1.0 - np.arange(0.0, 97.0, 2.0) ** 2)
-# Clenshaw-Curtis on 97 nodes: exp(i lam _FINE_X) @ _FINE_TW is I_k(lam) to rounding, lam <= 24
+# Clenshaw-Curtis on 97 nodes: exp(i lam _FINE_X) summed against row k of
+# _FINE_TW (25, 97) is I_k(lam) to rounding, lam <= 24
 _FINE_X = np.cos(np.arange(97) * np.pi / 96)
-_FINE_TW = (_dct1(96).T @ _T_INTEGRALS)[:, None] * np.cos(np.outer(np.arccos(_FINE_X), np.arange(25)))
+_FINE_TW = np.cos(np.outer(np.arange(25), np.arccos(_FINE_X))) * (_dct1(96).T @ _T_INTEGRALS)
 
 
 def _fourier_moments(lam: np.ndarray) -> np.ndarray:
@@ -188,7 +200,9 @@ def _fourier_moments(lam: np.ndarray) -> np.ndarray:
         m[k + 1] = ((k + 1) / (k - 1) * m[k - 1] - 2 * (k + 1) * inv * m[k]
                     - 2.0 / (k - 1) * e_m[(k - 1) % 2])
     low = lam <= 24.0
-    m[:, low] = (np.exp(1j * lam[low, None] * _FINE_X) @ _FINE_TW).T
+    t = lam[low, None] * _FINE_X
+    m[:, low] = np.einsum("pk,jk->jp", np.cos(t), _FINE_TW) + 1j * np.einsum(
+        "pk,jk->jp", np.sin(t), _FINE_TW)
     return m.T
 
 
@@ -196,15 +210,21 @@ def _sin_clenshaw_curtis(f, lefts: np.ndarray, rights: np.ndarray, shape, omega:
     """_gauss_kronrod's contract for Int f0(x) + f1(x) sin(omega x) dx, with
     (f0, f1) returned as (2, n): f0 by Clenshaw-Curtis, f1 exactly against
     sin(omega x) through the moments I_k. The error is the change from the
-    13-node series to the 25-node one."""
+    13-node series to the 25-node one. A panel's sums are einsum dot products
+    of fixed length or run along its own row, so its bits do not depend on its batch."""
     mid, half = 0.5 * (lefts + rights), 0.5 * (rights - lefts)
-    y, _ = _sample(f, mid[:, None] + half[:, None] * _CC_NODES[None, :], (2,))
+    nodes = mid[:, None] + half[:, None] * _CC_NODES[None, :]
+    y, _ = _sample(f, nodes, (2,))
+    c25 = np.einsum("rpk,jk->rpj", y, _CC25)
+    if not np.isfinite(c25[..., 0]).all():  # c_0 weighs every node by a positive weight
+        _non_finite(y, nodes)
     moments = _fourier_moments(omega * half)
     phase = np.exp(1j * omega * mid)
     q = []
-    for dct, ys in ((_CC25, y), (_CC13, y[:, :, ::2])):
-        c, n = ys @ dct.T, dct.shape[0]
-        q.append(half * (c[0] @ _T_INTEGRALS[:n] + (phase * (c[1] * moments[:, :n]).sum(1)).imag))
+    for c in (c25, np.einsum("rpk,jk->rpj", y[:, :, ::2], _CC13)):
+        n = c.shape[-1]
+        q.append(half * (np.einsum("pj,j->p", c[0], _T_INTEGRALS[:n])
+                         + (phase * (c[1] * moments[:, :n]).sum(1)).imag))
     return q[0][None], np.abs(q[0] - q[1])[None], ()
 
 

@@ -7,6 +7,7 @@ QUADPACK's QAWO, for the sin-weighted rule); it is a test-only dependency.
 
 import heapq
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -24,8 +25,10 @@ from dephaser.quadrature import (
     _WG_FULL,
     _WK_FULL,
     _adaptive,
+    _eval_panels,
     _fourier_moments,
     _ordered_sum,
+    _rule,
     NonConvergence,
     NonFiniteSample,
     QuadratureConfig,
@@ -312,6 +315,25 @@ def test_non_finite_sample_reports_location():
         integrate(f, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("omega", [None, 3.0], ids=["gauss-kronrod", "sin-weighted"])
+@pytest.mark.parametrize("row", [0, 1])
+def test_non_finite_sample_names_the_first_bad_node_of_any_row(omega, row):
+    # NaN above x = 0.5 in one row of a two-row integrand (for the
+    # sin-weighted rule, in f0 or in f1): the text names the first node
+    # above 0.5 in panel order, whichever row holds it
+    rule, edges = _rule(omega), np.linspace(0.1, 1.0, 5)
+
+    def f(x):
+        y = np.ones((2, x.size))
+        y[row, x > 0.5] = np.nan
+        return y
+
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * (_NODES if omega is None else _CC_NODES)).ravel()
+    with pytest.raises(NonFiniteSample, match=re.escape(f"x={float(nodes[nodes > 0.5][0])!r}")):
+        _eval_panels(f, edges[:-1], edges[1:], rule=rule)
+
+
 def test_non_convergence_reports_budget(monkeypatch):
     monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 2)
     cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-15)
@@ -358,6 +380,45 @@ def test_a_scalar_integrand_broadcasts():
     batched = integrate(lambda x: np.array([[1.0], [2.0]]), 0.0, 3.0)
     np.testing.assert_allclose(batched.value, [3.0, 6.0], rtol=1e-14, atol=0.0)
     assert batched.evaluations == 15
+
+
+@pytest.mark.parametrize("omega", [None, 7.0], ids=["gauss-kronrod", "sin-weighted"])
+def test_a_panels_bits_do_not_depend_on_its_batch(omega, monkeypatch):
+    # the chunking contract of both panel rules: a panel's value and error
+    # are the same bits computed alone, in calls of any size (set by
+    # _BLOCK_ELEMS), from values 8 bytes off their usual alignment, and from
+    # a constant returned as a scalar or an (m, 1) column instead of at every
+    # node. 100 panels: above _SMALL_CALL, so the first call takes one
+    rule = _rule(omega)
+    rng = np.random.default_rng(20)
+    lefts = np.sort(rng.uniform(0.01, 5.0, 100))
+    rights = lefts + rng.uniform(1e-3, 2.0, lefts.size)
+
+    def smooth(x):  # for the sin-weighted rule, the pair (f0, f1)
+        y = np.exp(-x * x) / (0.1 + x)
+        return np.stack([y, np.cos(3.0 * x) * y])
+
+    def shifted(x):
+        out = np.empty(2 * x.size + 1)[1:].reshape(2, x.size)
+        out[...] = smooth(x)
+        return out
+
+    def panels(f, block=1 << 30, lo=lefts, hi=rights):
+        monkeypatch.setattr(quadrature_module, "_BLOCK_ELEMS", block)
+        v, e, _ = _eval_panels(f, lo, hi, rule=rule)
+        return [tuple(x.hex() for x in (*v[:, j], *e[:, j])) for j in range(lo.size)]
+
+    def alone(f):
+        return [panels(f, lo=lefts[j:j + 1], hi=rights[j:j + 1])[0] for j in range(lefts.size)]
+
+    expected = alone(smooth)
+    for block in (1, 100, 350, 1 << 30):
+        assert panels(smooth, block) == expected
+    assert panels(shifted) == expected
+    assert panels(lambda x: np.array([[1.0], [0.5]])) == alone(
+        lambda x: np.stack([np.ones_like(x), np.full_like(x, 0.5)]))
+    if omega is None:
+        assert panels(lambda x: 0.5) == alone(lambda x: np.full_like(x, 0.5))
 
 
 def test_limits_validation():
@@ -781,19 +842,20 @@ def test_results_are_deterministic():
 
 
 def _reference_panels(f, lefts, rights):
-    # one call to f for all panels; per-panel arithmetic as in integrate
+    # one call to f for all panels; each panel's four node sums computed on
+    # their own, as the 15-term einsum dot product integrate uses, so that
+    # the batched engine is checked against per-panel sums
     mid = 0.5 * (lefts + rights)
     half = 0.5 * (rights - lefts)
     nodes = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = np.broadcast_to(np.asarray(f(nodes.ravel()), dtype=float), nodes.size)
-    y = y.reshape(nodes.shape)
-    resk = half * (y * _WK_FULL).sum(axis=1)
-    resg = half * (y * _WG_FULL).sum(axis=1)
-    resabs = np.abs(half) * (np.abs(y) * _WK_FULL).sum(axis=1)
-    width = rights - lefts
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(width > 0, resk / np.where(width > 0, width, 1.0), 0.0)
-    resasc = np.abs(half) * (np.abs(y - mean[:, None]) * _WK_FULL).sum(axis=1)
+    ys = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    resk, resg, resabs, resasc = (np.empty(lefts.size) for _ in range(4))
+    for i, y in enumerate(ys):
+        resk[i] = half[i] * np.einsum("k,k->", y, _WK_FULL)
+        resg[i] = half[i] * np.einsum("k,k->", y, _WG_FULL)
+        resabs[i] = abs(half[i]) * np.einsum("k,k->", np.abs(y), _WK_FULL)
+        mean = resk[i] / (rights[i] - lefts[i]) if rights[i] > lefts[i] else 0.0
+        resasc[i] = abs(half[i]) * np.einsum("k,k->", np.abs(y - mean), _WK_FULL)
     raw = np.abs(resk - resg)
     scaled = np.where(
         (resasc > 0) & (raw > 0),
