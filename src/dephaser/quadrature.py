@@ -283,13 +283,13 @@ def _grown(x: np.ndarray, need: int) -> np.ndarray:
 
 def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
               omega: Optional[float] = None, edges: Optional[np.ndarray] = None) -> tuple:
-    """The engine loop of integrate: (vals, errs, lefts, order, shape, evaluations).
+    """The engine loop of integrate: (vals, errs, lefts, shape, evaluations).
     vals and errs, (rows, panels), are the surviving panels sorted by left
-    edge, lefts[order] their left edges; the last panel ends at b. With
-    omega, panels use _sin_clenshaw_curtis at that frequency; edges, from
-    a to b, replace the seed panels of panel_hint. For a == b there are no
-    panels and no evaluations: one call of f on an empty array gives the
-    component shape."""
+    edge and lefts their left edges, in the same order; the last panel ends
+    at b. With omega, panels use _sin_clenshaw_curtis at that frequency;
+    edges, from a to b, replace the seed panels of panel_hint. For a == b
+    there are no panels and no evaluations: one call of f on an empty array
+    gives the component shape."""
     rule = _rule(omega)
     asked = int(b > a)
     if edges is None:
@@ -343,13 +343,12 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
         priority[new] = (new_errs * weight).max(axis=0)
         n += la.size
 
-    order = slice(None)
     if splits:
         # a stable sort keeps creation order among equal left edges
         live = np.flatnonzero(priority[:n] >= 0.0)
         order = live[np.argsort(lefts[live], kind="stable")]
-        vals, errs = vals[:, order], errs[:, order]
-    return vals, errs, lefts, order, shape, evaluations
+        vals, errs, lefts = vals[:, order], errs[:, order], lefts[order]
+    return vals, errs, lefts, shape, evaluations
 
 
 def sinc_deficit(y):
@@ -390,7 +389,7 @@ def _sin_passes(g, omega, b: float, cfg) -> list:
         return g(x) * sinc_deficit(freq * x)
 
     def pair(x: np.ndarray) -> np.ndarray:
-        return np.stack([y := g(x), -y / (top * x)])
+        return np.stack([y := np.reshape(g(x), x.shape), -y / (top * x)])
 
     near = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / top))
     if top * b <= _FAR_CROSSOVER:
@@ -419,7 +418,7 @@ def integrate(f: Callable, a: float, b: float, cfg: Optional[QuadratureConfig] =
         raise ValueError("integration limits must be finite")
     if a > b:
         raise ValueError("need a <= b")
-    vals, errs, _, _, shape, evaluations = _adaptive(f, a, b, cfg)
+    vals, errs, _, shape, evaluations = _adaptive(f, a, b, cfg)
     value, error = _ordered_sum(vals), _ordered_sum(errs)
     if not shape:
         return QuadratureResult(float(value[0]), float(error[0]), evaluations)
@@ -450,20 +449,18 @@ def integrate_sin_tail(g: Callable, omega: np.ndarray, b: float,
             raise ValueError(f"g returned shape {y.shape} for {rows.size} values of omega")
         return y
 
-    value, error, evaluations = np.empty(w.size), np.empty(w.size), 0
-    if near.size:
-        (f, lo, hi, near_cfg, _, _), = _sin_passes(partial(asked, near), w[near], b, cfg)
-        res = integrate(f, lo, hi, near_cfg)  # by name, so that a shim on integrate sees it
-        value[near], error[near], evaluations = res.value, res.abs_error_estimate, res.evaluations
-    for i in np.flatnonzero(far):
-        row = partial(asked, np.array([i]))
-        first, tail = _sin_passes(lambda x: row(x)[0], float(w[i]), b, cfg)
-        res = integrate(*first[:4])
-        vals, errs, *_, n = _adaptive(*tail)
-        value[i] = res.value[0] + float(_ordered_sum(vals)[0])
-        error[i] = res.abs_error_estimate[0] + float(_ordered_sum(errs)[0])
-        evaluations += res.evaluations + n
-    return QuadratureResult(value, error, evaluations)
+    total, evaluations = np.zeros((2, w.size)), 0  # values and errors, summed in pass order
+    for rows in ([near] if near.size else []) + [np.array([i]) for i in np.flatnonzero(far)]:
+        for f, lo, hi, c, pass_omega, edges in _sin_passes(partial(asked, rows), w[rows], b, cfg):
+            if pass_omega is None and edges is None:  # by name, so a shim on integrate sees it
+                res = integrate(f, lo, hi, c)
+                sums, n = np.array([res.value, res.abs_error_estimate]), res.evaluations
+            else:
+                vals, errs, _, _, n = _adaptive(f, lo, hi, c, pass_omega, edges)
+                sums = _ordered_sum(np.stack([vals, errs]))
+            total[:, rows] += sums
+            evaluations += n
+    return QuadratureResult(*total, evaluations)
 
 
 def integrate_semi_infinite(f: Callable, a: float, decay_scale: float,
@@ -523,9 +520,9 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
         runs = [_adaptive(*p) for p in passes]
     except NonConvergence as exc:
         raise NonConvergence(f"inner axis: {exc}") from exc
-    # panels below `near` are Gauss-Kronrod, the rest the sin-weighted rule
-    near = runs[0][0].shape[1]
-    edges = np.append(np.concatenate([lefts[order] for _, _, lefts, order, *_ in runs]), t_top)
+    # panel i of the table was made by pass made_by[i], and is read by its rule
+    made_by = np.repeat(np.arange(len(runs)), [v.shape[1] for v, *_ in runs])
+    edges = np.append(np.concatenate([lefts for _, _, lefts, *_ in runs]), t_top)
     prefix = np.concatenate([[0.0], np.cumsum(np.concatenate([v[0] for v, *_ in runs]))])
     table_err = sum(float(_ordered_sum(e)[0]) for _, e, *_ in runs)
     table_evals = sum(run[-1] for run in runs)
@@ -536,9 +533,9 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
         taus = limits(xs, t_top)
         j = np.searchsorted(edges, taus, side="right") - 1
         h = prefix[j]
-        cut, far_side = taus > edges[j], j >= near
+        cut = np.flatnonzero(taus > edges[j])  # so j < len(made_by) there
         for k, (f, rule) in enumerate(reads):
-            sel = np.flatnonzero(cut & (far_side == k))
+            sel = cut[made_by[j[cut]] == k]
             if sel.size:
                 v, e, _ = _eval_panels(f, edges[j[sel]], taus[sel], rule=rule)
                 h[sel] += v[0]

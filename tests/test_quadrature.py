@@ -175,7 +175,7 @@ def _sin_weighted(omega, lo, hi, rel_tol=1e-12):
     def pair(x):
         return np.stack([np.zeros_like(x), np.exp(-x * x) / (x * x)])
 
-    vals, _, _, _, shape, evaluations = _adaptive(
+    vals, _, _, shape, evaluations = _adaptive(
         pair, lo, hi, QuadratureConfig(abs_tol=1e-300, rel_tol=rel_tol), omega=omega)
     assert shape == ()
     return float(_ordered_sum(vals)[0]), evaluations
@@ -796,6 +796,67 @@ def test_sin_tail_rows_past_the_crossover_take_their_own_passes():
         evaluations += alone.evaluations
     assert rows.value[0].hex() == near.value[0].hex()
     assert rows.evaluations == evaluations
+
+
+def _split_first_pass(monkeypatch):
+    """Patch _sin_passes to split its first pass at its midpoint: a pass list
+    of another length, whose rules do not alternate, for both consumers."""
+    passes = quadrature_module._sin_passes
+
+    def split(g, omega, b, cfg):
+        (f, lo, hi, *rest), *later = passes(g, omega, b, cfg)
+        mid = 0.5 * (lo + hi)
+        return [(f, lo, mid, *rest), (f, mid, hi, *rest), *later]
+
+    monkeypatch.setattr(quadrature_module, "_sin_passes", split)
+
+
+def test_nested_reads_each_table_panel_by_the_rule_of_its_pass(monkeypatch):
+    # omega t_top = 17,000: the near pass in two halves, then the far pass.
+    # A reader that took every panel past the first pass for a far one read
+    # the far panels by Gauss-Kronrod, 7.5e-7 off with a stated error of 0.56
+    def run():
+        return integrate_nested(lambda x: np.exp(-x), _sin_tail_g, 0.0, 4.0,
+                                lambda x: np.minimum(3.0 * x, 8.5), OUTER_CFG, INNER_CFG,
+                                omega=2000.0)
+
+    whole = run()
+    _split_first_pass(monkeypatch)
+    split = run()
+    assert abs(split.value - whole.value) <= whole.abs_error_estimate + split.abs_error_estimate
+    assert split.abs_error_estimate <= 2.0 * whole.abs_error_estimate
+
+
+def test_sin_tail_runs_every_pass_of_any_pass_list(monkeypatch):
+    # two rows share the near pass, two take their own passes past the crossover
+    scales, omegas = [1.0, 0.5, 2.0, 0.7], np.array([10.0, 300.0, 1e5, 3e6]) / _SIN_TAIL_B
+    whole = integrate_sin_tail(_scaled_rows(scales), omegas, _SIN_TAIL_B, _SIN_TAIL_CFG)
+    _split_first_pass(monkeypatch)
+    split = integrate_sin_tail(_scaled_rows(scales), omegas, _SIN_TAIL_B, _SIN_TAIL_CFG)
+    assert np.all(np.abs(split.value - whole.value)
+                  <= whole.abs_error_estimate + split.abs_error_estimate)
+    assert split.evaluations > whole.evaluations
+
+
+@pytest.mark.parametrize("omega", [None, 3.0])
+def test_nested_empty_table_reads_zero_at_every_node(omega):
+    # t_max = 0 leaves the table without a panel: the inner integrand is
+    # only asked its shape, and every outer node reads H(0) = 0
+    inner_nodes, outer_nodes = [], []
+
+    def inner(t):
+        inner_nodes.append(t.size)
+        return _sin_tail_g(t)
+
+    def weight(x):
+        outer_nodes.append(x.size)
+        return np.exp(-x)
+
+    res = integrate_nested(weight, inner, 0.0, 1.0, np.zeros_like, OUTER_CFG, INNER_CFG,
+                           omega=omega)
+    assert res.value == 0.0 and res.abs_error_estimate == 0.0
+    assert sum(inner_nodes) == 0
+    assert res.evaluations == sum(outer_nodes) > 0
 
 
 @pytest.mark.parametrize("omega", [np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]),
