@@ -5,10 +5,10 @@ Panels use an embedded 7-point Gauss / 15-point Kronrod pair. The rule is
 open (no endpoint evaluations), so integrands with a removable singularity
 at an interval edge are handled as long as every sampled node is finite.
 An empty range samples nothing. For g(x) (1 - sin(omega x)/(omega x)),
-integrate_sin_tail and integrate_nested take g and omega, form the factor
-with sinc_deficit and decide where a sin-weighted Clenshaw-Curtis rule takes over;
-integrate_sin_tail takes a 1-d array of omega, one per row, and a g(x, rows)
-that returns only the rows a pass integrates.
+integrate_sin_tail and integrate_nested take g and omega and run and read any
+pass list of _sin_passes, which forms the factor with sinc_deficit and picks where
+a sin-weighted Clenshaw-Curtis rule takes over; integrate_sin_tail takes a 1-d array
+of omega, one per row, and a g(x, rows) that returns only the rows a pass integrates.
 Integrands are vectorized: they take a 1-D ndarray of n nodes and return
 shape (n,) (a scalar broadcasts), or (m, n) for m integrals over one shared
 set of panels, the design of scipy.integrate.quad_vec. Each component keeps
@@ -99,8 +99,8 @@ _SMALL_CALL = 64
 # 1.6-1.7 ms for any omega, pi/omega panels 1.7-1.9 ms at 3000 and 2.5-2.7 ms here
 _FAR_CROSSOVER = 4000.0
 
-# Below this the cubic series of sinc_deficit is exact to < 1e-15.
-_SINC_SERIES_CUT = 1e-2
+# Below this sinc_deficit sums its series to y^12, whose next term is below 1.2e-15 of it.
+_SINC_SERIES_CUT = 0.5
 # Gaussian tail bound: exp(-s^2) < 1e-30 at s = sqrt(ln 1e30).
 _TRUNC_SIGMA = math.sqrt(math.log(1e30))
 
@@ -352,21 +352,21 @@ def _adaptive(f: Callable, a: float, b: float, cfg: QuadratureConfig,
 
 
 def sinc_deficit(y):
-    """1 - sin(y)/y, by its cubic series below y = 1e-2, where it would cancel.
+    """1 - sin(y)/y, by its series to y^12 below y = 0.5, where it would cancel.
 
     Values lie in [0, 1 + 1/y]; y >= 0, scalar or array. Against mpmath over
-    1e-8 <= y <= 1e8 the relative error is at most 4.7e-16 below the cut and
-    above y = 1; between, sin(y)/y still cancels, by up to 2^-52 6/y^2
-    (8.0e-12 measured at y = 0.0100138)."""
+    1e-8 <= y <= 1e8 the relative error is at most 1.5e-15 below the cut and
+    above y = 1; between, sin(y)/y still cancels, by up to 2^-52 6/y^2, at
+    most 5.3e-15 (3.4e-15 measured at y = 0.5276)."""
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
         raise ValueError("sinc_deficit requires finite y >= 0")
     flat = np.atleast_1d(y)
     out = 1.0 - np.sinc(flat / np.pi)
     small = flat < _SINC_SERIES_CUT
-    if small.any():
-        y2 = flat[small] ** 2
-        out[small] = y2 / 6.0 - y2 * y2 / 120.0 + y2 * y2 * y2 / 5040.0
+    y2 = flat[small] ** 2
+    out[small] = y2 * (1 / 6 - y2 * (1 / 120 - y2 * (1 / 5040 - y2 * (
+        1 / 362880 - y2 * (1 / 39916800 - y2 / 6227020800)))))
     return float(out[0]) if y.ndim == 0 else out
 
 
@@ -375,7 +375,7 @@ def _sin_passes(g, omega, b: float, cfg) -> list:
     every one at cfg's tolerances: f = g sinc_deficit(omega x) over [0, b], seed
     panels at most pi/omega wide; past omega b = _FAR_CROSSOVER, f over [0, 1/omega]
     and the pair (g, -g/(omega x)) of f0 + f1 sin(omega x) from the decades
-    10^j/omega to b. omega is a scalar or an array of m rows of g, all at or below
+    10^j/omega to b. omega is a scalar or an array of m rows of g, one row only past
     the crossover (the sin-weighted rule takes one omega); f holds one row per
     omega, its seed panels at most pi/max(omega) wide. The only place that forms either."""
     w = np.atleast_1d(np.asarray(omega, dtype=float))
@@ -389,7 +389,8 @@ def _sin_passes(g, omega, b: float, cfg) -> list:
         return g(x) * sinc_deficit(freq * x)
 
     def pair(x: np.ndarray) -> np.ndarray:
-        return np.stack([y := np.reshape(g(x), x.shape), -y / (top * x)])
+        # g's one row, or a scalar, at every node
+        return np.stack([y := np.broadcast_to(g(x), (1,) + x.shape)[0], -y / (top * x)])
 
     near = replace(cfg, panel_hint=min(cfg.panel_hint or math.inf, math.pi / top))
     if top * b <= _FAR_CROSSOVER:
@@ -431,12 +432,12 @@ def integrate_sin_tail(g: Callable, omega: np.ndarray, b: float,
     of the m rows of omega, a 1-d array of finite values > 0, b finite and
     >= 0. g(x, rows) returns g_i, smooth on (0, b], at the nodes x for the
     index array rows, as (len(rows), n); value and abs_error_estimate are
-    arrays of m. Every pass runs at cfg's tolerances. The rows at or below
-    omega b = _FAR_CROSSOVER share one batched pass over [0, b], seed panels
-    at most pi/max(omega) wide, each row meeting the tolerance on its own. A
-    row past it takes its own two passes, asking g for that row alone: [0,
-    1/omega] and a far pass whose cost grows as ln omega. A g that returns
-    other rows than it is asked for raises ValueError."""
+    arrays of m. The rows at or below omega b = _FAR_CROSSOVER form one group,
+    each row past it a group that asks g for that row alone. A group sums, in
+    order, every pass _sin_passes lists for it at cfg's tolerances (a plain
+    Gauss-Kronrod pass through integrate): the batch's one pass over [0, b], each
+    row meeting its tolerance on its own, or a far row's [0, 1/omega] and a far
+    pass whose cost grows as ln omega. A g returning rows not asked for raises ValueError."""
     w = np.asarray(omega, dtype=float)
     if w.ndim != 1 or not w.size:
         raise ValueError(f"omega must be a 1-d array of rows, got shape {w.shape}")
@@ -488,11 +489,11 @@ def integrate_nested(weight: Callable, inner: Callable, a: float, b: float, t_ma
     weight, inner and t_max take 1-D arrays (a scalar result broadcasts);
     t_max must be finite, non-negative and largest at a or b (t_top). One
     adaptive pass of the inner integrand over [0, t_top] at inner_cfg tabulates
-    its integral H(tau) from 0; with omega the engine splits the table as
-    integrate_sin_tail does, every pass at inner_cfg. A node x reads
-    H(t_max(x)) as the prefix sum of the panels left of tau plus one panel
-    of the cut panel's rule (15 Kronrod or 25 sin-weighted nodes) from its
-    left edge to tau, so a tau of 0 or on an edge samples nothing. The outer
+    its integral H(tau) from 0; with omega the table is every pass of
+    _sin_passes at inner_cfg. A node x reads H(t_max(x)) as the prefix sum
+    of the panels left of tau plus one panel, by the rule of the pass that
+    made it (15 Kronrod or 25 sin-weighted nodes), from its left edge to
+    tau, so a tau of 0 or on an edge samples nothing. The outer
     pass is integrate(..., cfg). abs_error_estimate adds (b - a) max|weight|
     (table estimate + largest partial-panel estimate); evaluations counts
     table, outer and partial-panel nodes. NonConvergence names the axis;

@@ -47,9 +47,9 @@ def test_sinc_deficit_zero_and_analytic_points():
 
 def test_sinc_deficit_series_joins_direct_branch():
     # each branch where they meet, against mpmath at its own y: the series
-    # just below the cut within 1e-15, the direct branch just above it
-    # within the docstring's 2^-52 6/y^2 (1.3e-11 there)
-    for y, bound in ((0.01 * (1 - 1e-9), 1e-15), (0.01 * (1 + 1e-9), 2.0**-52 * 6.0 / 0.01**2)):
+    # just below the cut within 1.5e-15, the direct branch just above it
+    # within the docstring's 2^-52 6/y^2 (5.3e-15 there)
+    for y, bound in ((0.5 * (1 - 1e-9), 1.5e-15), (0.5 * (1 + 1e-9), 2.0**-52 * 6.0 / 0.5**2)):
         with mpmath.workdps(40):
             ref = float(1 - mpmath.sin(mpmath.mpf(y)) / mpmath.mpf(y))
         assert sinc_deficit(y) == pytest.approx(ref, rel=bound, abs=0)
@@ -64,9 +64,10 @@ def _sinc_deficit_both_branches(y):
     # the formula that evaluated the series and the direct branch on every
     # element and picked one by np.where
     y = np.asarray(y, dtype=float)
-    small = y < 1e-2
+    small = y < 0.5
     y2 = np.where(small, y, 0.0) ** 2
-    series = y2 / 6.0 - y2 * y2 / 120.0 + y2 * y2 * y2 / 5040.0
+    series = y2 * (1 / 6 - y2 * (1 / 120 - y2 * (1 / 5040 - y2 * (
+        1 / 362880 - y2 * (1 / 39916800 - y2 / 6227020800)))))
     out = np.where(small, series, 1.0 - np.sinc(np.where(small, 1.0, y) / np.pi))
     return float(out) if out.ndim == 0 else out
 
@@ -74,33 +75,33 @@ def _sinc_deficit_both_branches(y):
 def test_sinc_deficit_bits_match_the_both_branch_formula():
     # the series now runs on the small elements only; the closed and
     # double routes must see the same bits as before
-    y = np.concatenate(([0.0, 5e-324, np.nextafter(1e-2, 0.0), 1e-2,
-                         np.nextafter(1e-2, 1.0)],
+    y = np.concatenate(([0.0, 5e-324, np.nextafter(0.5, 0.0), 0.5,
+                         np.nextafter(0.5, 1.0)],
                         np.geomspace(1e-5, 1e2, 2001), [math.pi, 1e7]))
     got = sinc_deficit(y.reshape(8, -1))
     assert got.shape == (8, y.size // 8)
     assert [v.hex() for v in got.ravel()] == [
         v.hex() for v in _sinc_deficit_both_branches(y)]
-    for scalar in (0.0, 3e-3, 1e-2, 2.5):
+    for scalar in (0.0, 3e-3, 0.3, 0.5, 2.5):
         value = sinc_deficit(scalar)
         assert isinstance(value, float)
         assert value.hex() == _sinc_deficit_both_branches(scalar).hex()
 
 
 def test_sinc_deficit_meets_its_stated_accuracy_against_mpmath():
-    # the docstring's bounds: 1e-15 relative below the series cut y = 1e-2
-    # and above y = 1 (4.7e-16 measured); between them the direct branch
-    # still cancels, by up to two roundings of sin(y)/y near 1, 2^-52 6/y^2.
-    # The grid straddles the cut and 0.1, so a cut moved to 1e-3 or 1e-1
-    # fails here: 7.7e-10 against 1e-15, and 1.7e-11 against 1.3e-13
-    y = np.concatenate([np.geomspace(1e-8, 1e8, 2001), np.linspace(0.0099, 0.0101, 201),
-                        np.linspace(0.0995, 0.1005, 101)])
+    # the docstring's bounds: 1.5e-15 relative below the series cut y = 0.5
+    # and above y = 1 (1.4e-15 and 7.0e-16 measured); between them the direct
+    # branch still cancels, by up to two roundings of sin(y)/y near 1,
+    # 2^-52 6/y^2 <= 5.3e-15 (3.4e-15 measured). The grid is dense from 0.25
+    # to 1.2, so a cut moved to 0.25 or 1, or a series cut after y^10, fails here
+    y = np.concatenate([np.geomspace(1e-8, 1e8, 2001), np.linspace(0.25, 1.2, 2001),
+                        np.linspace(0.499, 0.501, 201)])
     got = sinc_deficit(y)
     with mpmath.workdps(40):
         ref = np.array([float(1 - mpmath.sin(mpmath.mpf(v)) / mpmath.mpf(v)) for v in y])
     rel = np.abs(got - ref) / ref
-    cancels = (y >= 1e-2) & (y < 1.0)
-    bound = np.where(cancels, 2.0**-52 * 6.0 / y**2, 1e-15)
+    cancels = (y >= 0.5) & (y < 1.0)
+    bound = np.where(cancels, 2.0**-52 * 6.0 / y**2, 1.5e-15)
     worst = int(np.argmax(rel / bound))
     assert rel[worst] <= bound[worst], (y[worst], rel[worst])
 
