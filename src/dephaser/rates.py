@@ -17,6 +17,9 @@ fifth-moment weight holds less than 1e-19 of its total:
   relative azimuth are drawn), four uniforms per sample from one PCG64
   stream per seed.
 
+One function, _rates, maps a method name to its route: compute_rate, and
+through it each rate_* function and rate_validate, runs it at one point.
+
 Cross-agreement of the three is the package's main correctness argument;
 ``rate_validate`` runs it on demand. A RateResult stores gamma and derives
 T2 from it; a ValidationReport stores the three RateResults and derives
@@ -146,48 +149,10 @@ def rate_closed_form(material: MaterialParams, geom: DotGeometry,
     smooth factor exp(-x^2) B/x as one row, a and _KERNEL_CFG (every pass at
     rel 1e-10); the engine forms the interference factor and decides where
     its far pass takes over. The error is the engine's estimate; T = 0 and
-    D = 0 short-circuit to a vanishing rate. This is the batch of one of the
-    route's batched core, which run_sweep calls for a whole grid.
+    D = 0 short-circuit to a vanishing rate. This is a batch of one of the
+    route's batched core, _closed_pass, which a sweep gives its whole grid.
     """
-    result, = _closed_form_rates(material, [(geom, env)])
-    if isinstance(result, NonConvergence):
-        raise result
-    return result
-
-
-def _closed_form_rates(material: MaterialParams, points) -> list:
-    """rate_closed_form at each (geom, env) of points, in order: its
-    RateResult, or the NonConvergence it raises there.
-
-    Points that share sep_ratio (every point of a T-sweep) go through one
-    _closed_pass; a lone point is its own. In a shared pass the points at or
-    below the engine's crossover share one batched engine pass, and each
-    point past it takes its own near and far passes. If a shared pass raises
-    NonConvergence or NonFiniteSample, its points run again one at a time,
-    so every point ends as its own call would, with the same bits and text.
-    """
-    scales = {i: derived_scales(material, geom, env) for i, (geom, env) in enumerate(points)
-              if env.T_K != 0.0 and geom.separation_D_m != 0.0}
-    groups = {}
-    for i, p in scales.items():
-        _check_narrow_cutoff(p)
-        groups.setdefault(p.sep_ratio, []).append(i)
-    done = {}
-    for rows in groups.values():
-        if len(rows) > 1:
-            try:
-                done.update(zip(rows, _closed_pass([scales[i] for i in rows])))
-            except (NonConvergence, NonFiniteSample):
-                pass  # its points run again one at a time below
-
-    def one(i: int, geom: DotGeometry, env: ThermalEnv):
-        try:
-            return _route(METHOD_CLOSED, geom, env,
-                          lambda: done[i] if i in done else _closed_pass([scales[i]])[0])
-        except NonConvergence as exc:
-            return exc
-
-    return [one(i, geom, env) for i, (geom, env) in enumerate(points)]
+    return compute_rate(METHOD_CLOSED, material, geom, env)
 
 
 def _closed_pass(ps: list) -> list:
@@ -231,6 +196,11 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     smooth factor exp(-t^2)/t and omega = a, it forms the interference factor
     and decides where the table's far pass takes over, as for closed.
     """
+    return compute_rate(METHOD_DOUBLE, material, geom, env)
+
+
+def _double_pass(p: RateIntegralParams) -> tuple:
+    """(gamma, error) of the double route at the point of scales p."""
     def weight(x: np.ndarray) -> np.ndarray:
         em = np.expm1(-x)
         return x**5 * np.exp(-x) / (em * em)
@@ -238,15 +208,11 @@ def rate_double_integral(material: MaterialParams, geom: DotGeometry,
     def inner(t: np.ndarray) -> np.ndarray:
         return np.exp(-t * t) / t
 
-    def rate() -> tuple:
-        p = derived_scales(material, geom, env)
-        slope = p.form_factor_limit / p.x_debye
-        quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
-                                lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
-                                _OUTER_CFG, _KERNEL_CFG, omega=p.sep_ratio)
-        return p.prefactor_per_s * quad.value, p.prefactor_per_s * quad.abs_error_estimate
-
-    return _route(METHOD_DOUBLE, geom, env, rate)
+    slope = p.form_factor_limit / p.x_debye
+    quad = integrate_nested(weight, inner, 0.0, min(p.x_debye, _MOMENT_TAIL_CUT),
+                            lambda x: np.minimum(slope * x, _FORM_FACTOR_CUT),
+                            _OUTER_CFG, _KERNEL_CFG, omega=p.sep_ratio)
+    return p.prefactor_per_s * quad.value, p.prefactor_per_s * quad.abs_error_estimate
 
 
 def _radial_table(x_per_k: float, k_max: float) -> Optional[tuple]:
@@ -436,27 +402,25 @@ def rate_monte_carlo(material: MaterialParams, geom: DotGeometry,
     run to run and for any DEPHASER_THREADS on one numpy build and CPU.
     Across builds or CPUs, values agree to about 1e-14 relative.
     """
-    _check_sampling(samples, seed)
-    samples = int(samples)
-    seed = int(seed)
+    return compute_rate(METHOD_MC, material, geom, env, samples=samples, seed=seed)
 
-    def rate() -> tuple:
-        p = derived_scales(material, geom, env)
-        x_per_k = p.x_debye / material.k_D_per_m
-        table = _radial_table(x_per_k, min(material.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
-        if table is None:
-            return 0.0, 0.0
-        scale = p.prefactor_per_s * x_per_k**5 / (8.0 * math.pi**2)
-        blocks = [(b * _MC_BLOCK, min(samples, (b + 1) * _MC_BLOCK))
-                  for b in range((samples + _MC_BLOCK - 1) // _MC_BLOCK)]
 
-        with ThreadPoolExecutor(max_workers=min(worker_count(), len(blocks))) as pool:
-            count, mean, m2 = _merge_moments(pool.map(
-                lambda span: _mc_block(seed, *span, table, x_per_k,
-                                       geom.width_L_m, geom.separation_D_m), blocks))
-        return scale * mean, scale * math.sqrt(m2 / (count - 1) / count)
+def _mc_pass(p: RateIntegralParams, material: MaterialParams, geom: DotGeometry,
+             samples: int, seed: int) -> tuple:
+    """(gamma, error) of the Monte Carlo route at the point of scales p."""
+    x_per_k = p.x_debye / material.k_D_per_m
+    table = _radial_table(x_per_k, min(material.k_D_per_m, _MOMENT_TAIL_CUT / x_per_k))
+    if table is None:
+        return 0.0, 0.0
+    scale = p.prefactor_per_s * x_per_k**5 / (8.0 * math.pi**2)
+    blocks = [(b * _MC_BLOCK, min(samples, (b + 1) * _MC_BLOCK))
+              for b in range((samples + _MC_BLOCK - 1) // _MC_BLOCK)]
 
-    return _route(METHOD_MC, geom, env, rate)
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(blocks))) as pool:
+        count, mean, m2 = _merge_moments(pool.map(
+            lambda span: _mc_block(seed, *span, table, x_per_k,
+                                   geom.width_L_m, geom.separation_D_m), blocks))
+    return scale * mean, scale * math.sqrt(m2 / (count - 1) / count)
 
 
 def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,
@@ -464,30 +428,79 @@ def compute_rate(method: str, material: MaterialParams, geom: DotGeometry,
                  seed: int = _MC_SEED) -> RateResult:
     """Dephasing rate by the route named method, one of METHODS.
 
-    samples and seed apply to the Monte Carlo route only. The routes are
-    looked up as module globals at each call, so rebinding
-    ``rates.rate_closed_form`` (a test double, a timing shim) reaches
-    every caller of this dispatch. A closed-route sweep is not one: it
-    calls the route's batched core, _closed_form_rates, for its whole grid.
+    samples and seed apply to the Monte Carlo route only. This is _rates
+    at one point, raising that point's NonConvergence.
     """
-    if method == METHOD_CLOSED:
-        return rate_closed_form(material, geom, env)
-    if method == METHOD_DOUBLE:
-        return rate_double_integral(material, geom, env)
+    result, = _rates(method, material, [(geom, env)], samples, seed)
+    if isinstance(result, NonConvergence):
+        raise result
+    return result
+
+
+def _rates(method: str, material: MaterialParams, points, samples: int = _MC_SAMPLES,
+           seed: int = _MC_SEED) -> list:
+    """The rate by the route named method at each (geom, env) of points, in
+    order: its RateResult, or the NonConvergence it raises there. The one
+    place a method name selects a route; each point's scales are derived
+    once, and each point runs in _route.
+
+    Closed points that share sep_ratio (a T-sweep) go through one
+    _closed_pass, where the points at or below the engine's crossover share
+    one batched pass and each point past it takes its own near and far
+    passes. A shared pass that raises NonConvergence or NonFiniteSample runs
+    its points again one at a time, so each ends with its own call's bits.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown rate method {method!r}")
     if method == METHOD_MC:
-        return rate_monte_carlo(material, geom, env, samples=samples, seed=seed)
-    raise ValueError(f"unknown rate method {method!r}")
+        _check_sampling(samples, seed)
+        samples, seed = int(samples), int(seed)
+    scales = {i: derived_scales(material, geom, env) for i, (geom, env) in enumerate(points)
+              if env.T_K != 0.0 and geom.separation_D_m != 0.0}
+    done = {}
+    if method == METHOD_CLOSED:
+        groups = {}
+        for i, p in scales.items():
+            _check_narrow_cutoff(p)
+            groups.setdefault(p.sep_ratio, []).append(i)
+        for rows in groups.values():
+            if len(rows) > 1:
+                try:
+                    done.update(zip(rows, _closed_pass([scales[i] for i in rows])))
+                except (NonConvergence, NonFiniteSample):
+                    pass  # its points run again one at a time below
+
+    def rate(i: int, geom: DotGeometry) -> tuple:
+        if method == METHOD_CLOSED:
+            return done[i] if i in done else _closed_pass([scales[i]])[0]
+        if method == METHOD_DOUBLE:
+            return _double_pass(scales[i])
+        return _mc_pass(scales[i], material, geom, samples, seed)
+
+    def outcome(i: int, geom: DotGeometry, env: ThermalEnv):
+        try:
+            return _route(method, geom, env, lambda: rate(i, geom))
+        except NonConvergence as exc:
+            return exc
+
+    return [outcome(i, geom, env) for i, (geom, env) in enumerate(points)]
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Cross-route agreement report for one parameter point. It stores the
     three results and derives the rest: the verdicts compare rel_diff_double
-    with 1 % and rel_diff_mc with mc_allowance_rel."""
+    with 1 % and rel_diff_mc with mc_allowance_rel, all relative to the
+    closed-form rate, which must therefore be positive."""
 
     closed_form: RateResult
     double_integral: RateResult
     monte_carlo: RateResult
+
+    def __post_init__(self):
+        if self.closed_form.gamma_per_s == 0.0:
+            raise ValueError("the closed-form rate vanishes here, so the routes' "
+                             "relative differences are undefined")
 
     @property
     def rel_diff_double(self) -> float:
@@ -530,7 +543,7 @@ def rate_validate(material: MaterialParams, geom: DotGeometry, env: ThermalEnv,
         raise ValueError("rate_validate requires T_K > 0 and separation_D_m > 0")
     _check_sampling(samples, seed)
     return ValidationReport(
-        closed_form=rate_closed_form(material, geom, env),
-        double_integral=rate_double_integral(material, geom, env),
-        monte_carlo=rate_monte_carlo(material, geom, env, samples=samples, seed=seed),
+        closed_form=compute_rate(METHOD_CLOSED, material, geom, env),
+        double_integral=compute_rate(METHOD_DOUBLE, material, geom, env),
+        monte_carlo=compute_rate(METHOD_MC, material, geom, env, samples=samples, seed=seed),
     )

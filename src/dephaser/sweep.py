@@ -17,10 +17,9 @@ import numpy as np
 from .model import GAAS, DotGeometry, MaterialParams, ThermalEnv
 from .quadrature import NonConvergence
 from .rates import (_MC_SAMPLES, _MC_SEED, METHOD_CLOSED, METHODS, RateResult,
-                    _check_sampling, _closed_form_rates, compute_rate)
-# Bound here only because perfbench/tests/test_perfbench.py checks that its
-# tracer restores sweep.rate_closed_form; closed points go through
-# _closed_form_rates, the others through compute_rate.
+                    _check_sampling, _rates)
+# bound here only for perfbench/tests/test_perfbench.py, which checks that
+# its tracer restores sweep.rate_closed_form
 from .rates import rate_closed_form  # noqa: F401
 
 AXIS_TEMPERATURE = "temperature"
@@ -113,39 +112,21 @@ class SweepPoint:
 def run_sweep(spec: SweepSpec) -> list:
     """Evaluate the rate on the sweep grid, one SweepPoint per grid value.
 
-    Points are evaluated in grid order on the calling thread; only the
-    Monte Carlo route starts worker threads (DEPHASER_THREADS), and no
-    value depends on their number. A point that fails to converge is
-    recorded in place with its error message; the sweep continues.
-
-    The closed route takes the whole grid in one call of its batched core:
-    the points that share D and L (every point of a T-sweep) go through one
-    call of the engine, where the points at or below its crossover share one
-    batched pass and each point past it takes its own two. They agree with
-    rate_closed_form at the same point to 1e-12 relative, not bit for bit;
-    each point of a D-sweep is its own call and is rate_closed_form's value. A shared pass that fails runs its points
-    again one at a time, so a failed point's error is the one its own call
-    raises. The other routes go through compute_rate point by point.
+    The whole grid is one call of rates._rates, in grid order on the calling
+    thread; only the Monte Carlo route starts worker threads
+    (DEPHASER_THREADS), and no value depends on their number. A point that
+    fails to converge is recorded in place with the error compute_rate
+    raises there; the sweep continues. Each point is compute_rate's value,
+    except that the closed points sharing D and L (a T-sweep) share one
+    engine call and agree with rate_closed_form to 1e-12 relative.
     """
     grid = spec.grid()
-    if spec.method == METHOD_CLOSED:
-        outcomes = _closed_form_rates(spec.material, [spec._inputs(v) for v in grid])
-    else:
-        outcomes = [_outcome(spec, value) for value in grid]
+    outcomes = _rates(spec.method, spec.material, [spec._inputs(v) for v in grid],
+                      spec.samples, spec.seed)
     return [SweepPoint(axis_value=float(value), method=spec.method, error=str(out))
             if isinstance(out, NonConvergence) else
             SweepPoint(axis_value=float(value), method=spec.method, result=out)
             for value, out in zip(grid, outcomes)]
-
-
-def _outcome(spec: SweepSpec, value: float):
-    """compute_rate at the grid point, or the NonConvergence it raises."""
-    geom, env = spec._inputs(value)
-    try:
-        return compute_rate(spec.method, spec.material, geom, env,
-                            samples=spec.samples, seed=spec.seed)
-    except NonConvergence as exc:
-        return exc
 
 
 @dataclass(frozen=True)

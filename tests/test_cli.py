@@ -200,13 +200,13 @@ def test_sweep_failed_point_reason_goes_to_stderr(capsys, monkeypatch):
             "--log", "--L", "4e-9", "--D", "10e-9"]
     _, clean, _ = _run(capsys, argv)
 
-    true_rates = sweep_module._closed_form_rates
+    true_rates = sweep_module._rates
 
-    def flaky(material, points):
+    def flaky(method, material, points, *sampling):
         return [NonConvergence("synthetic failure at 80 K") if env.T_K == 80.0 else out
-                for (_, env), out in zip(points, true_rates(material, points))]
+                for (_, env), out in zip(points, true_rates(method, material, points, *sampling))]
 
-    monkeypatch.setattr(sweep_module, "_closed_form_rates", flaky)
+    monkeypatch.setattr(sweep_module, "_rates", flaky)
     code, out, err = _run(capsys, argv)
     assert code == 0
     assert out.splitlines()[:4] == clean.splitlines()[:4]
@@ -268,6 +268,16 @@ def test_validate_command_failure_goes_to_stderr(capsys, monkeypatch):
     assert lines[4].startswith("closed-form vs monte-carlo: ")
     assert lines[4].endswith("FAIL")
     assert lines[-1] == "validation FAILED"
+
+
+def test_validate_rejects_a_closed_rate_that_underflows(capsys):
+    # at 1e-50 K the closed rate is 0.0: one error line, no traceback
+    code, out, err = _run(capsys, ["validate", "--T", "1e-50", "--L", "4e-9", "--D", "1e-8",
+                                   "--samples", "10000"])
+    assert code == 1
+    assert out == ""
+    assert err == ("error: the closed-form rate vanishes here, so the routes' relative "
+                   "differences are undefined\n")
 
 
 def test_curve_plateau_on_stderr(capsys):

@@ -1025,12 +1025,23 @@ def test_validation_rejects_degenerate_points():
                       ThermalEnv(T_K=50.0))
 
 
+def test_validation_rejects_a_closed_rate_that_underflows():
+    # at 1e-50 K the closed rate underflows to 0.0; at 1e-45 K it is 4.9e-313
+    geom = DotGeometry(width_L_m=4e-9, separation_D_m=1e-8)
+    with pytest.raises(ValueError, match="closed-form rate vanishes"):
+        rate_validate(GAAS, geom, ThermalEnv(T_K=1e-50), samples=10**4)
+    assert rate_validate(GAAS, geom, ThermalEnv(T_K=1e-45), samples=10**4).passed
+    with pytest.raises(ValueError, match="closed-form rate vanishes"):
+        ValidationReport(RateResult(0.0, METHOD_CLOSED, 0.0), RateResult(0.0, METHOD_DOUBLE, 0.0),
+                         RateResult(0.0, METHOD_MC, 0.0))
+
+
 def test_validation_checks_sampling_before_any_route(monkeypatch):
     # a bad samples value must be reported first, without running a route
     def fail(*args, **kwargs):
         raise AssertionError("a route ran before samples was checked")
 
-    for name in ("rate_closed_form", "rate_double_integral", "rate_monte_carlo"):
+    for name in ("_closed_pass", "_double_pass", "_mc_pass"):
         monkeypatch.setattr(rates_module, name, fail)
     with pytest.raises(ValueError, match="samples must be >= 10000"):
         rate_validate(GAAS, DotGeometry(4e-9, 1e-3), ThermalEnv(300.0), samples=5)
@@ -1081,12 +1092,24 @@ def test_compute_rate_rejects_unknown_method():
         compute_rate("closed", GAAS, GEOM, ThermalEnv(T_K=50.0))
 
 
-def test_compute_rate_calls_the_module_binding(monkeypatch):
-    # a timing shim or test double that rebinds rates.rate_closed_form
-    # must see every dispatched call
-    stub = RateResult(gamma_per_s=2.0, method=METHOD_CLOSED, error_estimate_per_s=0.0)
-    monkeypatch.setattr(rates_module, "rate_closed_form", lambda m, g, e: stub)
-    assert compute_rate(METHOD_CLOSED, GAAS, GEOM, ThermalEnv(T_K=50.0)) is stub
+def test_every_closed_entry_reaches_the_module_binding_of_closed_pass(monkeypatch):
+    # a timing shim or test double that rebinds rates._closed_pass must see
+    # every closed-route call, whichever public entry makes it
+    seen = []
+
+    def stub(ps):
+        seen.append(len(ps))
+        return [(2.0, 0.0)] * len(ps)
+
+    monkeypatch.setattr(rates_module, "_closed_pass", stub)
+    env = ThermalEnv(T_K=50.0)
+    assert rate_closed_form(GAAS, GEOM, env).gamma_per_s == 2.0
+    assert compute_rate(METHOD_CLOSED, GAAS, GEOM, env).gamma_per_s == 2.0
+    sweep = run_sweep(SweepSpec(axis="temperature", min_value=50.0, max_value=100.0,
+                                points=3, fixed_D_m=10e-9))
+    assert [p.result.gamma_per_s for p in sweep] == [2.0] * 3
+    assert rate_validate(GAAS, GEOM, env, samples=10**4).closed_form.gamma_per_s == 2.0
+    assert seen == [1, 1, 3, 1]
 
 
 def test_worker_count_defaults_to_cores(monkeypatch):

@@ -9,8 +9,10 @@ against QAWO, both routes against the low-temperature series). This test
 traces one call of each route with sys.setprofile and fails when the
 shared set changes, so a newly shared function is declared here, with its
 oracle, before it lands. mc meets the others only in the model's scale
-and the route frame (rates._route: the T = 0 / D = 0 short-circuit, the
-NonConvergence label and the result record).
+and the route frame: the dispatch (rates.compute_rate and rates._rates,
+which derives each point's scales and picks the route's pass),
+rates._route (the T = 0 / D = 0 short-circuit and the NonConvergence
+label) and the result record.
 """
 
 import sys
@@ -29,7 +31,11 @@ PACKAGE = str(Path(dephaser.__file__).parent)
 # the model's scale, the route frame and the result record: the only
 # functions mc may share
 SCALE = {"model.derived_scales", "model.coupling_scale", "model.RateIntegralParams.__init__",
+         "rates.compute_rate", "rates._rates", "rates._rates.<locals>.rate",
+         "rates._rates.<locals>.outcome", "rates._rates.<locals>.outcome.<locals>.<lambda>",
          "rates._route", "rates.RateResult.__init__", "rates.RateResult.__post_init__"}
+if sys.version_info < (3, 12):  # later versions run a comprehension in its caller's frame
+    SCALE |= {"rates._rates.<locals>.<dictcomp>", "rates._rates.<locals>.<listcomp>"}
 # the engine and the interference factor, run by closed and double at every point
 ENGINE = {"quadrature.QuadratureConfig.__init__", "quadrature.QuadratureConfig.__post_init__",
           "quadrature.QuadratureResult.__init__", "quadrature.integrate",

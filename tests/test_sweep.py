@@ -13,7 +13,8 @@ import dephaser.sweep as sweep_module
 from dephaser.cli import sweep_csv_text
 from dephaser.quadrature import NonConvergence
 from dephaser.model import GAAS
-from dephaser.rates import METHOD_CLOSED, METHOD_MC, CutoffValidityWarning, rate_closed_form
+from dephaser.rates import (METHOD_CLOSED, METHOD_DOUBLE, METHOD_MC, CutoffValidityWarning,
+                            compute_rate, rate_closed_form, rate_monte_carlo)
 from dephaser.specfun import BoseMomentTable, get_moment_table
 from dephaser.sweep import (
     AXIS_DISTANCE,
@@ -117,17 +118,18 @@ def test_csv_failure_row_renders_nan(tmp_path):
 
 
 def test_sweep_records_nonconvergence_and_continues(monkeypatch):
-    # a closed sweep takes every point's outcome from the route's batched
-    # core, which returns a point's NonConvergence in its place
+    # a sweep takes every point's outcome from rates._rates, which returns
+    # a point's NonConvergence in its place
     spec = _temperature_spec(points=4)
     target = spec.grid()[2]
-    true_rates = sweep_module._closed_form_rates
+    true_rates = sweep_module._rates
 
-    def flaky(material, points):
+    def flaky(method, material, points, *sampling):
         return [NonConvergence("synthetic failure for this grid point") if env.T_K == target
-                else out for (_, env), out in zip(points, true_rates(material, points))]
+                else out for (_, env), out in zip(points, true_rates(method, material, points,
+                                                                     *sampling))]
 
-    monkeypatch.setattr(sweep_module, "_closed_form_rates", flaky)
+    monkeypatch.setattr(sweep_module, "_rates", flaky)
     points = run_sweep(spec)
     assert points[2].result is None
     assert "synthetic failure" in points[2].error
@@ -150,17 +152,43 @@ def test_sweep_records_an_engine_failure_and_continues(monkeypatch):
         assert "after 0 subdivisions of [" in p.error
 
 
+def test_double_sweep_matches_compute_rate_at_every_point(monkeypatch):
+    # with no bisection allowed the double route's outer axis gives up at
+    # the four lowest temperatures and converges at 300 K
+    monkeypatch.setattr(quadrature_module, "_MAX_SUBDIVISIONS", 0)
+    spec = SweepSpec(axis=AXIS_TEMPERATURE, min_value=1e-3, max_value=300.0, points=5,
+                     method=METHOD_DOUBLE, fixed_D_m=50e-9)
+    points = run_sweep(spec)
+    assert [p.result is None for p in points] == [True] * 4 + [False]
+    for p in points[:4]:
+        with pytest.raises(NonConvergence) as raised:
+            compute_rate(METHOD_DOUBLE, GAAS, *spec._inputs(p.axis_value))
+        assert p.error == str(raised.value)
+        assert "outer axis: error estimate " in p.error
+    alone = compute_rate(METHOD_DOUBLE, GAAS, *spec._inputs(300.0))
+    assert points[4].result.gamma_per_s.hex() == alone.gamma_per_s.hex()
+    assert points[4].result.error_estimate_per_s.hex() == alone.error_estimate_per_s.hex()
+
+
+def test_mc_sweep_point_is_rate_monte_carlo_at_the_same_seed():
+    spec = _temperature_spec(points=2, method=METHOD_MC, samples=10**4, seed=99)
+    point = run_sweep(spec)[1]
+    alone = rate_monte_carlo(GAAS, *spec._inputs(point.axis_value), samples=10**4, seed=99)
+    assert point.result.gamma_per_s.hex() == alone.gamma_per_s.hex()
+    assert point.result.error_estimate_per_s.hex() == alone.error_estimate_per_s.hex()
+
+
 def test_sweep_evaluates_every_point_on_the_calling_thread(monkeypatch):
     monkeypatch.setenv("DEPHASER_THREADS", "4")
-    true_rates = sweep_module._closed_form_rates
+    true_rates = sweep_module._rates
     threads = []
 
-    def recording(material, points):
-        # one entry per point the core is asked for, from the thread that asks
+    def recording(method, material, points, *sampling):
+        # one entry per point the dispatch is asked for, from the thread that asks
         threads.extend(threading.get_ident() for _ in points)
-        return true_rates(material, points)
+        return true_rates(method, material, points, *sampling)
 
-    monkeypatch.setattr(sweep_module, "_closed_form_rates", recording)
+    monkeypatch.setattr(sweep_module, "_rates", recording)
     points = run_sweep(_temperature_spec(points=4))
     assert all(p.result is not None for p in points)
     assert threads == [threading.get_ident()] * 4
